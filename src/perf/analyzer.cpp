@@ -1,18 +1,19 @@
 #include "perf/analyzer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <set>
+#include <utility>
 
+#include "perf/detectors.hpp"
 #include "perf/orderliness.hpp"
-#include "perf/parents.hpp"
 #include "replay/engine.hpp"
 #include "support/strutil.hpp"
 #include "telemetry/hdr_histogram.hpp"
 
 namespace perf {
 
-using support::Nanoseconds;
-using tracedb::CallIndex;
+using tracedb::AlertKind;
 using tracedb::CallKey;
 using tracedb::CallRecord;
 using tracedb::CallType;
@@ -40,6 +41,41 @@ const char* to_string(FindingKind k) noexcept {
     case FindingKind::kUserCheckPointer: return "user_check pointer argument";
   }
   return "?";
+}
+
+namespace {
+
+/// Finding kinds with an online alert analogue, paired with it.
+constexpr std::pair<FindingKind, AlertKind> kKindPairs[] = {
+    {FindingKind::kShortCalls, AlertKind::kShortCalls},
+    {FindingKind::kReorderStart, AlertKind::kReorderStart},
+    {FindingKind::kReorderEnd, AlertKind::kReorderEnd},
+    {FindingKind::kBatchable, AlertKind::kBatchable},
+    {FindingKind::kMergeable, AlertKind::kMergeable},
+    {FindingKind::kSyncContention, AlertKind::kSyncContention},
+    {FindingKind::kPaging, AlertKind::kPaging},
+    {FindingKind::kTailLatency, AlertKind::kTailLatency},
+    {FindingKind::kOutOfOrderEcall, AlertKind::kOutOfOrderEcall},
+    {FindingKind::kReentrantEcall, AlertKind::kReentrantEcall},
+    {FindingKind::kUseBeforeInit, AlertKind::kUseBeforeInit},
+    {FindingKind::kUseAfterDestroy, AlertKind::kUseAfterDestroy},
+    {FindingKind::kPhaseViolation, AlertKind::kPhaseViolation},
+};
+
+}  // namespace
+
+std::optional<AlertKind> alert_kind_of(FindingKind k) noexcept {
+  for (const auto& [finding, alert] : kKindPairs) {
+    if (finding == k) return alert;
+  }
+  return std::nullopt;
+}
+
+std::optional<FindingKind> finding_kind_of(AlertKind k) noexcept {
+  for (const auto& [finding, alert] : kKindPairs) {
+    if (alert == k) return finding;
+  }
+  return std::nullopt;
 }
 
 const char* to_string(Recommendation r) noexcept {
@@ -81,14 +117,6 @@ void Analyzer::set_interface(tracedb::EnclaveId enclave, sgxsim::edl::InterfaceS
   interfaces_[enclave] = std::move(spec);
 }
 
-Nanoseconds Analyzer::adjusted_duration(const CallRecord& c) const {
-  const Nanoseconds raw = c.duration();
-  if (c.type == CallType::kEcall) {
-    return raw > config_.ecall_transition_ns ? raw - config_.ecall_transition_ns : 0;
-  }
-  return raw;
-}
-
 AnalysisReport Analyzer::analyze() const {
   AnalysisReport report;
   report.dropped_events = db_.dropped_events();
@@ -96,11 +124,7 @@ AnalysisReport Analyzer::analyze() const {
   compute_overviews(report);
   compute_stats(report);
   detect_tail_latency(report);
-  detect_short_calls(report);
-  detect_reordering(report);
-  const auto indirect = compute_indirect_parents(db_);
-  detect_merge_batch(report, indirect);
-  detect_sync(report);
+  detect_call_patterns(report);
   detect_paging(report);
   detect_orderliness(report);
   analyze_security(report);
@@ -249,7 +273,7 @@ void Analyzer::compute_stats(AnalysisReport& report) const {
       const auto& c = calls[static_cast<std::size_t>(idx)];
       durations.push_back(c.duration());
       cs.aex_total += c.aex_count;
-      if (adjusted_duration(c) < config_.short_call_ns) ++below;
+      if (adjusted_ns(c.type, c.duration(), config_) < config_.short_call_ns) ++below;
     }
     cs.duration_ns = support::summarize(durations);
     cs.fraction_below_10us =
@@ -305,10 +329,8 @@ void Analyzer::compute_stats(AnalysisReport& report) const {
 // --- tail latency: the distribution problem means cannot show ---------------
 void Analyzer::detect_tail_latency(AnalysisReport& report) const {
   for (const auto& s : report.stats) {
-    if (s.duration_ns.count < config_.min_calls) continue;
-    if (s.p99_ns < config_.tail_min_ns) continue;
-    const double p50 = static_cast<double>(s.p50_ns > 0 ? s.p50_ns : 1);
-    if (static_cast<double>(s.p99_ns) < config_.tail_ratio * p50) continue;
+    const auto ratio = tail_score(s.duration_ns.count, s.p50_ns, s.p99_ns, config_);
+    if (!ratio) continue;
     Finding f;
     f.kind = FindingKind::kTailLatency;
     f.subject = s.key;
@@ -318,8 +340,8 @@ void Analyzer::detect_tail_latency(AnalysisReport& report) const {
         "p50 %.1fus but p99 %.1fus / p99.9 %.1fus over %zu calls — %.0fx tail the mean "
         "(%.1fus) does not show",
         static_cast<double>(s.p50_ns) / 1e3, static_cast<double>(s.p99_ns) / 1e3,
-        static_cast<double>(s.p999_ns) / 1e3, s.duration_ns.count,
-        static_cast<double>(s.p99_ns) / p50, s.duration_ns.mean / 1e3);
+        static_cast<double>(s.p999_ns) / 1e3, s.duration_ns.count, *ratio,
+        s.duration_ns.mean / 1e3);
     // Severity: excess tail time over the median, across the slowest 1%.
     f.severity = static_cast<double>(s.p99_ns - s.p50_ns) *
                  (static_cast<double>(s.duration_ns.count) * 0.01) / 1e3;
@@ -327,230 +349,134 @@ void Analyzer::detect_tail_latency(AnalysisReport& report) const {
   }
 }
 
-// --- Equation 1: moving / duplication ---------------------------------------
-void Analyzer::detect_short_calls(AnalysisReport& report) const {
-  const auto groups = tracedb::group_calls(db_);
-  const auto& calls = db_.calls();
-  for (const auto& [key, instances] : groups) {
-    if (instances.size() < config_.min_calls) continue;
-    std::size_t c1 = 0;
-    std::size_t c5 = 0;
-    std::size_t c10 = 0;
-    bool any_nested_ocall = false;
-    for (const auto idx : instances) {
-      const auto& c = calls[static_cast<std::size_t>(idx)];
-      const Nanoseconds d = adjusted_duration(c);
-      if (d < 1'000) ++c1;
-      if (d < 5'000) ++c5;
-      if (d < 10'000) ++c10;
-      if (c.type == CallType::kOcall && c.parent != kNoParent) any_nested_ocall = true;
-    }
-    const auto total = static_cast<double>(instances.size());
-    const bool fires = (static_cast<double>(c1) / total >= config_.eq1_alpha) ||
-                       (static_cast<double>(c5) / total >= config_.eq1_beta) ||
-                       (static_cast<double>(c10) / total >= config_.eq1_gamma);
-    if (!fires) continue;
+// --- Eq. 1-3 and SSC ----------------------------------------------------------------
+namespace {
 
-    Finding f;
-    f.kind = FindingKind::kShortCalls;
-    f.subject = key;
-    f.subject_name = db_.name_of(key.enclave_id, key.type, key.call_id);
-    if (key.type == CallType::kEcall) {
-      // Moving the caller *in* keeps secrets inside; moving it *out* needs a
-      // security evaluation (§3.1).
-      f.recommendations = {Recommendation::kMoveCallerIn, Recommendation::kMoveCallerOut};
-    } else {
-      f.recommendations = {Recommendation::kMoveCallerOut};
-      if (any_nested_ocall) f.recommendations.push_back(Recommendation::kDuplicateInEnclave);
-    }
-    f.detail = support::format(
-        "%zu calls; %.1f%% < 1us, %.1f%% < 5us, %.1f%% < 10us "
-        "(ecall durations transition-adjusted by %llu ns)",
-        instances.size(), 100.0 * static_cast<double>(c1) / total,
-        100.0 * static_cast<double>(c5) / total, 100.0 * static_cast<double>(c10) / total,
-        static_cast<unsigned long long>(
-            key.type == CallType::kEcall ? config_.ecall_transition_ns : 0));
-    f.severity = static_cast<double>(c10);
-    report.findings.push_back(std::move(f));
-  }
-}
-
-// --- Equation 2: reordering ----------------------------------------------------
-void Analyzer::detect_reordering(AnalysisReport& report) const {
-  const auto groups = tracedb::group_calls(db_);
-  const auto& calls = db_.calls();
-  for (const auto& [key, instances] : groups) {
-    if (instances.size() < config_.min_calls) continue;
-    std::size_t start10 = 0;
-    std::size_t start20 = 0;
-    std::size_t end10 = 0;
-    std::size_t end20 = 0;
-    std::size_t nested = 0;
-    // Aggregate partner (parent) for reporting: the most frequent parent key.
-    std::map<CallKey, std::size_t> parent_freq;
-    for (const auto idx : instances) {
-      const auto& c = calls[static_cast<std::size_t>(idx)];
-      if (c.parent == kNoParent) continue;
-      ++nested;
-      const auto& p = calls[static_cast<std::size_t>(c.parent)];
-      ++parent_freq[CallKey{p.enclave_id, p.type, p.call_id}];
-      const Nanoseconds from_start = c.start_ns - p.start_ns;
-      if (from_start <= 10'000) ++start10;
-      if (from_start <= 20'000) ++start20;
-      // The parent's end is known post-mortem.
-      if (p.end_ns >= c.end_ns) {
-        const Nanoseconds to_end = p.end_ns - c.end_ns;
-        if (to_end <= 10'000) ++end10;
-        if (to_end <= 20'000) ++end20;
+/// Turns one detector verdict for `key` into its finding.
+Finding site_finding(const tracedb::TraceDatabase& db, const AnalyzerConfig& cfg,
+                     const CallKey& key, const SiteCounters& c, const Verdict& v) {
+  const auto name_of = [&db](const CallKey& k) {
+    return db.name_of(k.enclave_id, k.type, k.call_id);
+  };
+  const auto pct = [](std::uint64_t n, std::uint64_t total) {
+    return 100.0 * static_cast<double>(n) / static_cast<double>(total);
+  };
+  Finding f;
+  f.kind = *finding_kind_of(v.kind);
+  f.subject = key;
+  f.subject_name = name_of(key);
+  switch (v.kind) {
+    case AlertKind::kShortCalls:
+      if (key.type == CallType::kEcall) {
+        // Moving the caller *in* keeps secrets inside; moving it *out* needs
+        // a security evaluation (§3.1).
+        f.recommendations = {Recommendation::kMoveCallerIn, Recommendation::kMoveCallerOut};
+      } else {
+        f.recommendations = {Recommendation::kMoveCallerOut};
+        if (c.any_nested_ocall) f.recommendations.push_back(Recommendation::kDuplicateInEnclave);
       }
-    }
-    if (nested == 0) continue;
-    const auto total = static_cast<double>(instances.size());
-
-    const auto score = [&](std::size_t c10, std::size_t c20) {
-      return static_cast<double>(c10) / total * config_.eq2_alpha +
-             static_cast<double>(c20) / total * config_.eq2_beta;
-    };
-
-    CallKey partner_key{};
-    std::size_t best = 0;
-    for (const auto& [pk, n] : parent_freq) {
-      if (n > best) {
-        best = n;
-        partner_key = pk;
-      }
-    }
-
-    const double s_start = score(start10, start20);
-    const double s_end = score(end10, end20);
-    for (int at_end = 0; at_end < 2; ++at_end) {
-      const double s = at_end ? s_end : s_start;
-      if (s < config_.eq2_gamma) continue;
-      Finding f;
-      f.kind = at_end ? FindingKind::kReorderEnd : FindingKind::kReorderStart;
-      f.subject = key;
-      f.subject_name = db_.name_of(key.enclave_id, key.type, key.call_id);
-      f.partner = partner_key;
-      f.partner_name = db_.name_of(partner_key.enclave_id, partner_key.type, partner_key.call_id);
+      f.detail = support::format(
+          "%zu calls; %.1f%% < 1us, %.1f%% < 5us, %.1f%% < 10us "
+          "(ecall durations transition-adjusted by %llu ns)",
+          c.count, pct(c.c1, c.count), pct(c.c5, c.count), pct(c.c10, c.count),
+          static_cast<unsigned long long>(
+              key.type == CallType::kEcall ? cfg.ecall_transition_ns : 0));
+      f.severity = static_cast<double>(c.c10);
+      break;
+    case AlertKind::kReorderStart:
+    case AlertKind::kReorderEnd: {
+      const bool at_end = v.kind == AlertKind::kReorderEnd;
+      f.partner = c.top_parent();
+      f.partner_name = name_of(*f.partner);
       f.recommendations = {Recommendation::kReorder};
       if (key.type == CallType::kOcall) {
         f.recommendations.push_back(Recommendation::kDuplicateInEnclave);
       }
       f.detail = support::format(
           "%zu/%zu instances nested in %s; weighted share near parent %s = %.2f (>= %.2f)",
-          nested, instances.size(), f.partner_name.c_str(), at_end ? "end" : "start", s,
-          config_.eq2_gamma);
-      f.severity = static_cast<double>(at_end ? end20 : start20);
-      report.findings.push_back(std::move(f));
+          c.nested, c.count, f.partner_name.c_str(), at_end ? "end" : "start", v.score,
+          cfg.eq2_gamma);
+      f.severity = static_cast<double>(at_end ? c.end20 : c.start20);
+      break;
     }
-  }
-}
-
-// --- Equation 3: merging / batching ----------------------------------------------
-void Analyzer::detect_merge_batch(AnalysisReport& report,
-                                  const std::vector<CallIndex>& indirect) const {
-  const auto groups = tracedb::group_calls(db_);
-  const auto& calls = db_.calls();
-
-  // Instance counts per key, for the PΣ / CΣ ratio.
-  std::map<CallKey, std::size_t> totals;
-  for (const auto& [key, instances] : groups) totals[key] = instances.size();
-
-  for (const auto& [key, instances] : groups) {
-    if (instances.size() < config_.min_calls) continue;
-
-    // Group this key's instances by the key of their indirect parent.
-    struct PairStats {
-      std::size_t count = 0;  // C instances whose ip belongs to the partner key
-      std::size_t p1 = 0, p5 = 0, p10 = 0, p20 = 0;
-    };
-    std::map<CallKey, PairStats> by_parent;
-    for (const auto idx : instances) {
-      const CallIndex ip = indirect[static_cast<std::size_t>(idx)];
-      if (ip == kNoParent) continue;
-      const auto& c = calls[static_cast<std::size_t>(idx)];
-      const auto& p = calls[static_cast<std::size_t>(ip)];
-      auto& ps = by_parent[CallKey{p.enclave_id, p.type, p.call_id}];
-      ++ps.count;
-      if (c.start_ns < p.end_ns) continue;  // overlapping records: skip gap stats
-      const Nanoseconds gap = c.start_ns - p.end_ns;
-      if (gap <= 1'000) ++ps.p1;
-      if (gap <= 5'000) ++ps.p5;
-      if (gap <= 10'000) ++ps.p10;
-      if (gap <= 20'000) ++ps.p20;
-    }
-
-    for (const auto& [parent_key, ps] : by_parent) {
-      // "the analyser only considers calls for merging that are indirect
-      // parents at least 35% of the time (λ)": the fraction of this call's
-      // instances whose indirect parent is an instance of parent_key.
-      const double ip_fraction =
-          static_cast<double>(ps.count) / static_cast<double>(instances.size());
-      if (ip_fraction < config_.eq3_lambda) continue;
-      const auto p_total = static_cast<double>(ps.count);
-      const double score = static_cast<double>(ps.p1) / p_total * config_.eq3_alpha +
-                           static_cast<double>(ps.p5) / p_total * config_.eq3_beta +
-                           static_cast<double>(ps.p10) / p_total * config_.eq3_gamma +
-                           static_cast<double>(ps.p20) / p_total * config_.eq3_delta;
-      if (score < config_.eq3_epsilon) continue;
-
-      Finding f;
-      const bool batching = parent_key == key;  // its own indirect parent
-      f.kind = batching ? FindingKind::kBatchable : FindingKind::kMergeable;
-      f.subject = key;
-      f.subject_name = db_.name_of(key.enclave_id, key.type, key.call_id);
-      f.partner = parent_key;
-      f.partner_name =
-          db_.name_of(parent_key.enclave_id, parent_key.type, parent_key.call_id);
-      f.recommendations = {batching ? Recommendation::kBatch : Recommendation::kMerge};
+    case AlertKind::kBatchable:
+    case AlertKind::kMergeable: {
+      const PairStats& ps = c.by_parent.at(v.partner);
+      const double ip_fraction = static_cast<double>(ps.count) / static_cast<double>(c.count);
+      f.partner = v.partner;
+      f.partner_name = name_of(v.partner);
+      f.recommendations = {v.kind == AlertKind::kBatchable ? Recommendation::kBatch
+                                                           : Recommendation::kMerge};
       f.recommendations.push_back(key.type == CallType::kEcall ? Recommendation::kMoveCallerIn
                                                                : Recommendation::kMoveCallerOut);
       f.detail = support::format(
           "%zu instances follow %s (%.0f%% of %zu); gaps: %.0f%% <= 1us, %.0f%% <= 5us, "
           "%.0f%% <= 10us, %.0f%% <= 20us; weighted score %.2f >= %.2f",
-          ps.count, f.partner_name.c_str(), 100.0 * ip_fraction, instances.size(),
-          100.0 * static_cast<double>(ps.p1) / p_total,
-          100.0 * static_cast<double>(ps.p5) / p_total,
-          100.0 * static_cast<double>(ps.p10) / p_total,
-          100.0 * static_cast<double>(ps.p20) / p_total, score, config_.eq3_epsilon);
+          ps.count, f.partner_name.c_str(), 100.0 * ip_fraction, c.count, pct(ps.p1, ps.count),
+          pct(ps.p5, ps.count), pct(ps.p10, ps.count), pct(ps.p20, ps.count), v.score,
+          cfg.eq3_epsilon);
       f.severity = static_cast<double>(ps.count) * 2.0;  // merging saves round trips
-      report.findings.push_back(std::move(f));
+      break;
     }
+    default: {  // kSyncContention
+      const bool is_sleep = c.kind == OcallKind::kSleep || c.kind == OcallKind::kWakeOneAndSleep;
+      f.recommendations = {Recommendation::kHybridLock, Recommendation::kLockFreeStructure};
+      f.detail = support::format(
+          "%zu %s ocalls, %zu shorter than 10us — the transition dominates; consider keeping "
+          "the contention inside the enclave",
+          c.count, is_sleep ? "sleep" : "wake-up", c.short_sync);
+      f.severity = static_cast<double>(c.short_sync);
+      break;
+    }
+  }
+  return f;
+}
+
+/// Findings go out detector by detector (Eq. 1, Eq. 2, Eq. 3, SSC), and by
+/// site key within each detector.
+std::size_t detector_rank(AlertKind k) {
+  switch (k) {
+    case AlertKind::kShortCalls: return 0;
+    case AlertKind::kReorderStart:
+    case AlertKind::kReorderEnd: return 1;
+    case AlertKind::kBatchable:
+    case AlertKind::kMergeable: return 2;
+    default: return 3;
   }
 }
 
-// --- SSC: short synchronisation calls ------------------------------------------
-void Analyzer::detect_sync(AnalysisReport& report) const {
-  const auto groups = tracedb::group_calls(db_);
+}  // namespace
+
+void Analyzer::detect_call_patterns(AnalysisReport& report) const {
   const auto& calls = db_.calls();
-  for (const auto& [key, instances] : groups) {
-    if (key.type != CallType::kOcall || instances.empty()) continue;
-    const auto kind = calls[static_cast<std::size_t>(instances.front())].kind;
-    if (kind == OcallKind::kGeneric) continue;
-
-    // Wake-ups are "typically very short (<10us)" — every one is a wasted
-    // transition.  Short sleeps signal a briefly-held lock (§3.4).
-    std::size_t short_calls = 0;
-    for (const auto idx : instances) {
-      if (calls[static_cast<std::size_t>(idx)].duration() < config_.short_call_ns) {
-        ++short_calls;
-      }
+  const auto indirect = tracedb::indirect_parents(db_);
+  const auto key_of = [](const CallRecord& c) { return CallKey{c.enclave_id, c.type, c.call_id}; };
+  std::map<CallKey, SiteCounters> sites;
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    const CallRecord& c = calls[i];
+    SiteCounters& site = sites[key_of(c)];
+    site.add_call(c.type, c.duration(), c.kind, c.parent != kNoParent, config_);
+    if (c.parent != kNoParent) {
+      const CallRecord& p = calls[static_cast<std::size_t>(c.parent)];
+      site.add_parent_start(key_of(p), c.start_ns - p.start_ns);
+      site.add_parent_end(p.end_ns, c.end_ns);
     }
-    const bool is_sleep = kind == OcallKind::kSleep || kind == OcallKind::kWakeOneAndSleep;
-    if (short_calls == 0) continue;
-    if (instances.size() < 2) continue;
+    if (indirect[i] != kNoParent) {
+      const CallRecord& p = calls[static_cast<std::size_t>(indirect[i])];
+      site.add_indirect_parent(key_of(p), p.end_ns, c.start_ns);
+    }
+  }
 
-    Finding f;
-    f.kind = FindingKind::kSyncContention;
-    f.subject = key;
-    f.subject_name = db_.name_of(key.enclave_id, key.type, key.call_id);
-    f.recommendations = {Recommendation::kHybridLock, Recommendation::kLockFreeStructure};
-    f.detail = support::format(
-        "%zu %s ocalls, %zu shorter than 10us — the transition dominates; consider keeping "
-        "the contention inside the enclave",
-        instances.size(), is_sleep ? "sleep" : "wake-up", short_calls);
-    f.severity = static_cast<double>(short_calls);
-    report.findings.push_back(std::move(f));
+  std::array<std::vector<Finding>, 4> by_detector;
+  std::vector<Verdict> verdicts;
+  for (const auto& [key, counters] : sites) {
+    evaluate(key, counters, config_, verdicts);
+    for (const Verdict& v : verdicts) {
+      by_detector[detector_rank(v.kind)].push_back(site_finding(db_, config_, key, counters, v));
+    }
+  }
+  for (auto& findings : by_detector) {
+    for (auto& f : findings) report.findings.push_back(std::move(f));
   }
 }
 
@@ -559,7 +485,7 @@ void Analyzer::detect_paging(AnalysisReport& report) const {
   std::map<tracedb::EnclaveId, std::size_t> events;
   for (const auto& p : db_.paging()) ++events[p.enclave_id];
   for (const auto& [eid, count] : events) {
-    if (count < config_.paging_threshold) continue;
+    if (!paging_fires(count, config_)) continue;
     Finding f;
     f.kind = FindingKind::kPaging;
     f.subject = CallKey{eid, CallType::kEcall, 0};
@@ -581,21 +507,11 @@ void Analyzer::detect_orderliness(AnalysisReport& report) const {
   const OrderModel model = model_from_rules(db_.order_rules());
   if (model.empty()) return;
 
-  const auto finding_kind = [](tracedb::AlertKind k) {
-    switch (k) {
-      case tracedb::AlertKind::kReentrantEcall: return FindingKind::kReentrantEcall;
-      case tracedb::AlertKind::kUseBeforeInit: return FindingKind::kUseBeforeInit;
-      case tracedb::AlertKind::kUseAfterDestroy: return FindingKind::kUseAfterDestroy;
-      case tracedb::AlertKind::kPhaseViolation: return FindingKind::kPhaseViolation;
-      default: return FindingKind::kOutOfOrderEcall;
-    }
-  };
-
   for (const auto& a : check_trace(db_, model)) {
     const std::uint64_t count = a.detail & 0xffffffffull;
     const auto thread = static_cast<std::uint32_t>(a.detail >> 32);
     Finding f;
-    f.kind = finding_kind(a.kind);
+    f.kind = finding_kind_of(a.kind).value_or(FindingKind::kOutOfOrderEcall);
     f.subject = CallKey{a.enclave_id, a.type, a.call_id};
     f.subject_name = db_.name_of(a.enclave_id, a.type, a.call_id);
     f.recommendations = {Recommendation::kAuditCallSequence};

@@ -100,6 +100,14 @@ enum class FindingKind {
 
 [[nodiscard]] const char* to_string(FindingKind k) noexcept;
 
+/// The online alert kind of a finding kind, or nullopt for the interface and
+/// security findings, which need the whole trace (and the EDL) and have no
+/// online analogue.
+[[nodiscard]] std::optional<tracedb::AlertKind> alert_kind_of(FindingKind k) noexcept;
+/// The finding kind of an alert kind, or nullopt for kLatencyShift, a
+/// window-based signal with no post-mortem analogue.
+[[nodiscard]] std::optional<FindingKind> finding_kind_of(tracedb::AlertKind k) noexcept;
+
 /// Mitigation strategies of Table 1, ordered by the priority rules of
 /// §4.3.2: reordering does not grow the TCB and is evaluated first; moving
 /// *out* of the enclave needs a security evaluation.
@@ -213,11 +221,9 @@ class Analyzer {
  private:
   void compute_overviews(AnalysisReport& report) const;
   void compute_stats(AnalysisReport& report) const;
-  void detect_short_calls(AnalysisReport& report) const;           // Eq. 1
-  void detect_reordering(AnalysisReport& report) const;            // Eq. 2
-  void detect_merge_batch(AnalysisReport& report,
-                          const std::vector<tracedb::CallIndex>& indirect) const;  // Eq. 3
-  void detect_sync(AnalysisReport& report) const;                  // SSC
+  /// Eq. 1-3 and SSC: folds the call table into per-site detector counters
+  /// (perf/detectors.hpp) and turns every verdict into a finding.
+  void detect_call_patterns(AnalysisReport& report) const;
   void detect_paging(AnalysisReport& report) const;
   /// Validates the trace against the orderliness model embedded in its v6
   /// order-rules table (no-op when the trace carries none), turning each
@@ -233,9 +239,6 @@ class Analyzer {
   /// Appends a kSwitchless recommendation to short-ecall findings, carrying
   /// the worker-sweep optimum.
   void annotate_predictions(AnalysisReport& report) const;
-
-  /// Duration with the ecall transition time subtracted (§4.1.2).
-  [[nodiscard]] support::Nanoseconds adjusted_duration(const tracedb::CallRecord& c) const;
 
   const tracedb::TraceDatabase& db_;
   AnalyzerConfig config_;

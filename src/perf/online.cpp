@@ -1,6 +1,7 @@
 #include "perf/online.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 namespace perf {
@@ -10,7 +11,6 @@ using tracedb::AlertKind;
 using tracedb::AlertRecord;
 using tracedb::CallKey;
 using tracedb::CallType;
-using tracedb::OcallKind;
 
 namespace {
 
@@ -46,15 +46,6 @@ OnlineAnalyzer::OnlineAnalyzer(OnlineConfig config) : config_(std::move(config))
     order_checker_.emplace(config_.order,
                            [this](const OrderViolation& v) { on_order_violation(v); });
   }
-}
-
-Nanoseconds OnlineAnalyzer::adjusted(const StreamEvent& ev) const noexcept {
-  const Nanoseconds raw = ev.end_ns - ev.start_ns;
-  if (ev.call_type == CallType::kEcall) {
-    const Nanoseconds t = config_.analyzer.ecall_transition_ns;
-    return raw > t ? raw - t : 0;
-  }
-  return raw;
 }
 
 void OnlineAnalyzer::feed(const StreamEvent& ev) {
@@ -105,34 +96,19 @@ void OnlineAnalyzer::on_call(const StreamEvent& ev) {
   SiteState& st = it->second;
 
   const std::uint64_t raw = ev.end_ns - ev.start_ns;
-  const Nanoseconds adj = adjusted(ev);
-
-  ++st.count;
+  st.counters.add_call(ev.call_type, raw, ev.ocall_kind, ev.parent_valid, config_.analyzer);
   ++st.window_calls;
   st.touched_this_window = true;
   ++window_calls_;
-  st.aex_total += ev.aex_count;
   st.window_aex += ev.aex_count;
-  if (adj < 1'000) ++st.c1;
-  if (adj < 5'000) ++st.c5;
-  if (adj < 10'000) ++st.c10;
   st.latency.record(raw);
-
-  if (ev.call_type == CallType::kOcall) {
-    if (ev.ocall_kind != OcallKind::kGeneric) st.kind = ev.ocall_kind;
-    if (raw < static_cast<std::uint64_t>(config_.analyzer.short_call_ns)) ++st.short_sync;
-    if (ev.parent_valid) st.any_nested_ocall = true;
-  }
 
   ThreadState& ts = threads_[ev.thread_id];
 
   // --- Eq. 2, start side + parent histogram ---------------------------------
   if (ev.parent_valid) {
-    ++st.nested;
-    ++st.parent_freq[CallKey{ev.enclave_id, ev.parent_type, ev.parent_call_id}];
-    const std::uint64_t from_start = ev.start_ns - ev.parent_start_ns;
-    if (from_start <= 10'000) ++st.start10;
-    if (from_start <= 20'000) ++st.start20;
+    st.counters.add_parent_start(CallKey{ev.enclave_id, ev.parent_type, ev.parent_call_id},
+                                 ev.start_ns - ev.parent_start_ns);
 
     // End side needs the parent's end timestamp — buffer until the parent's
     // own completion event arrives (parents always complete after nested
@@ -152,15 +128,7 @@ void OnlineAnalyzer::on_call(const StreamEvent& ev) {
         ev.call_type, ev.parent_valid ? ev.parent_start_ns : kNoParentInstance};
     auto prev = ts.last_same_key.find(same_key);
     if (prev != ts.last_same_key.end()) {
-      auto& ps = st.by_parent[prev->second.site];
-      ++ps.count;
-      if (ev.start_ns >= prev->second.end_ns) {
-        const std::uint64_t gap = ev.start_ns - prev->second.end_ns;
-        if (gap <= 1'000) ++ps.p1;
-        if (gap <= 5'000) ++ps.p5;
-        if (gap <= 10'000) ++ps.p10;
-        if (gap <= 20'000) ++ps.p20;
-      }
+      st.counters.add_indirect_parent(prev->second.site, prev->second.end_ns, ev.start_ns);
     }
     ts.last_same_key[same_key] = ThreadState::LastCall{key, ev.end_ns};
   }
@@ -169,12 +137,9 @@ void OnlineAnalyzer::on_call(const StreamEvent& ev) {
   auto waiting = ts.pending.find(ev.start_ns);
   if (waiting != ts.pending.end()) {
     for (const PendingChild& child : waiting->second) {
-      if (ev.end_ns < child.end_ns) continue;
-      const std::uint64_t to_end = ev.end_ns - child.end_ns;
       auto child_it = sites_.find(child.site);
       if (child_it == sites_.end()) continue;
-      if (to_end <= 10'000) ++child_it->second.end10;
-      if (to_end <= 20'000) ++child_it->second.end20;
+      child_it->second.counters.add_parent_end(ev.end_ns, child.end_ns);
       if (child.site != key) {
         reconcile_site(child.site, child_it->second, /*with_tail=*/false, ev.end_ns);
       }
@@ -201,117 +166,47 @@ void OnlineAnalyzer::on_instant(const StreamEvent& ev) {
   reconcile_paging(ev.enclave_id, ev.end_ns);
 }
 
-std::vector<std::pair<AlertKind, std::uint64_t>> OnlineAnalyzer::evaluate_site(
-    const CallKey& site, const SiteState& st, bool with_tail) const {
-  std::vector<std::pair<AlertKind, std::uint64_t>> firing;
-  const AnalyzerConfig& cfg = config_.analyzer;
-  const auto total = static_cast<double>(st.count);
-
-  if (st.count >= cfg.min_calls) {
-    // Eq. 1 — identical arithmetic to Analyzer::detect_short_calls().
-    const double f1 = static_cast<double>(st.c1) / total;
-    const double f5 = static_cast<double>(st.c5) / total;
-    const double f10 = static_cast<double>(st.c10) / total;
-    if (f1 >= cfg.eq1_alpha || f5 >= cfg.eq1_beta || f10 >= cfg.eq1_gamma) {
-      firing.emplace_back(AlertKind::kShortCalls, static_cast<std::uint64_t>(f10 * 1000.0));
-    }
-
-    // Eq. 2 — detect_reordering().
-    if (st.nested > 0) {
-      const double s_start = static_cast<double>(st.start10) / total * cfg.eq2_alpha +
-                             static_cast<double>(st.start20) / total * cfg.eq2_beta;
-      const double s_end = static_cast<double>(st.end10) / total * cfg.eq2_alpha +
-                           static_cast<double>(st.end20) / total * cfg.eq2_beta;
-      if (s_start >= cfg.eq2_gamma) {
-        firing.emplace_back(AlertKind::kReorderStart,
-                            static_cast<std::uint64_t>(s_start * 1000.0));
-      }
-      if (s_end >= cfg.eq2_gamma) {
-        firing.emplace_back(AlertKind::kReorderEnd, static_cast<std::uint64_t>(s_end * 1000.0));
-      }
-    }
-
-    // Eq. 3 — detect_merge_batch(): one verdict per kind, best score wins.
-    double best_batch = -1.0;
-    double best_merge = -1.0;
-    for (const auto& [parent_key, ps] : st.by_parent) {
-      const double ip_fraction = static_cast<double>(ps.count) / total;
-      if (ip_fraction < cfg.eq3_lambda) continue;
-      const auto p_total = static_cast<double>(ps.count);
-      const double score = static_cast<double>(ps.p1) / p_total * cfg.eq3_alpha +
-                           static_cast<double>(ps.p5) / p_total * cfg.eq3_beta +
-                           static_cast<double>(ps.p10) / p_total * cfg.eq3_gamma +
-                           static_cast<double>(ps.p20) / p_total * cfg.eq3_delta;
-      if (score < cfg.eq3_epsilon) continue;
-      if (parent_key == site) {
-        best_batch = std::max(best_batch, score);
-      } else {
-        best_merge = std::max(best_merge, score);
-      }
-    }
-    if (best_batch >= 0.0) {
-      firing.emplace_back(AlertKind::kBatchable, static_cast<std::uint64_t>(best_batch * 1000.0));
-    }
-    if (best_merge >= 0.0) {
-      firing.emplace_back(AlertKind::kMergeable, static_cast<std::uint64_t>(best_merge * 1000.0));
-    }
-  }
-
-  // SSC — detect_sync(): no min_calls gate post-mortem, none here.
-  if (site.type == CallType::kOcall && st.kind != OcallKind::kGeneric && st.count >= 2 &&
-      st.short_sync > 0) {
-    firing.emplace_back(AlertKind::kSyncContention, st.short_sync);
-  }
-
-  // Tail — detect_tail_latency(), on the cumulative distribution.
-  if (with_tail && st.count >= cfg.min_calls) {
-    const auto& snap = st.latency.cumulative();
-    const std::uint64_t p99 = snap.value_at_percentile(99);
-    const std::uint64_t p50 = snap.value_at_percentile(50);
-    if (p99 >= static_cast<std::uint64_t>(cfg.tail_min_ns)) {
-      const double p50d = static_cast<double>(p50 > 0 ? p50 : 1);
-      if (static_cast<double>(p99) >= cfg.tail_ratio * p50d) {
-        firing.emplace_back(
-            AlertKind::kTailLatency,
-            static_cast<std::uint64_t>(static_cast<double>(p99) / p50d * 1000.0));
-      }
-    }
-  }
-
-  return firing;
-}
-
 void OnlineAnalyzer::reconcile_site(const CallKey& site, const SiteState& st, bool with_tail,
                                     std::uint64_t now) {
-  const auto firing = evaluate_site(site, st, with_tail);
-
-  static constexpr AlertKind kCheap[] = {
-      AlertKind::kShortCalls, AlertKind::kReorderStart, AlertKind::kReorderEnd,
-      AlertKind::kBatchable,  AlertKind::kMergeable,    AlertKind::kSyncContention,
-  };
-  const auto fires = [&](AlertKind k) {
-    return std::any_of(firing.begin(), firing.end(),
-                       [&](const auto& f) { return f.first == k; });
-  };
-
-  for (const auto& [kind, detail] : firing) {
-    if (!active_.contains({kind, site})) raise_alert(kind, site, now, detail);
+  // One alert per (kind, site): Eq. 3's per-partner verdicts collapse to the
+  // best score.  -1 marks a predicate that does not hold.
+  std::array<double, tracedb::kAlertKindCount> best;
+  best.fill(-1.0);
+  const auto at = [&best](AlertKind k) -> double& { return best[static_cast<std::size_t>(k)]; };
+  evaluate(site, st.counters, config_.analyzer, verdicts_);
+  for (const Verdict& v : verdicts_) at(v.kind) = std::max(at(v.kind), v.score);
+  if (with_tail) {
+    const auto& snap = st.latency.cumulative();
+    if (const auto ratio = tail_score(st.counters.count, snap.value_at_percentile(50),
+                                      snap.value_at_percentile(99), config_.analyzer)) {
+      at(AlertKind::kTailLatency) = *ratio;
+    }
   }
-  for (const AlertKind kind : kCheap) {
-    if (!fires(kind) && active_.contains({kind, site})) resolve_alert(kind, site, now);
+
+  static constexpr AlertKind kSiteKinds[] = {
+      AlertKind::kShortCalls, AlertKind::kReorderStart,   AlertKind::kReorderEnd,
+      AlertKind::kBatchable,  AlertKind::kMergeable,      AlertKind::kSyncContention,
+      AlertKind::kTailLatency,
+  };
+  for (const AlertKind kind : kSiteKinds) {
+    if (at(kind) < 0.0 || active_.contains({kind, site})) continue;
+    // SSC reports its short-instance count; the rest their score in 1/1000.
+    const double detail = kind == AlertKind::kSyncContention ? at(kind) : at(kind) * 1000.0;
+    raise_alert(kind, site, now, static_cast<std::uint64_t>(detail));
   }
-  if (with_tail && !fires(AlertKind::kTailLatency) &&
-      active_.contains({AlertKind::kTailLatency, site})) {
-    resolve_alert(AlertKind::kTailLatency, site, now);
+  for (const AlertKind kind : kSiteKinds) {
+    if (at(kind) < 0.0 && (with_tail || kind != AlertKind::kTailLatency)) {
+      resolve_alert(kind, site, now);
+    }
   }
 }
 
 void OnlineAnalyzer::reconcile_paging(tracedb::EnclaveId eid, std::uint64_t now) {
   const auto it = paging_.find(eid);
   if (it == paging_.end()) return;
-  // Subject mirrors Analyzer::detect_paging(): the enclave as a pseudo-site.
+  // Subject: the enclave as a pseudo-site, as in the post-mortem finding.
   const CallKey subject{eid, CallType::kEcall, 0};
-  const bool fires = it->second.total >= config_.analyzer.paging_threshold;
+  const bool fires = paging_fires(it->second.total, config_.analyzer);
   const bool is_active = active_.contains({AlertKind::kPaging, subject});
   if (fires && !is_active) {
     raise_alert(AlertKind::kPaging, subject, now, it->second.total);

@@ -1,20 +1,24 @@
 // Online (in-flight) anti-pattern detection.
 //
 // The analyser (§4.3) runs post-mortem: nothing fires until the trace is
-// sealed.  This layer runs the same detectors *incrementally* against a
-// Logger::subscribe() stream, so a long-running workload raises SISC/SDSC/
-// SNC/SSC, paging and tail-latency alerts the moment a site crosses its
-// threshold — with an onset timestamp — instead of averaging the problem
-// away until shutdown.
+// sealed.  This layer is the second user of the same detector core
+// (perf/detectors.hpp): it updates each site's counters from a
+// Logger::subscribe() stream and re-evaluates the site's predicates at once,
+// so a long-running workload raises SISC/SDSC/SNC/SSC, paging and
+// tail-latency alerts the moment a site crosses its threshold — with an
+// onset timestamp — instead of averaging the problem away until shutdown.
 //
-// Correctness anchor: the detectors maintain *cumulative* per-site state
-// whose predicates are byte-for-byte the post-mortem ones (same AnalyzerConfig
-// thresholds, same Eq. 1–3 arithmetic, same HDR geometry).  On a quiesced
-// workload where no stream events were dropped, the end-of-run active-alert
-// set therefore equals the post-mortem recommendation set — the property
+// The two analysers differ only in how they feed and report the core:
+// online takes the stream in arrival order, pairs Eq. 2 children with their
+// parent's end through a bounded pending buffer and finds Eq. 3 indirect
+// parents through a per-thread last-call map; it raises one alert per
+// (kind, site), so Eq. 3 keeps the best-scoring partner; and its tail
+// percentiles come from the site's cumulative HDR.  On a quiesced workload
+// where no stream events were dropped, the end-of-run active-alert set
+// equals the post-mortem finding set — the property
 // tests/online_analyzer_test.cpp pins on demo/minikv/minidb.
 //
-// On top of the parity detectors, fixed-interval *windows* (virtual-time
+// On top of the shared detectors, fixed-interval *windows* (virtual-time
 // aligned, so replays are deterministic) cut per-site rate/percentile
 // snapshots (HDR deltas via telemetry::WindowedHdr) and run EWMA+CUSUM
 // change detection over per-window mean latency (AlertKind::kLatencyShift —
@@ -34,6 +38,7 @@
 #include <vector>
 
 #include "perf/analyzer.hpp"
+#include "perf/detectors.hpp"
 #include "perf/orderliness.hpp"
 #include "perf/stream.hpp"
 #include "telemetry/timeseries.hpp"
@@ -136,27 +141,10 @@ class OnlineAnalyzer {
   [[nodiscard]] std::uint64_t pending_evicted() const noexcept { return pending_evicted_; }
 
  private:
-  /// Cumulative per-site detector state — the online mirror of what each
-  /// post-mortem detector derives from the full trace.
+  /// One site: the shared detector counters plus the window state only the
+  /// online analyser keeps.
   struct SiteState {
-    // Eq. 1 (+ stats): counts over *adjusted* durations.
-    std::uint64_t count = 0;
-    std::uint64_t c1 = 0, c5 = 0, c10 = 0;
-    bool any_nested_ocall = false;
-    std::uint64_t aex_total = 0;
-    // Eq. 2: nesting counts relative to the direct parent.
-    std::uint64_t nested = 0;
-    std::uint64_t start10 = 0, start20 = 0, end10 = 0, end20 = 0;
-    std::map<tracedb::CallKey, std::uint64_t> parent_freq;
-    // Eq. 3: per-indirect-parent gap stats.
-    struct PairStats {
-      std::uint64_t count = 0;
-      std::uint64_t p1 = 0, p5 = 0, p10 = 0, p20 = 0;
-    };
-    std::map<tracedb::CallKey, PairStats> by_parent;
-    // SSC: classification plus short-instance count (raw durations).
-    tracedb::OcallKind kind = tracedb::OcallKind::kGeneric;
-    std::uint64_t short_sync = 0;
+    SiteCounters counters;
     // Latency: cumulative HDR (tail detector) with a window cursor.
     telemetry::WindowedHdr latency;
     std::uint64_t window_calls = 0;  // completions in the open window
@@ -205,18 +193,14 @@ class OnlineAnalyzer {
   void roll_windows(std::uint64_t ts);
   void close_window(std::uint64_t window_end);
 
-  /// Alert kinds whose cumulative predicate holds for `site` right now.
-  /// `with_tail` controls the O(buckets) percentile predicates.
-  [[nodiscard]] std::vector<std::pair<tracedb::AlertKind, std::uint64_t>> evaluate_site(
-      const tracedb::CallKey& site, const SiteState& st, bool with_tail) const;
+  /// Raises and resolves `site`'s alerts to match its predicates right now.
+  /// `with_tail` controls the O(buckets) percentile predicate.
   void reconcile_site(const tracedb::CallKey& site, const SiteState& st, bool with_tail,
                       std::uint64_t now);
   void reconcile_paging(tracedb::EnclaveId eid, std::uint64_t now);
   void raise_alert(tracedb::AlertKind kind, const tracedb::CallKey& site, std::uint64_t now,
                    std::uint64_t detail);
   void resolve_alert(tracedb::AlertKind kind, const tracedb::CallKey& site, std::uint64_t now);
-
-  [[nodiscard]] support::Nanoseconds adjusted(const StreamEvent& ev) const noexcept;
 
   OnlineConfig config_;
   ExternalsFn externals_;
@@ -226,6 +210,8 @@ class OnlineAnalyzer {
   std::map<tracedb::CallKey, SiteState> sites_;
   std::map<tracedb::EnclaveId, PagingState> paging_;
   std::map<std::uint32_t, ThreadState> threads_;
+  /// evaluate()'s output, reused so reconciling allocates nothing per event.
+  std::vector<Verdict> verdicts_;
 
   /// Present iff config_.order is non-empty.
   std::optional<OrderChecker> order_checker_;

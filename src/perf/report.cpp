@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "perf/parents.hpp"
 #include "support/strutil.hpp"
 
 namespace perf {
@@ -90,7 +89,7 @@ std::string render_text(const AnalysisReport& report) {
 
 std::string render_callgraph_dot(const tracedb::TraceDatabase& db) {
   const auto& calls = db.calls();
-  const auto indirect = compute_indirect_parents(db);
+  const auto indirect = tracedb::indirect_parents(db);
 
   // Aggregate direct and indirect edges by (parent key, child key).
   std::map<std::pair<CallKey, CallKey>, std::uint64_t> direct_edges;

@@ -116,7 +116,9 @@ TEST(LoggerConcurrency, TimestampsSortedGloballyAndPerThread) {
   std::map<tracedb::ThreadId, tracedb::Nanoseconds> last_start;
   for (std::size_t i = 0; i < db.calls().size(); ++i) {
     const auto& c = db.calls()[i];
-    if (i > 0) EXPECT_GE(c.start_ns, db.calls()[i - 1].start_ns) << "global order broken";
+    if (i > 0) {
+      EXPECT_GE(c.start_ns, db.calls()[i - 1].start_ns) << "global order broken";
+    }
     const auto it = last_start.find(c.thread_id);
     if (it != last_start.end()) {
       EXPECT_GT(c.start_ns, it->second) << "per-thread order broken";

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -32,7 +31,6 @@
 
 namespace {
 
-using perf::FindingKind;
 using perf::OnlineAnalyzer;
 using perf::StreamEvent;
 using tracedb::AlertKind;
@@ -46,24 +44,6 @@ using VerdictKey = std::tuple<std::uint8_t, std::uint64_t, std::uint8_t, std::ui
 VerdictKey verdict_key(AlertKind kind, const CallKey& site) {
   return {static_cast<std::uint8_t>(kind), site.enclave_id,
           static_cast<std::uint8_t>(site.type), site.call_id};
-}
-
-/// Post-mortem finding kinds that have an online analogue.  Interface and
-/// security findings (EDL narrowing, user_check pointers) need the full
-/// trace + interface definition and are post-mortem only; kLatencyShift on
-/// the online side is window-based and has no post-mortem analogue.
-std::optional<AlertKind> alert_kind_of(FindingKind k) {
-  switch (k) {
-    case FindingKind::kShortCalls: return AlertKind::kShortCalls;
-    case FindingKind::kReorderStart: return AlertKind::kReorderStart;
-    case FindingKind::kReorderEnd: return AlertKind::kReorderEnd;
-    case FindingKind::kBatchable: return AlertKind::kBatchable;
-    case FindingKind::kMergeable: return AlertKind::kMergeable;
-    case FindingKind::kSyncContention: return AlertKind::kSyncContention;
-    case FindingKind::kPaging: return AlertKind::kPaging;
-    case FindingKind::kTailLatency: return AlertKind::kTailLatency;
-    default: return std::nullopt;
-  }
 }
 
 /// Runs `workload` with the logger attached and a live subscription open,
@@ -111,7 +91,7 @@ ParityRun run_parity(Workload&& workload) {
 
   const auto report = perf::Analyzer(db).analyze();
   for (const auto& f : report.findings) {
-    if (const auto kind = alert_kind_of(f.kind)) {
+    if (const auto kind = perf::alert_kind_of(f.kind)) {
       out.postmortem.insert(verdict_key(*kind, f.subject));
     }
   }

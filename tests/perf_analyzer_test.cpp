@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "perf/analyzer.hpp"
-#include "perf/parents.hpp"
 #include "perf/report.hpp"
 
 namespace {
@@ -46,7 +45,7 @@ TEST(IndirectParents, Case1SuccessiveEcalls) {
   add(db, CallType::kEcall, 0, 0, 10);    // E1
   add(db, CallType::kEcall, 0, 20, 30);   // E2
   add(db, CallType::kEcall, 0, 40, 50);   // E3
-  const auto ip = compute_indirect_parents(db);
+  const auto ip = tracedb::indirect_parents(db);
   EXPECT_EQ(ip[0], kNoParent);
   EXPECT_EQ(ip[1], 0);
   EXPECT_EQ(ip[2], 1);
@@ -57,7 +56,7 @@ TEST(IndirectParents, Case2OcallsUnderSameEcall) {
   const auto e1 = add(db, CallType::kEcall, 0, 0, 100);  // E1
   add(db, CallType::kOcall, 1, 10, 20, e1);              // O2 (parent E1)
   add(db, CallType::kOcall, 2, 30, 40, e1);              // O3 (parent E1)
-  const auto ip = compute_indirect_parents(db);
+  const auto ip = tracedb::indirect_parents(db);
   EXPECT_EQ(ip[1], kNoParent);
   EXPECT_EQ(ip[2], 1);  // O3's indirect parent is O2
 }
@@ -67,7 +66,7 @@ TEST(IndirectParents, Case3DeepNestingHasNone) {
   const auto e1 = add(db, CallType::kEcall, 0, 0, 100);   // E1
   const auto o2 = add(db, CallType::kOcall, 1, 10, 90, e1);  // O2
   add(db, CallType::kEcall, 2, 20, 80, o2);               // E3 nested in O2
-  const auto ip = compute_indirect_parents(db);
+  const auto ip = tracedb::indirect_parents(db);
   EXPECT_EQ(ip[0], kNoParent);
   EXPECT_EQ(ip[1], kNoParent);
   EXPECT_EQ(ip[2], kNoParent);
@@ -78,7 +77,7 @@ TEST(IndirectParents, Case4SkipsOtherType) {
   const auto e1 = add(db, CallType::kEcall, 0, 0, 50);  // E1
   add(db, CallType::kOcall, 1, 10, 20, e1);             // O2 during E1
   add(db, CallType::kEcall, 0, 60, 70);                 // E3 top level
-  const auto ip = compute_indirect_parents(db);
+  const auto ip = tracedb::indirect_parents(db);
   EXPECT_EQ(ip[2], 0);  // E3's indirect parent is E1, not O2
 }
 
@@ -86,7 +85,7 @@ TEST(IndirectParents, SeparateThreadsDontMix) {
   TraceDatabase db;
   add(db, CallType::kEcall, 0, 0, 10, kNoParent, /*tid=*/1);
   add(db, CallType::kEcall, 0, 20, 30, kNoParent, /*tid=*/2);
-  const auto ip = compute_indirect_parents(db);
+  const auto ip = tracedb::indirect_parents(db);
   EXPECT_EQ(ip[1], kNoParent);
 }
 

@@ -7,10 +7,10 @@
 
 #include "bignum/bignum.hpp"
 #include "minidb/db.hpp"
-#include "perf/parents.hpp"
 #include "support/histogram.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
+#include "tracedb/query.hpp"
 
 namespace {
 
@@ -201,7 +201,7 @@ TEST(ParentsProperty, IndirectParentIsAlwaysEarlierSameTypeSameParent) {
     t += 20'000;
   }
 
-  const auto indirect = perf::compute_indirect_parents(db);
+  const auto indirect = tracedb::indirect_parents(db);
   const auto& calls = db.calls();
   for (std::size_t i = 0; i < calls.size(); ++i) {
     const auto ip = indirect[i];

@@ -390,27 +390,36 @@ TEST(ReplayMaterialize, MaterializedTraceDiffsLikeTheScenarioResult) {
 // --- analyser integration -----------------------------------------------------
 
 TEST(ReplayPredictions, AnalyzerAttachesSpeedupsToRecommendations) {
-  const TraceDatabase db = record_demo(2, 150);
-  perf::Analyzer analyzer(db);
-  const auto report = analyzer.analyze();
-  ASSERT_FALSE(report.findings.empty());
+  for (const std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    const TraceDatabase db = record_demo(threads, 150);
+    perf::Analyzer analyzer(db);
+    const auto report = analyzer.analyze();
+    ASSERT_FALSE(report.findings.empty());
 
-  bool any_modeled = false;
-  bool any_switchless = false;
-  for (const auto& f : report.findings) {
-    for (const auto& r : f.recommendations) {
-      if (r.scenario.empty()) continue;
-      any_modeled = true;
-      EXPECT_GT(r.predicted_speedup, 0.0);
-      if (r.action == perf::Recommendation::kSwitchless) {
-        any_switchless = true;
-        EXPECT_GE(r.best_workers, 1u);
-        EXPECT_GT(r.predicted_speedup, 1.0);
+    bool any_modeled = false;
+    bool any_switchless = false;
+    for (const auto& f : report.findings) {
+      for (const auto& r : f.recommendations) {
+        if (r.scenario.empty()) continue;
+        any_modeled = true;
+        EXPECT_GT(r.predicted_speedup, 0.0);
+        if (r.action == perf::Recommendation::kSwitchless) {
+          any_switchless = true;
+          EXPECT_GE(r.best_workers, 1u);
+          EXPECT_GT(r.predicted_speedup, 1.0);
+        }
       }
     }
+    EXPECT_TRUE(any_modeled) << "no recommendation carried a replay prediction";
+    // Only the single-threaded trace is deterministic enough for the
+    // switchless sweep: free-running threads share the virtual clock, so
+    // each ecall is also charged the other threads' time, and whether the
+    // site counts as short (the sweep's trigger) depends on the OS scheduler.
+    if (threads == 1) {
+      EXPECT_TRUE(any_switchless) << "short-ecall finding lacks a switchless sweep entry";
+    }
   }
-  EXPECT_TRUE(any_modeled) << "no recommendation carried a replay prediction";
-  EXPECT_TRUE(any_switchless) << "short-ecall finding lacks a switchless sweep entry";
 }
 
 TEST(ReplayPredictions, PredictionsCanBeDisabled) {

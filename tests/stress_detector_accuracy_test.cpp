@@ -7,8 +7,7 @@
 //  * online — the OnlineAnalyzer's end-of-run active-alert kinds (what
 //    `sgxperf stress` reports), via the SoakResult verdict;
 //  * post-mortem — the Analyzer's finding kinds over the merged trace,
-//    mapped through the same finding->alert correspondence the parity tests
-//    use.
+//    mapped through perf::alert_kind_of.
 //
 // Both sides must show 100% recall on must_trigger and zero false positives
 // from must_not; a per-detector precision/recall table goes to the test log.
@@ -18,7 +17,6 @@
 
 #include <cstdio>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -31,27 +29,6 @@
 namespace {
 
 using tracedb::AlertKind;
-
-/// Post-mortem finding kinds with an online/alert analogue (interface and
-/// security findings need an EDL and are post-mortem only).
-std::optional<AlertKind> alert_kind_of(perf::FindingKind k) {
-  switch (k) {
-    case perf::FindingKind::kShortCalls: return AlertKind::kShortCalls;
-    case perf::FindingKind::kReorderStart: return AlertKind::kReorderStart;
-    case perf::FindingKind::kReorderEnd: return AlertKind::kReorderEnd;
-    case perf::FindingKind::kBatchable: return AlertKind::kBatchable;
-    case perf::FindingKind::kMergeable: return AlertKind::kMergeable;
-    case perf::FindingKind::kSyncContention: return AlertKind::kSyncContention;
-    case perf::FindingKind::kPaging: return AlertKind::kPaging;
-    case perf::FindingKind::kTailLatency: return AlertKind::kTailLatency;
-    case perf::FindingKind::kOutOfOrderEcall: return AlertKind::kOutOfOrderEcall;
-    case perf::FindingKind::kReentrantEcall: return AlertKind::kReentrantEcall;
-    case perf::FindingKind::kUseBeforeInit: return AlertKind::kUseBeforeInit;
-    case perf::FindingKind::kUseAfterDestroy: return AlertKind::kUseAfterDestroy;
-    case perf::FindingKind::kPhaseViolation: return AlertKind::kPhaseViolation;
-    default: return std::nullopt;
-  }
-}
 
 struct CorpusRun {
   std::string name;
@@ -87,7 +64,7 @@ CorpusRun record_corpus(const std::string& name, support::Nanoseconds duration_n
   run.spec = stressor->spec();
   run.online = result.triggered;
   for (const auto& finding : perf::Analyzer(db).analyze().findings) {
-    if (const auto kind = alert_kind_of(finding.kind)) run.postmortem.insert(*kind);
+    if (const auto kind = perf::alert_kind_of(finding.kind)) run.postmortem.insert(*kind);
   }
   return run;
 }

@@ -15,16 +15,10 @@
 # tests/golden/flamegraph_demo.txt byte-for-byte (tools/stack_check also
 # validates the collapsed-stack grammar).
 #
-# Every build (plain + all three sanitizer legs) additionally runs a bounded
-# `sgxperf monitor` soak: a deterministic single-threaded demo workload whose
-# streamed alert log must match tests/golden/monitor_demo_alerts.txt
-# byte-for-byte — virtual time makes the online analyser's alert onsets
-# reproducible, so any drift is a real behaviour change.
-#
-# Every build also regenerates one golden stress corpus (`sgxperf stress`,
-# lockstep + fixed seed => deterministic trace) and diffs `sgxperf stats
-# --json` against tests/golden/stress_corpus_stats.json to catch silent
-# detector-threshold drift.
+# The detector golden gates (the monitor soak's alert log, the ocall-storm
+# and mixed stress corpora's `stats --json`, and the orderliness `order
+# check` report) are ctest tests (tests/golden_check.cmake), so they run in
+# every leg with the rest of the suite.
 #
 # Every build also runs the fleet golden gate: `sgxperf fleet snapshot
 # --corpus` drives three deterministic stress producers through monitor
@@ -48,42 +42,6 @@ set -eu
 jobs="${1:-$(nproc 2>/dev/null || echo 2)}"
 root="$(cd "$(dirname "$0")/.." && pwd)"
 
-monitor_soak() {
-  build_dir="$1"
-  soak_dir="$build_dir/monitor-soak"
-  rm -rf "$soak_dir"
-  mkdir -p "$soak_dir"
-  "$build_dir/tools/sgxperf" monitor --threads 1 --calls 60 --window 100000 \
-    --alert-log "$soak_dir/alerts.txt" --out "$soak_dir/soak.bin" >/dev/null 2>/dev/null
-  if ! cmp -s "$soak_dir/alerts.txt" "$root/tests/golden/monitor_demo_alerts.txt"; then
-    echo "error: monitor soak alert log diverged from the golden:" >&2
-    diff -u "$root/tests/golden/monitor_demo_alerts.txt" "$soak_dir/alerts.txt" >&2 || true
-    exit 1
-  fi
-  echo "monitor soak alert log matches golden"
-}
-
-# Regenerate one golden stress corpus and diff its post-mortem statistics:
-# the stressors are deterministic under virtual time (lockstep scheduling,
-# fixed seed), so any drift in `sgxperf stats --json` is a real change in a
-# detector threshold, the cost model or the trace format — exactly the silent
-# drift this leg exists to catch.
-stress_corpus() {
-  build_dir="$1"
-  corpus_dir="$build_dir/stress-corpus"
-  rm -rf "$corpus_dir"
-  mkdir -p "$corpus_dir"
-  "$build_dir/tools/sgxperf" stress --stressor ocall-storm --threads 2 \
-    --duration 20000000 --seed 7 --out "$corpus_dir/corpus.bin" >/dev/null
-  "$build_dir/tools/sgxperf" stats "$corpus_dir/corpus.bin" --json > "$corpus_dir/stats.json"
-  if ! cmp -s "$corpus_dir/stats.json" "$root/tests/golden/stress_corpus_stats.json"; then
-    echo "error: stress corpus stats diverged from the golden:" >&2
-    diff -u "$root/tests/golden/stress_corpus_stats.json" "$corpus_dir/stats.json" >&2 || true
-    exit 1
-  fi
-  echo "stress corpus stats match golden"
-}
-
 # Fleet golden gate: the in-process corpus (3 deterministic stress producers
 # -> monitor sessions -> wire frames -> aggregator) must produce a
 # byte-stable merged query snapshot.  Runs in every leg: under the
@@ -101,37 +59,6 @@ fleet_corpus() {
   fi
   "$build_dir/tools/json_check" "$fleet_dir/snapshot.json"
   echo "fleet corpus snapshot matches golden"
-}
-
-# Orderliness golden gate: the violating `order` stressor is deterministic
-# (lockstep + fixed seed), so `sgxperf order check --json` over its trace —
-# validated against the model the soak embedded — must reproduce the exact
-# violation sites, counts and onsets, and must exit 1 (violations found).
-# The learned-spec emitter is exercised and json_checked alongside.
-order_corpus() {
-  build_dir="$1"
-  order_dir="$build_dir/order-corpus"
-  rm -rf "$order_dir"
-  mkdir -p "$order_dir"
-  "$build_dir/tools/sgxperf" stress --stressor order --threads 2 \
-    --duration 20000000 --seed 7 --out "$order_dir/order.bin" >/dev/null
-  rc=0
-  (cd "$order_dir" && "$build_dir/tools/sgxperf" order check order.bin --json \
-    > "$order_dir/check.json") || rc=$?
-  if [ "$rc" -ne 1 ]; then
-    echo "error: order check exited $rc, expected 1 (violations present)" >&2
-    exit 1
-  fi
-  if ! cmp -s "$order_dir/check.json" "$root/tests/golden/order_check_corpus.json"; then
-    echo "error: order check report diverged from the golden:" >&2
-    diff -u "$root/tests/golden/order_check_corpus.json" "$order_dir/check.json" >&2 || true
-    exit 1
-  fi
-  (cd "$order_dir" && "$build_dir/tools/sgxperf" order learn order.bin --json \
-    > "$order_dir/learn.json")
-  "$build_dir/tools/json_check" "$order_dir/check.json"
-  "$build_dir/tools/json_check" "$order_dir/learn.json"
-  echo "order check report matches golden"
 }
 
 # Store golden gate: pack the deterministic stress corpus into an SGXSTORE
@@ -206,10 +133,7 @@ run_suite() {
   cmake -S "$root" -B "$build_dir" "$@" >/dev/null
   cmake --build "$build_dir" -j "$jobs"
   ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
-  monitor_soak "$build_dir"
-  stress_corpus "$build_dir"
   fleet_corpus "$build_dir"
-  order_corpus "$build_dir"
   store_corpus "$build_dir"
   doctor_corpus "$build_dir"
 }
