@@ -17,10 +17,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sgxsim/runtime.hpp"
 #include "stress/harness.hpp"
+#include "support/crc32.hpp"
 #include "tracedb/database.hpp"
 #include "tracedb/open.hpp"
 #include "tracedb/store/format.hpp"
@@ -199,6 +201,71 @@ TEST(TraceStore, EmptyDatabaseRoundTrips) {
   tracedb::store::pack(db, store.path);
   const TraceDatabase back = tracedb::store::unpack(store.path);
   EXPECT_EQ(flat_bytes(back, "store_empty_after.bin"), before);
+}
+
+/// make_fixture_db() topped up so that each of the 13 tables holds at least
+/// two rows and every scalar counter is non-zero.
+TraceDatabase make_all_tables_db() {
+  TraceDatabase db = make_fixture_db();
+  db.add_enclave({2, "audit", 7, 90'000, 1, 1 << 16});
+  const auto counter = db.add_metric_series(tracedb::MetricKind::kCounter, "events", "n");
+  db.add_metric_sample({counter, 3'000, 40.0});
+  LatencyRecord lat;
+  lat.enclave_id = 1;
+  lat.type = CallType::kOcall;
+  lat.call_id = 3;
+  lat.count = 10;
+  lat.sum_ns = 1'000;
+  lat.buckets = {{20, 10}};
+  db.set_latency(lat);
+  AlertRecord alert;
+  alert.kind = AlertKind::kReentrantEcall;
+  alert.enclave_id = 1;
+  alert.type = CallType::kEcall;
+  alert.call_id = 7;
+  alert.onset_ns = 5'000;
+  alert.window_index = 0;
+  alert.detail = (1ull << 32) | 2;
+  db.add_alert(alert);
+  // A real dropped event: seal the shard via merge, then append late.
+  auto& shard = db.register_shard(/*owner_thread=*/1);
+  db.merge_shards();
+  EXPECT_EQ(shard.add_call(db.calls().front()), tracedb::kShardSealed);
+  db.merge_shards();
+  return db;
+}
+
+// Behaviour lock on the byte layout of every table in both formats.  A
+// round-trip compare cannot see a layout change made symmetrically in an
+// encoder and its decoder; these checksums can.
+TEST(TraceStore, EveryTableEncodesToPinnedBytes) {
+  const TraceDatabase db = make_all_tables_db();
+  for (const std::size_t rows :
+       {db.calls().size(), db.aexs().size(), db.paging().size(), db.syncs().size(),
+        db.enclaves().size(), db.call_names().size(), db.metric_series().size(),
+        db.metric_samples().size(), db.latencies().size(), db.windows().size(),
+        db.window_sites().size(), db.alerts().size(), db.order_rules().size()}) {
+    EXPECT_GE(rows, 2u);
+  }
+  EXPECT_EQ(db.dropped_events(), 1u);
+  EXPECT_EQ(db.stream_dropped(), 3u);
+  EXPECT_EQ(db.window_period(), 1'000'000u);
+
+  const std::string flat = flat_bytes(db, "store_pinned.bin");
+  EXPECT_EQ(support::crc32(flat.data(), flat.size()), 0xcea81137u);
+
+  StoreDir store("store_pinned.store");
+  tracedb::store::pack(db, store.path, {.chunk_calls = 3});
+  const std::pair<const char*, std::uint32_t> sections[] = {
+      {"meta.db", 0x4e5fc51cu},
+      {"profile.db", 0x0fe971bbu},
+      {"alerts.db", 0xbf744193u},
+      {"events.db", 0xa04d106bu},
+  };
+  for (const auto& [file, crc] : sections) {
+    const std::string bytes = slurp(store.path + "/" + file);
+    EXPECT_EQ(support::crc32(bytes.data(), bytes.size()), crc) << file;
+  }
 }
 
 // --- lazy loading ------------------------------------------------------------
