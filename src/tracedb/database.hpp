@@ -189,11 +189,10 @@ class TraceDatabase {
 
   // --- persistence (see serialize.cpp) -------------------------------------
 
-  /// Binary format v3 (v2 plus the dropped-event count and the telemetry
-  /// tables; load() still accepts v2 files).  Throws std::runtime_error on
-  /// I/O or format errors, or std::logic_error if unmerged shard events
-  /// exist (merge first — the file format has no notion of shards and must
-  /// stay bit-stable).
+  /// The flat binary format "SGXPTRC6" (see serialize.cpp); load() accepts
+  /// no other.  Throws std::runtime_error on I/O or format errors, or
+  /// std::logic_error if unmerged shard events exist (merge first — the file
+  /// format has no notion of shards and must stay bit-stable).
   void save(const std::string& path) const;
   static TraceDatabase load(const std::string& path);
 

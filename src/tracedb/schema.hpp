@@ -170,10 +170,6 @@ enum class AlertKind : std::uint8_t {
   kPhaseViolation = 13,   // lifecycle phase re-entered (e.g. double init)
 };
 inline constexpr std::uint8_t kAlertKindCount = 14;
-/// Highest kind byte + 1 accepted when loading pre-v6 traces: the
-/// orderliness kinds did not exist yet, so a v5 file containing one is
-/// corrupt, not forward-compatible.
-inline constexpr std::uint8_t kAlertKindCountV5 = 9;
 
 /// One fixed-interval snapshot of workload-wide activity (format v5).
 /// Windows are cut on the *virtual* clock, so a replayed trace produces a

@@ -1,54 +1,29 @@
-// Binary persistence (formats v2–v6) and CSV export for TraceDatabase.
+// Flat-file persistence and CSV export for TraceDatabase.
 //
-// Layout: magic "SGXPTRC6", then per table a u64 row count followed by rows.
-// v2 added the AEX cause byte; v3 appends the dropped-event count and the
-// telemetry tables (metric series, metric samples) after the v2 payload;
-// v4 appends the streaming-drop count and the sparse HDR latency table
-// after the v3 payload; v5 appends the online-analysis time-series tables
-// (window period, window snapshots, per-site window rows, alerts) after the
-// v4 payload; v6 appends the interface-orderliness rule table after the v5
-// payload.  Each older format is exactly a newer file that ends early —
-// load() accepts all five magics and leaves the newer fields at their
-// defaults for older input.  v1 files are rejected by the magic check.
-// Integers are little-endian fixed-width; strings are u32-length-prefixed;
-// metric values are IEEE-754 doubles stored as their u64 bit pattern.  The
-// latency table header records the compiled HDR bucket geometry (sub_bits,
-// max_exponent); load() rejects mismatches rather than misinterpret bucket
-// indices.  The v5/v6 tables are validated structurally: alert and rule
-// kind bytes must be in range (alert kinds are version-gated — the
-// orderliness kinds are only legal in v6 files), window intervals must be
-// well-formed, and per-table row counts are bounded against the
-// implausible.
-#include <bit>
+// The flat file is the magic "SGXPTRC6" followed by the tables, each laid
+// out by the shared row codec (codec.hpp), in this order: calls, AEXs,
+// paging, syncs, enclaves, call names, the dropped-event count, metric
+// series, metric samples, the stream-drop count, latencies (after their HDR
+// bucket geometry), the window period, windows, window sites, alerts, order
+// rules.  The SGXSTORE directory (store/) carries the same rows in other
+// sections.  load() accepts only this format; every other magic, including
+// the older SGXPTRC1-5, is rejected.
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "telemetry/hdr_histogram.hpp"
+#include "tracedb/codec.hpp"
 #include "tracedb/database.hpp"
 
 namespace tracedb {
 namespace {
 
-constexpr char kMagicV2[8] = {'S', 'G', 'X', 'P', 'T', 'R', 'C', '2'};
-constexpr char kMagicV3[8] = {'S', 'G', 'X', 'P', 'T', 'R', 'C', '3'};
-constexpr char kMagicV4[8] = {'S', 'G', 'X', 'P', 'T', 'R', 'C', '4'};
-constexpr char kMagicV5[8] = {'S', 'G', 'X', 'P', 'T', 'R', 'C', '5'};
-constexpr char kMagicV6[8] = {'S', 'G', 'X', 'P', 'T', 'R', 'C', '6'};
-
-/// Ceiling on v5/v6 table row counts: far above any real trace, small enough
-/// that a corrupt count fails fast instead of reserving petabytes.
-constexpr std::uint64_t kMaxV5Rows = 1ull << 32;
-
-bool magic_is(const char (&magic)[8], const char (&want)[8]) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (magic[i] != want[i]) return false;
-  }
-  return true;
-}
+constexpr char kMagic[8] = {'S', 'G', 'X', 'P', 'T', 'R', 'C', '6'};
 
 struct FileCloser {
   void operator()(std::FILE* f) const noexcept {
@@ -56,72 +31,6 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-class Writer {
- public:
-  explicit Writer(const std::string& path) : f_(std::fopen(path.c_str(), "wb")) {
-    if (!f_) throw std::runtime_error("tracedb: cannot open for writing: " + path);
-  }
-
-  void bytes(const void* p, std::size_t n) {
-    if (std::fwrite(p, 1, n, f_.get()) != n) throw std::runtime_error("tracedb: write failed");
-  }
-  void u8(std::uint8_t v) { bytes(&v, 1); }
-  void u32(std::uint32_t v) { bytes(&v, 4); }
-  void u64(std::uint64_t v) { bytes(&v, 8); }
-  void i64(std::int64_t v) { bytes(&v, 8); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes(s.data(), s.size());
-  }
-
- private:
-  FilePtr f_;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::string& path) : f_(std::fopen(path.c_str(), "rb")) {
-    if (!f_) throw std::runtime_error("tracedb: cannot open for reading: " + path);
-  }
-
-  void bytes(void* p, std::size_t n) {
-    if (std::fread(p, 1, n, f_.get()) != n)
-      throw std::runtime_error("tracedb: truncated trace file");
-  }
-  std::uint8_t u8() {
-    std::uint8_t v;
-    bytes(&v, 1);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    bytes(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    bytes(&v, 8);
-    return v;
-  }
-  std::int64_t i64() {
-    std::int64_t v;
-    bytes(&v, 8);
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (n > (1u << 24)) throw std::runtime_error("tracedb: implausible string length");
-    std::string s(n, '\0');
-    if (n > 0) bytes(s.data(), n);
-    return s;
-  }
-
- private:
-  FilePtr f_;
-};
 
 }  // namespace
 
@@ -133,398 +42,58 @@ void TraceDatabase::save(const std::string& path) const {
           "tracedb: save() with unmerged shard events — call merge_shards() first");
     }
   }
-  Writer w(path);
-  w.bytes(kMagicV6, sizeof(kMagicV6));
-
+  FilePtr f(std::fopen(path.c_str(), "wb"));
+  if (!f) throw std::runtime_error("tracedb: cannot open for writing: " + path);
+  codec::BufWriter w(f.get());
+  w.bytes(kMagic, sizeof(kMagic));
   w.u64(calls_.size());
-  for (const auto& c : calls_) {
-    w.u8(static_cast<std::uint8_t>(c.type));
-    w.u8(static_cast<std::uint8_t>(c.kind));
-    w.u32(c.thread_id);
-    w.u64(c.enclave_id);
-    w.u32(c.call_id);
-    w.i64(c.parent);
-    w.u64(c.start_ns);
-    w.u64(c.end_ns);
-    w.u32(c.aex_count);
-  }
-
+  codec::write_calls(w, calls_);
   w.u64(aexs_.size());
-  for (const auto& a : aexs_) {
-    w.u32(a.thread_id);
-    w.u64(a.enclave_id);
-    w.u64(a.timestamp_ns);
-    w.i64(a.during_call);
-    w.u8(static_cast<std::uint8_t>(a.cause));
-  }
-
+  codec::write_aexs(w, aexs_);
   w.u64(paging_.size());
-  for (const auto& p : paging_) {
-    w.u64(p.enclave_id);
-    w.u64(p.page_number);
-    w.u8(static_cast<std::uint8_t>(p.direction));
-    w.u64(p.timestamp_ns);
-  }
-
+  codec::write_paging(w, paging_);
   w.u64(syncs_.size());
-  for (const auto& s : syncs_) {
-    w.u8(static_cast<std::uint8_t>(s.kind));
-    w.u32(s.thread_id);
-    w.u32(s.target_thread_id);
-    w.u64(s.enclave_id);
-    w.u64(s.timestamp_ns);
-  }
-
-  w.u64(enclaves_.size());
-  for (const auto& e : enclaves_) {
-    w.u64(e.enclave_id);
-    w.str(e.name);
-    w.u64(e.created_ns);
-    w.u64(e.destroyed_ns);
-    w.u32(e.tcs_count);
-    w.u64(e.size_bytes);
-  }
-
-  w.u64(call_names_.size());
-  for (const auto& n : call_names_) {
-    w.u64(n.enclave_id);
-    w.u8(static_cast<std::uint8_t>(n.type));
-    w.u32(n.call_id);
-    w.str(n.name);
-  }
-
-  // --- v3 additions ---------------------------------------------------------
+  codec::write_syncs(w, syncs_);
+  codec::write_enclaves(w, enclaves_);
+  codec::write_call_names(w, call_names_);
   w.u64(dropped_events_);
-
-  w.u64(metric_series_.size());
-  for (const auto& s : metric_series_) {
-    w.u32(s.series_id);
-    w.u8(static_cast<std::uint8_t>(s.kind));
-    w.str(s.name);
-    w.str(s.unit);
-  }
-
-  w.u64(metric_samples_.size());
-  for (const auto& s : metric_samples_) {
-    w.u32(s.series_id);
-    w.u64(s.timestamp_ns);
-    w.f64(s.value);
-  }
-
-  // --- v4 additions ---------------------------------------------------------
+  codec::write_metric_series(w, metric_series_);
+  codec::write_metric_samples(w, metric_samples_);
   w.u64(stream_dropped_);
-
-  w.u8(static_cast<std::uint8_t>(telemetry::hdr::kSubBits));
-  w.u8(static_cast<std::uint8_t>(telemetry::hdr::kMaxExponent));
-  w.u64(latencies_.size());
-  for (const auto& l : latencies_) {
-    w.u64(l.enclave_id);
-    w.u8(static_cast<std::uint8_t>(l.type));
-    w.u32(l.call_id);
-    w.u64(l.count);
-    w.u64(l.sum_ns);
-    w.u32(static_cast<std::uint32_t>(l.buckets.size()));
-    for (const auto& [idx, n] : l.buckets) {
-      w.u32(idx);
-      w.u64(n);
-    }
-  }
-
-  // --- v5 additions ---------------------------------------------------------
+  codec::write_latencies(w, latencies_);
   w.u64(window_period_);
-
-  w.u64(windows_.size());
-  for (const auto& win : windows_) {
-    w.u32(win.window_index);
-    w.u64(win.start_ns);
-    w.u64(win.end_ns);
-    w.u64(win.calls);
-    w.u64(win.aexs);
-    w.u64(win.page_ins);
-    w.u64(win.page_outs);
-    w.u64(win.stream_dropped);
-    w.u64(win.switchless_calls);
-    w.u64(win.switchless_fallbacks);
-    w.u64(win.switchless_wasted_ns);
-    w.u32(win.active_alerts);
-  }
-
-  w.u64(window_sites_.size());
-  for (const auto& site : window_sites_) {
-    w.u32(site.window_index);
-    w.u64(site.enclave_id);
-    w.u8(static_cast<std::uint8_t>(site.type));
-    w.u32(site.call_id);
-    w.u64(site.calls);
-    w.u64(site.aex_count);
-    w.u64(site.p50_ns);
-    w.u64(site.p99_ns);
-  }
-
-  w.u64(alerts_.size());
-  for (const auto& alert : alerts_) {
-    w.u8(static_cast<std::uint8_t>(alert.kind));
-    w.u64(alert.enclave_id);
-    w.u8(static_cast<std::uint8_t>(alert.type));
-    w.u32(alert.call_id);
-    w.u64(alert.onset_ns);
-    w.u64(alert.resolved_ns);
-    w.u32(alert.window_index);
-    w.u64(alert.detail);
-  }
-
-  // --- v6 additions ---------------------------------------------------------
-  w.u64(order_rules_.size());
-  for (const auto& rule : order_rules_) {
-    w.u64(rule.enclave_id);
-    w.u8(static_cast<std::uint8_t>(rule.rule));
-    w.u32(rule.a);
-    w.u32(rule.b);
-  }
+  codec::write_windows(w, windows_);
+  codec::write_window_sites(w, window_sites_);
+  codec::write_alerts(w, alerts_);
+  codec::write_order_rules(w, order_rules_);
+  w.flush();
+  if (std::fclose(f.release()) != 0) throw std::runtime_error("tracedb: write failed: " + path);
 }
 
 TraceDatabase TraceDatabase::load(const std::string& path) {
-  Reader r(path);
+  const codec::MappedFile file(path, "tracedb", "trace file");
+  codec::SpanReader r(file.data(), file.size(), "tracedb", "trace file " + path);
   char magic[8];
   r.bytes(magic, sizeof(magic));
-  const bool v6 = magic_is(magic, kMagicV6);
-  const bool v5 = v6 || magic_is(magic, kMagicV5);
-  const bool v4 = v5 || magic_is(magic, kMagicV4);
-  const bool v3 = v4 || magic_is(magic, kMagicV3);
-  if (!v3 && !magic_is(magic, kMagicV2)) {
-    throw std::runtime_error("tracedb: bad magic in " + path);
-  }
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) r.fail("bad magic");
 
   TraceDatabase db;
-  const std::uint64_t n_calls = r.u64();
-  db.calls_.reserve(n_calls);
-  for (std::uint64_t i = 0; i < n_calls; ++i) {
-    CallRecord c;
-    c.type = static_cast<CallType>(r.u8());
-    c.kind = static_cast<OcallKind>(r.u8());
-    c.thread_id = r.u32();
-    c.enclave_id = r.u64();
-    c.call_id = r.u32();
-    c.parent = r.i64();
-    c.start_ns = r.u64();
-    c.end_ns = r.u64();
-    c.aex_count = r.u32();
-    db.calls_.push_back(c);
-  }
-
-  const std::uint64_t n_aex = r.u64();
-  db.aexs_.reserve(n_aex);
-  for (std::uint64_t i = 0; i < n_aex; ++i) {
-    AexRecord a;
-    a.thread_id = r.u32();
-    a.enclave_id = r.u64();
-    a.timestamp_ns = r.u64();
-    a.during_call = r.i64();
-    a.cause = static_cast<AexCause>(r.u8());
-    db.aexs_.push_back(a);
-  }
-
-  const std::uint64_t n_pg = r.u64();
-  db.paging_.reserve(n_pg);
-  for (std::uint64_t i = 0; i < n_pg; ++i) {
-    PagingRecord p;
-    p.enclave_id = r.u64();
-    p.page_number = r.u64();
-    p.direction = static_cast<PageDirection>(r.u8());
-    p.timestamp_ns = r.u64();
-    db.paging_.push_back(p);
-  }
-
-  const std::uint64_t n_sync = r.u64();
-  db.syncs_.reserve(n_sync);
-  for (std::uint64_t i = 0; i < n_sync; ++i) {
-    SyncRecord s;
-    s.kind = static_cast<SyncKind>(r.u8());
-    s.thread_id = r.u32();
-    s.target_thread_id = r.u32();
-    s.enclave_id = r.u64();
-    s.timestamp_ns = r.u64();
-    db.syncs_.push_back(s);
-  }
-
-  const std::uint64_t n_enc = r.u64();
-  db.enclaves_.reserve(n_enc);
-  for (std::uint64_t i = 0; i < n_enc; ++i) {
-    EnclaveRecord e;
-    e.enclave_id = r.u64();
-    e.name = r.str();
-    e.created_ns = r.u64();
-    e.destroyed_ns = r.u64();
-    e.tcs_count = r.u32();
-    e.size_bytes = r.u64();
-    db.enclaves_.push_back(e);
-  }
-
-  const std::uint64_t n_names = r.u64();
-  db.call_names_.reserve(n_names);
-  for (std::uint64_t i = 0; i < n_names; ++i) {
-    CallNameRecord n;
-    n.enclave_id = r.u64();
-    n.type = static_cast<CallType>(r.u8());
-    n.call_id = r.u32();
-    n.name = r.str();
-    db.call_names_.push_back(n);
-  }
-
-  if (v3) {
-    db.dropped_events_ = r.u64();
-
-    const std::uint64_t n_series = r.u64();
-    db.metric_series_.reserve(n_series);
-    for (std::uint64_t i = 0; i < n_series; ++i) {
-      MetricSeriesRecord s;
-      s.series_id = r.u32();
-      s.kind = static_cast<MetricKind>(r.u8());
-      s.name = r.str();
-      s.unit = r.str();
-      db.metric_series_.push_back(std::move(s));
-    }
-
-    const std::uint64_t n_samples = r.u64();
-    db.metric_samples_.reserve(n_samples);
-    for (std::uint64_t i = 0; i < n_samples; ++i) {
-      MetricSampleRecord s;
-      s.series_id = r.u32();
-      s.timestamp_ns = r.u64();
-      s.value = r.f64();
-      db.metric_samples_.push_back(s);
-    }
-  }
-
-  if (v4) {
-    db.stream_dropped_ = r.u64();
-
-    const std::uint8_t sub_bits = r.u8();
-    const std::uint8_t max_exp = r.u8();
-    if (sub_bits != telemetry::hdr::kSubBits || max_exp != telemetry::hdr::kMaxExponent) {
-      throw std::runtime_error("tracedb: latency table bucket geometry mismatch in " + path);
-    }
-    const std::uint64_t n_lat = r.u64();
-    db.latencies_.reserve(n_lat);
-    for (std::uint64_t i = 0; i < n_lat; ++i) {
-      LatencyRecord l;
-      l.enclave_id = r.u64();
-      l.type = static_cast<CallType>(r.u8());
-      l.call_id = r.u32();
-      l.count = r.u64();
-      l.sum_ns = r.u64();
-      const std::uint32_t n_buckets = r.u32();
-      if (n_buckets > telemetry::hdr::kBucketCount) {
-        throw std::runtime_error("tracedb: implausible latency bucket count in " + path);
-      }
-      l.buckets.reserve(n_buckets);
-      for (std::uint32_t b = 0; b < n_buckets; ++b) {
-        const std::uint32_t idx = r.u32();
-        const std::uint64_t n = r.u64();
-        l.buckets.emplace_back(idx, n);
-      }
-      db.latencies_.push_back(std::move(l));
-    }
-  }
-
-  if (v5) {
-    db.window_period_ = r.u64();
-
-    const std::uint64_t n_windows = r.u64();
-    if (n_windows > kMaxV5Rows) {
-      throw std::runtime_error("tracedb: implausible window count in " + path);
-    }
-    db.windows_.reserve(n_windows);
-    for (std::uint64_t i = 0; i < n_windows; ++i) {
-      WindowRecord win;
-      win.window_index = r.u32();
-      win.start_ns = r.u64();
-      win.end_ns = r.u64();
-      win.calls = r.u64();
-      win.aexs = r.u64();
-      win.page_ins = r.u64();
-      win.page_outs = r.u64();
-      win.stream_dropped = r.u64();
-      win.switchless_calls = r.u64();
-      win.switchless_fallbacks = r.u64();
-      win.switchless_wasted_ns = r.u64();
-      win.active_alerts = r.u32();
-      if (win.end_ns < win.start_ns) {
-        throw std::runtime_error("tracedb: malformed window interval in " + path);
-      }
-      db.windows_.push_back(win);
-    }
-
-    const std::uint64_t n_sites = r.u64();
-    if (n_sites > kMaxV5Rows) {
-      throw std::runtime_error("tracedb: implausible window-site count in " + path);
-    }
-    db.window_sites_.reserve(n_sites);
-    for (std::uint64_t i = 0; i < n_sites; ++i) {
-      WindowSiteRecord site;
-      site.window_index = r.u32();
-      site.enclave_id = r.u64();
-      site.type = static_cast<CallType>(r.u8());
-      site.call_id = r.u32();
-      site.calls = r.u64();
-      site.aex_count = r.u64();
-      site.p50_ns = r.u64();
-      site.p99_ns = r.u64();
-      if (site.window_index >= db.windows_.size()) {
-        throw std::runtime_error("tracedb: window-site references unknown window in " + path);
-      }
-      db.window_sites_.push_back(site);
-    }
-
-    const std::uint64_t n_alerts = r.u64();
-    if (n_alerts > kMaxV5Rows) {
-      throw std::runtime_error("tracedb: implausible alert count in " + path);
-    }
-    db.alerts_.reserve(n_alerts);
-    // Orderliness alert kinds only exist from v6 on — a pre-v6 file carrying
-    // one is corrupt, not forward-compatible.
-    const std::uint8_t max_alert_kind = v6 ? kAlertKindCount : kAlertKindCountV5;
-    for (std::uint64_t i = 0; i < n_alerts; ++i) {
-      AlertRecord alert;
-      const std::uint8_t kind = r.u8();
-      if (kind >= max_alert_kind) {
-        throw std::runtime_error("tracedb: unknown alert kind in " + path);
-      }
-      alert.kind = static_cast<AlertKind>(kind);
-      alert.enclave_id = r.u64();
-      alert.type = static_cast<CallType>(r.u8());
-      alert.call_id = r.u32();
-      alert.onset_ns = r.u64();
-      alert.resolved_ns = r.u64();
-      alert.window_index = r.u32();
-      alert.detail = r.u64();
-      if (alert.resolved_ns != 0 && alert.resolved_ns < alert.onset_ns) {
-        throw std::runtime_error("tracedb: alert resolved before onset in " + path);
-      }
-      db.alerts_.push_back(alert);
-    }
-  }
-
-  if (v6) {
-    const std::uint64_t n_rules = r.u64();
-    if (n_rules > kMaxV5Rows) {
-      throw std::runtime_error("tracedb: implausible order-rule count in " + path);
-    }
-    db.order_rules_.reserve(n_rules);
-    for (std::uint64_t i = 0; i < n_rules; ++i) {
-      OrderRuleRecord rule;
-      rule.enclave_id = r.u64();
-      const std::uint8_t kind = r.u8();
-      if (kind >= kOrderRuleKindCount) {
-        throw std::runtime_error("tracedb: unknown order-rule kind in " + path);
-      }
-      rule.rule = static_cast<OrderRuleRecord::Rule>(kind);
-      rule.a = r.u32();
-      rule.b = r.u32();
-      db.order_rules_.push_back(rule);
-    }
-  }
-
+  codec::read_calls(r, r.u64(), db.calls_, 0);
+  codec::read_aexs(r, r.u64(), db.aexs_, 0);
+  codec::read_paging(r, r.u64(), db.paging_);
+  codec::read_syncs(r, r.u64(), db.syncs_);
+  codec::read_enclaves(r, db.enclaves_);
+  codec::read_call_names(r, db.call_names_);
+  db.dropped_events_ = r.u64();
+  codec::read_metric_series(r, db.metric_series_);
+  codec::read_metric_samples(r, db.metric_samples_);
+  db.stream_dropped_ = r.u64();
+  codec::read_latencies(r, db.latencies_);
+  db.window_period_ = r.u64();
+  codec::read_windows(r, db.windows_);
+  codec::read_window_sites(r, db.window_sites_, db.windows_.size());
+  codec::read_alerts(r, db.alerts_);
+  codec::read_order_rules(r, db.order_rules_);
   return db;
 }
 

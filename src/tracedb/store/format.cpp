@@ -1,35 +1,21 @@
-// SGXSTORE codecs: index header, event-chunk framing, section payloads.
-//
-// Row encodings deliberately mirror serialize.cpp field-for-field so that
-// flat <-> store conversion is a re-sectioning of identical bytes, and so a
-// reader of one format is trivially a reader of the other.  Validation also
-// mirrors the flat loader (kind-byte ranges, interval sanity, bucket
-// geometry, implausible-count ceilings) — a store must never admit a row the
-// flat format would reject.
+// SGXSTORE framing: index header, event chunks and their footer directory,
+// and the table sequence of each section.  Rows are laid out and validated
+// by the shared row codec (tracedb/codec.hpp).
 #include "tracedb/store/format.hpp"
 
-#include <bit>
+#include <cstring>
+#include <stdexcept>
 
-#include "telemetry/hdr_histogram.hpp"
+#include "support/crc32.hpp"
 
 namespace tracedb::store {
 namespace {
 
-/// Same ceiling the flat loader applies to v5/v6 tables: far above any real
-/// trace, small enough that a corrupt count fails fast.
-constexpr std::uint64_t kMaxRows = 1ull << 32;
+using codec::BufWriter;
+using codec::SpanReader;
 
 constexpr std::size_t kMinIndexBytes = 8 /*magic*/ + 4 /*version*/ + 1 /*payload*/ +
                                        8 /*generation*/ + 4 /*n_sections*/ + 4 /*self-crc*/;
-
-void put_f64(BufWriter& w, double v) { w.u64(std::bit_cast<std::uint64_t>(v)); }
-double get_f64(SpanReader& r) { return std::bit_cast<double>(r.u64()); }
-
-void check_count(std::uint64_t n, const char* what, const std::string& context) {
-  if (n > kMaxRows) {
-    throw std::runtime_error("store: implausible " + std::string(what) + " count in " + context);
-  }
-}
 
 }  // namespace
 
@@ -73,7 +59,7 @@ std::string encode_index(const StoreIndex& index) {
   return w.take();
 }
 
-StoreIndex parse_index(const std::string& bytes) {
+StoreIndex parse_index(std::string_view bytes) {
   if (bytes.size() < 8) {
     throw std::runtime_error("store: truncated index header");
   }
@@ -89,7 +75,7 @@ StoreIndex parse_index(const std::string& bytes) {
     throw std::runtime_error("store: index checksum mismatch");
   }
 
-  SpanReader r(bytes.data() + 8, bytes.size() - 8 - 4, "index header");
+  SpanReader r(bytes.data() + 8, bytes.size() - 8 - 4, "store", "index header");
   StoreIndex index;
   index.version = r.u32();
   if (index.version != kStoreVersion) {
@@ -97,7 +83,7 @@ StoreIndex parse_index(const std::string& bytes) {
                              std::to_string(index.version));
   }
   index.payload_version = r.u8();
-  if (index.payload_version > kPayloadVersion) {
+  if (index.payload_version != kPayloadVersion) {
     throw std::runtime_error("store: unsupported payload version " +
                              std::to_string(index.payload_version));
   }
@@ -154,12 +140,12 @@ std::string encode_footer(const std::vector<ChunkDirEntry>& chunks) {
 
 std::vector<ChunkDirEntry> parse_footer(const char* data, std::size_t size,
                                         std::uint64_t file_size) {
-  SpanReader r(data, size, "event footer");
+  SpanReader r(data, size, "store", "event footer");
   if (r.u32() != kFooterMagic) {
     throw std::runtime_error("store: bad event footer magic");
   }
   const std::uint64_t n = r.u64();
-  r.check_rows(n, 8 * 9 + 4 * 3);
+  r.check_rows(n, 8 * 9 + 4 * 3, "chunk");
   std::vector<ChunkDirEntry> chunks;
   chunks.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -184,42 +170,16 @@ std::vector<ChunkDirEntry> parse_footer(const char* data, std::size_t size,
   return chunks;
 }
 
-// --- meta section -----------------------------------------------------------
+// --- summary sections ---------------------------------------------------------
 
 std::string encode_meta(const TraceDatabase& db) {
   BufWriter w;
   w.u64(db.window_period());
   w.u64(db.dropped_events());
   w.u64(db.stream_dropped());
-
-  const auto& enclaves = db.enclaves();
-  w.u64(enclaves.size());
-  for (const auto& e : enclaves) {
-    w.u64(e.enclave_id);
-    w.str(e.name);
-    w.u64(e.created_ns);
-    w.u64(e.destroyed_ns);
-    w.u32(e.tcs_count);
-    w.u64(e.size_bytes);
-  }
-
-  const auto& names = db.call_names();
-  w.u64(names.size());
-  for (const auto& n : names) {
-    w.u64(n.enclave_id);
-    w.u8(static_cast<std::uint8_t>(n.type));
-    w.u32(n.call_id);
-    w.str(n.name);
-  }
-
-  const auto& rules = db.order_rules();
-  w.u64(rules.size());
-  for (const auto& rule : rules) {
-    w.u64(rule.enclave_id);
-    w.u8(static_cast<std::uint8_t>(rule.rule));
-    w.u32(rule.a);
-    w.u32(rule.b);
-  }
+  codec::write_enclaves(w, db.enclaves());
+  codec::write_call_names(w, db.call_names());
+  codec::write_order_rules(w, db.order_rules());
   return w.take();
 }
 
@@ -227,231 +187,31 @@ void decode_meta(SpanReader& r, TraceDatabase& db) {
   RawTables::window_period(db) = r.u64();
   RawTables::dropped_events(db) = r.u64();
   RawTables::stream_dropped(db) = r.u64();
-
-  const std::uint64_t n_enc = r.u64();
-  r.check_rows(n_enc, 8 + 4 + 8 + 8 + 4 + 8);
-  auto& enclaves = RawTables::enclaves(db);
-  enclaves.reserve(n_enc);
-  for (std::uint64_t i = 0; i < n_enc; ++i) {
-    EnclaveRecord e;
-    e.enclave_id = r.u64();
-    e.name = r.str();
-    e.created_ns = r.u64();
-    e.destroyed_ns = r.u64();
-    e.tcs_count = r.u32();
-    e.size_bytes = r.u64();
-    enclaves.push_back(std::move(e));
-  }
-
-  const std::uint64_t n_names = r.u64();
-  r.check_rows(n_names, 8 + 1 + 4 + 4);
-  auto& names = RawTables::call_names(db);
-  names.reserve(n_names);
-  for (std::uint64_t i = 0; i < n_names; ++i) {
-    CallNameRecord n;
-    n.enclave_id = r.u64();
-    n.type = static_cast<CallType>(r.u8());
-    n.call_id = r.u32();
-    n.name = r.str();
-    names.push_back(std::move(n));
-  }
-
-  const std::uint64_t n_rules = r.u64();
-  check_count(n_rules, "order-rule", r.context());
-  r.check_rows(n_rules, 8 + 1 + 4 + 4);
-  auto& rules = RawTables::order_rules(db);
-  rules.reserve(n_rules);
-  for (std::uint64_t i = 0; i < n_rules; ++i) {
-    OrderRuleRecord rule;
-    rule.enclave_id = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind >= kOrderRuleKindCount) {
-      throw std::runtime_error("store: unknown order-rule kind in " + r.context());
-    }
-    rule.rule = static_cast<OrderRuleRecord::Rule>(kind);
-    rule.a = r.u32();
-    rule.b = r.u32();
-    rules.push_back(rule);
-  }
+  codec::read_enclaves(r, RawTables::enclaves(db));
+  codec::read_call_names(r, RawTables::call_names(db));
+  codec::read_order_rules(r, RawTables::order_rules(db));
 }
 
 std::vector<std::uint64_t> meta_counts(const TraceDatabase& db) {
   return {db.enclaves().size(), db.call_names().size(), db.order_rules().size()};
 }
 
-// --- profile section --------------------------------------------------------
-
 std::string encode_profile(const TraceDatabase& db) {
   BufWriter w;
-  w.u8(static_cast<std::uint8_t>(telemetry::hdr::kSubBits));
-  w.u8(static_cast<std::uint8_t>(telemetry::hdr::kMaxExponent));
-
-  const auto& latencies = db.latencies();
-  w.u64(latencies.size());
-  for (const auto& l : latencies) {
-    w.u64(l.enclave_id);
-    w.u8(static_cast<std::uint8_t>(l.type));
-    w.u32(l.call_id);
-    w.u64(l.count);
-    w.u64(l.sum_ns);
-    w.u32(static_cast<std::uint32_t>(l.buckets.size()));
-    for (const auto& [idx, n] : l.buckets) {
-      w.u32(idx);
-      w.u64(n);
-    }
-  }
-
-  const auto& series = db.metric_series();
-  w.u64(series.size());
-  for (const auto& s : series) {
-    w.u32(s.series_id);
-    w.u8(static_cast<std::uint8_t>(s.kind));
-    w.str(s.name);
-    w.str(s.unit);
-  }
-
-  const auto& samples = db.metric_samples();
-  w.u64(samples.size());
-  for (const auto& s : samples) {
-    w.u32(s.series_id);
-    w.u64(s.timestamp_ns);
-    put_f64(w, s.value);
-  }
-
-  const auto& windows = db.windows();
-  w.u64(windows.size());
-  for (const auto& win : windows) {
-    w.u32(win.window_index);
-    w.u64(win.start_ns);
-    w.u64(win.end_ns);
-    w.u64(win.calls);
-    w.u64(win.aexs);
-    w.u64(win.page_ins);
-    w.u64(win.page_outs);
-    w.u64(win.stream_dropped);
-    w.u64(win.switchless_calls);
-    w.u64(win.switchless_fallbacks);
-    w.u64(win.switchless_wasted_ns);
-    w.u32(win.active_alerts);
-  }
-
-  const auto& sites = db.window_sites();
-  w.u64(sites.size());
-  for (const auto& site : sites) {
-    w.u32(site.window_index);
-    w.u64(site.enclave_id);
-    w.u8(static_cast<std::uint8_t>(site.type));
-    w.u32(site.call_id);
-    w.u64(site.calls);
-    w.u64(site.aex_count);
-    w.u64(site.p50_ns);
-    w.u64(site.p99_ns);
-  }
+  codec::write_latencies(w, db.latencies());
+  codec::write_metric_series(w, db.metric_series());
+  codec::write_metric_samples(w, db.metric_samples());
+  codec::write_windows(w, db.windows());
+  codec::write_window_sites(w, db.window_sites());
   return w.take();
 }
 
 void decode_profile(SpanReader& r, TraceDatabase& db) {
-  const std::uint8_t sub_bits = r.u8();
-  const std::uint8_t max_exp = r.u8();
-  if (sub_bits != telemetry::hdr::kSubBits || max_exp != telemetry::hdr::kMaxExponent) {
-    throw std::runtime_error("store: latency bucket geometry mismatch in " + r.context());
-  }
-
-  const std::uint64_t n_lat = r.u64();
-  r.check_rows(n_lat, 8 + 1 + 4 + 8 + 8 + 4);
-  auto& latencies = RawTables::latencies(db);
-  latencies.reserve(n_lat);
-  for (std::uint64_t i = 0; i < n_lat; ++i) {
-    LatencyRecord l;
-    l.enclave_id = r.u64();
-    l.type = static_cast<CallType>(r.u8());
-    l.call_id = r.u32();
-    l.count = r.u64();
-    l.sum_ns = r.u64();
-    const std::uint32_t n_buckets = r.u32();
-    if (n_buckets > telemetry::hdr::kBucketCount) {
-      throw std::runtime_error("store: implausible latency bucket count in " + r.context());
-    }
-    l.buckets.reserve(n_buckets);
-    for (std::uint32_t b = 0; b < n_buckets; ++b) {
-      const std::uint32_t idx = r.u32();
-      const std::uint64_t n = r.u64();
-      l.buckets.emplace_back(idx, n);
-    }
-    latencies.push_back(std::move(l));
-  }
-
-  const std::uint64_t n_series = r.u64();
-  r.check_rows(n_series, 4 + 1 + 4 + 4);
-  auto& series = RawTables::metric_series(db);
-  series.reserve(n_series);
-  for (std::uint64_t i = 0; i < n_series; ++i) {
-    MetricSeriesRecord s;
-    s.series_id = r.u32();
-    s.kind = static_cast<MetricKind>(r.u8());
-    s.name = r.str();
-    s.unit = r.str();
-    series.push_back(std::move(s));
-  }
-
-  const std::uint64_t n_samples = r.u64();
-  r.check_rows(n_samples, 4 + 8 + 8);
-  auto& samples = RawTables::metric_samples(db);
-  samples.reserve(n_samples);
-  for (std::uint64_t i = 0; i < n_samples; ++i) {
-    MetricSampleRecord s;
-    s.series_id = r.u32();
-    s.timestamp_ns = r.u64();
-    s.value = get_f64(r);
-    samples.push_back(s);
-  }
-
-  const std::uint64_t n_windows = r.u64();
-  check_count(n_windows, "window", r.context());
-  r.check_rows(n_windows, 4 + 8 * 10 + 4);
-  auto& windows = RawTables::windows(db);
-  windows.reserve(n_windows);
-  for (std::uint64_t i = 0; i < n_windows; ++i) {
-    WindowRecord win;
-    win.window_index = r.u32();
-    win.start_ns = r.u64();
-    win.end_ns = r.u64();
-    win.calls = r.u64();
-    win.aexs = r.u64();
-    win.page_ins = r.u64();
-    win.page_outs = r.u64();
-    win.stream_dropped = r.u64();
-    win.switchless_calls = r.u64();
-    win.switchless_fallbacks = r.u64();
-    win.switchless_wasted_ns = r.u64();
-    win.active_alerts = r.u32();
-    if (win.end_ns < win.start_ns) {
-      throw std::runtime_error("store: malformed window interval in " + r.context());
-    }
-    windows.push_back(win);
-  }
-
-  const std::uint64_t n_sites = r.u64();
-  check_count(n_sites, "window-site", r.context());
-  r.check_rows(n_sites, 4 + 8 + 1 + 4 + 8 * 4);
-  auto& sites = RawTables::window_sites(db);
-  sites.reserve(n_sites);
-  for (std::uint64_t i = 0; i < n_sites; ++i) {
-    WindowSiteRecord site;
-    site.window_index = r.u32();
-    site.enclave_id = r.u64();
-    site.type = static_cast<CallType>(r.u8());
-    site.call_id = r.u32();
-    site.calls = r.u64();
-    site.aex_count = r.u64();
-    site.p50_ns = r.u64();
-    site.p99_ns = r.u64();
-    if (site.window_index >= windows.size()) {
-      throw std::runtime_error("store: window-site references unknown window in " +
-                               r.context());
-    }
-    sites.push_back(site);
-  }
+  codec::read_latencies(r, RawTables::latencies(db));
+  codec::read_metric_series(r, RawTables::metric_series(db));
+  codec::read_metric_samples(r, RawTables::metric_samples(db));
+  codec::read_windows(r, RawTables::windows(db));
+  codec::read_window_sites(r, RawTables::window_sites(db), db.windows().size());
 }
 
 std::vector<std::uint64_t> profile_counts(const TraceDatabase& db) {
@@ -459,50 +219,14 @@ std::vector<std::uint64_t> profile_counts(const TraceDatabase& db) {
           db.windows().size(), db.window_sites().size()};
 }
 
-// --- alerts section ---------------------------------------------------------
-
 std::string encode_alerts(const TraceDatabase& db) {
   BufWriter w;
-  const auto& alerts = db.alerts();
-  w.u64(alerts.size());
-  for (const auto& alert : alerts) {
-    w.u8(static_cast<std::uint8_t>(alert.kind));
-    w.u64(alert.enclave_id);
-    w.u8(static_cast<std::uint8_t>(alert.type));
-    w.u32(alert.call_id);
-    w.u64(alert.onset_ns);
-    w.u64(alert.resolved_ns);
-    w.u32(alert.window_index);
-    w.u64(alert.detail);
-  }
+  codec::write_alerts(w, db.alerts());
   return w.take();
 }
 
 void decode_alerts(SpanReader& r, TraceDatabase& db) {
-  const std::uint64_t n_alerts = r.u64();
-  check_count(n_alerts, "alert", r.context());
-  r.check_rows(n_alerts, 1 + 8 + 1 + 4 + 8 + 8 + 4 + 8);
-  auto& alerts = RawTables::alerts(db);
-  alerts.reserve(n_alerts);
-  for (std::uint64_t i = 0; i < n_alerts; ++i) {
-    AlertRecord alert;
-    const std::uint8_t kind = r.u8();
-    if (kind >= kAlertKindCount) {
-      throw std::runtime_error("store: unknown alert kind in " + r.context());
-    }
-    alert.kind = static_cast<AlertKind>(kind);
-    alert.enclave_id = r.u64();
-    alert.type = static_cast<CallType>(r.u8());
-    alert.call_id = r.u32();
-    alert.onset_ns = r.u64();
-    alert.resolved_ns = r.u64();
-    alert.window_index = r.u32();
-    alert.detail = r.u64();
-    if (alert.resolved_ns != 0 && alert.resolved_ns < alert.onset_ns) {
-      throw std::runtime_error("store: alert resolved before onset in " + r.context());
-    }
-    alerts.push_back(alert);
-  }
+  codec::read_alerts(r, RawTables::alerts(db));
 }
 
 std::vector<std::uint64_t> alert_counts(const TraceDatabase& db) {
@@ -511,15 +235,19 @@ std::vector<std::uint64_t> alert_counts(const TraceDatabase& db) {
 
 // --- event chunks -----------------------------------------------------------
 
-std::string encode_chunk(const CallRecord* calls, std::size_t n_calls, const AexRecord* aexs,
-                         std::size_t n_aexs, const PagingRecord* paging, std::size_t n_paging,
-                         const SyncRecord* syncs, std::size_t n_syncs, ChunkDirEntry& entry) {
+std::string encode_chunk(std::span<const CallRecord> calls, std::span<const AexRecord> aexs,
+                         std::span<const PagingRecord> paging, std::span<const SyncRecord> syncs,
+                         ChunkDirEntry& entry) {
   BufWriter w;
   w.u32(kChunkMagic);
-  w.u64(n_calls);
-  w.u64(n_aexs);
-  w.u64(n_paging);
-  w.u64(n_syncs);
+  w.u64(calls.size());
+  w.u64(aexs.size());
+  w.u64(paging.size());
+  w.u64(syncs.size());
+  codec::write_calls(w, calls);
+  codec::write_aexs(w, aexs);
+  codec::write_paging(w, paging);
+  codec::write_syncs(w, syncs);
 
   bool have_ts = false, have_thread = false;
   auto note_ts = [&](Nanoseconds ts) {
@@ -532,57 +260,27 @@ std::string encode_chunk(const CallRecord* calls, std::size_t n_calls, const Aex
     if (!have_thread || t > entry.thread_max) entry.thread_max = t;
     have_thread = true;
   };
-
-  for (std::size_t i = 0; i < n_calls; ++i) {
-    const auto& c = calls[i];
-    w.u8(static_cast<std::uint8_t>(c.type));
-    w.u8(static_cast<std::uint8_t>(c.kind));
-    w.u32(c.thread_id);
-    w.u64(c.enclave_id);
-    w.u32(c.call_id);
-    w.i64(c.parent);
-    w.u64(c.start_ns);
-    w.u64(c.end_ns);
-    w.u32(c.aex_count);
+  for (const auto& c : calls) {
     note_ts(c.start_ns);
     note_ts(c.end_ns);
     note_thread(c.thread_id);
   }
-  for (std::size_t i = 0; i < n_aexs; ++i) {
-    const auto& a = aexs[i];
-    w.u32(a.thread_id);
-    w.u64(a.enclave_id);
-    w.u64(a.timestamp_ns);
-    w.i64(a.during_call);
-    w.u8(static_cast<std::uint8_t>(a.cause));
+  for (const auto& a : aexs) {
     note_ts(a.timestamp_ns);
     note_thread(a.thread_id);
   }
-  for (std::size_t i = 0; i < n_paging; ++i) {
-    const auto& p = paging[i];
-    w.u64(p.enclave_id);
-    w.u64(p.page_number);
-    w.u8(static_cast<std::uint8_t>(p.direction));
-    w.u64(p.timestamp_ns);
-    note_ts(p.timestamp_ns);
-  }
-  for (std::size_t i = 0; i < n_syncs; ++i) {
-    const auto& s = syncs[i];
-    w.u8(static_cast<std::uint8_t>(s.kind));
-    w.u32(s.thread_id);
-    w.u32(s.target_thread_id);
-    w.u64(s.enclave_id);
-    w.u64(s.timestamp_ns);
+  for (const auto& p : paging) note_ts(p.timestamp_ns);
+  for (const auto& s : syncs) {
     note_ts(s.timestamp_ns);
     note_thread(s.thread_id);
   }
 
   entry.crc = support::crc32(w.str_ref().data(), w.size());
   w.u32(entry.crc);
-  entry.n_calls = n_calls;
-  entry.n_aexs = n_aexs;
-  entry.n_paging = n_paging;
-  entry.n_syncs = n_syncs;
+  entry.n_calls = calls.size();
+  entry.n_aexs = aexs.size();
+  entry.n_paging = paging.size();
+  entry.n_syncs = syncs.size();
   entry.length = w.size();
   return w.take();
 }
@@ -601,7 +299,7 @@ void decode_chunk(const char* data, std::size_t size, const ChunkDirEntry& entry
     throw std::runtime_error("store: event chunk checksum mismatch");
   }
 
-  SpanReader r(data, size - 4, "event chunk");
+  SpanReader r(data, size - 4, "store", "event chunk");
   if (r.u32() != kChunkMagic) {
     throw std::runtime_error("store: bad event chunk magic");
   }
@@ -613,64 +311,11 @@ void decode_chunk(const char* data, std::size_t size, const ChunkDirEntry& entry
       n_syncs != entry.n_syncs) {
     throw std::runtime_error("store: event chunk row counts disagree with directory");
   }
-
   const auto rebase = static_cast<CallIndex>(entry.call_rebase);
-  auto& calls = RawTables::calls(db);
-  r.check_rows(n_calls, 1 + 1 + 4 + 8 + 4 + 8 + 8 + 8 + 4);
-  calls.reserve(calls.size() + n_calls);
-  for (std::uint64_t i = 0; i < n_calls; ++i) {
-    CallRecord c;
-    c.type = static_cast<CallType>(r.u8());
-    c.kind = static_cast<OcallKind>(r.u8());
-    c.thread_id = r.u32();
-    c.enclave_id = r.u64();
-    c.call_id = r.u32();
-    c.parent = r.i64();
-    if (c.parent >= 0) c.parent += rebase;
-    c.start_ns = r.u64();
-    c.end_ns = r.u64();
-    c.aex_count = r.u32();
-    calls.push_back(c);
-  }
-
-  auto& aexs = RawTables::aexs(db);
-  r.check_rows(n_aexs, 4 + 8 + 8 + 8 + 1);
-  aexs.reserve(aexs.size() + n_aexs);
-  for (std::uint64_t i = 0; i < n_aexs; ++i) {
-    AexRecord a;
-    a.thread_id = r.u32();
-    a.enclave_id = r.u64();
-    a.timestamp_ns = r.u64();
-    a.during_call = r.i64();
-    if (a.during_call >= 0) a.during_call += rebase;
-    a.cause = static_cast<AexCause>(r.u8());
-    aexs.push_back(a);
-  }
-
-  auto& paging = RawTables::paging(db);
-  r.check_rows(n_paging, 8 + 8 + 1 + 8);
-  paging.reserve(paging.size() + n_paging);
-  for (std::uint64_t i = 0; i < n_paging; ++i) {
-    PagingRecord p;
-    p.enclave_id = r.u64();
-    p.page_number = r.u64();
-    p.direction = static_cast<PageDirection>(r.u8());
-    p.timestamp_ns = r.u64();
-    paging.push_back(p);
-  }
-
-  auto& syncs = RawTables::syncs(db);
-  r.check_rows(n_syncs, 1 + 4 + 4 + 8 + 8);
-  syncs.reserve(syncs.size() + n_syncs);
-  for (std::uint64_t i = 0; i < n_syncs; ++i) {
-    SyncRecord s;
-    s.kind = static_cast<SyncKind>(r.u8());
-    s.thread_id = r.u32();
-    s.target_thread_id = r.u32();
-    s.enclave_id = r.u64();
-    s.timestamp_ns = r.u64();
-    syncs.push_back(s);
-  }
+  codec::read_calls(r, n_calls, RawTables::calls(db), rebase);
+  codec::read_aexs(r, n_aexs, RawTables::aexs(db), rebase);
+  codec::read_paging(r, n_paging, RawTables::paging(db));
+  codec::read_syncs(r, n_syncs, RawTables::syncs(db));
 }
 
 }  // namespace tracedb::store

@@ -16,12 +16,13 @@
 //                    time range and thread range, so readers can load only
 //                    the chunks a query touches
 //
-// All integers are little-endian fixed-width; strings are u32-length-
-// prefixed — exactly the flat v2–v6 encoding (serialize.cpp), so a store is
-// a re-sectioning of the flat payload, not a new dialect.  Sections are
-// independently checksummed and independently loadable; the event section is
-// additionally chunked, each chunk carrying its own CRC32 so a partial load
-// never trusts unverified bytes.
+// This file owns the framing: the index, the event-chunk header and
+// footer, and which tables each section holds in which order.  The rows
+// themselves, and their validation, come from the row codec the flat file
+// uses too (tracedb/codec.hpp), so a store and a flat trace of the same
+// database carry the same row bytes.  Sections are independently
+// checksummed and independently loadable; each event chunk carries its own
+// CRC32 so a partial load never trusts unverified bytes.
 //
 // Rewrites are crash-safe by construction: section files are committed under
 // generation-suffixed names via temp+rename, and the index — which names the
@@ -34,19 +35,19 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
-#include <stdexcept>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "support/crc32.hpp"
+#include "tracedb/codec.hpp"
 #include "tracedb/database.hpp"
 
 namespace tracedb::store {
 
 inline constexpr char kIndexMagic[8] = {'S', 'G', 'X', 'S', 'T', 'O', 'R', 'E'};
 inline constexpr std::uint32_t kStoreVersion = 1;
-/// Flat-format version whose payload semantics the sections carry.
+/// Flat-format version whose rows the sections carry; the only one accepted.
 inline constexpr std::uint8_t kPayloadVersion = 6;
 inline constexpr const char* kIndexFileName = "store.idx";
 
@@ -90,7 +91,7 @@ struct StoreIndex {
 
 [[nodiscard]] std::string encode_index(const StoreIndex& index);
 /// Parses and validates `bytes` (magic, version, bounds, trailing self-CRC).
-[[nodiscard]] StoreIndex parse_index(const std::string& bytes);
+[[nodiscard]] StoreIndex parse_index(std::string_view bytes);
 
 /// One entry of the event-section footer directory.  `call_rebase` is added
 /// to every non-negative CallIndex reference (CallRecord::parent,
@@ -116,75 +117,6 @@ struct ChunkDirEntry {
 /// extents ("truncated event chunk" is rejected here).
 [[nodiscard]] std::vector<ChunkDirEntry> parse_footer(const char* data, std::size_t size,
                                                       std::uint64_t file_size);
-
-// --- serialisation plumbing -------------------------------------------------
-
-/// Append-only little-endian byte assembler (the in-memory Writer).
-class BufWriter {
- public:
-  void bytes(const void* p, std::size_t n) {
-    out_.append(static_cast<const char*>(p), n);
-  }
-  void u8(std::uint8_t v) { bytes(&v, 1); }
-  void u32(std::uint32_t v) { bytes(&v, 4); }
-  void u64(std::uint64_t v) { bytes(&v, 8); }
-  void i64(std::int64_t v) { bytes(&v, 8); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes(s.data(), s.size());
-  }
-  [[nodiscard]] const std::string& str_ref() const noexcept { return out_; }
-  [[nodiscard]] std::string take() noexcept { return std::move(out_); }
-  [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }
-
- private:
-  std::string out_;
-};
-
-/// Bounds-checked reader over a byte span; every overrun throws with the
-/// caller-supplied context so "truncated X" errors name the section.
-class SpanReader {
- public:
-  SpanReader(const char* data, std::size_t size, std::string context)
-      : p_(data), end_(data + size), context_(std::move(context)) {}
-
-  void bytes(void* out, std::size_t n) {
-    if (static_cast<std::size_t>(end_ - p_) < n) {
-      throw std::runtime_error("store: truncated " + context_);
-    }
-    std::memcpy(out, p_, n);
-    p_ += n;
-  }
-  std::uint8_t u8() { std::uint8_t v; bytes(&v, 1); return v; }
-  std::uint32_t u32() { std::uint32_t v; bytes(&v, 4); return v; }
-  std::uint64_t u64() { std::uint64_t v; bytes(&v, 8); return v; }
-  std::int64_t i64() { std::int64_t v; bytes(&v, 8); return v; }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (n > (1u << 24)) {
-      throw std::runtime_error("store: implausible string length in " + context_);
-    }
-    std::string s(n, '\0');
-    if (n > 0) bytes(s.data(), n);
-    return s;
-  }
-  /// Guards a reserve(): `n` rows of at least `min_row_bytes` each must fit
-  /// in the remaining span, so a corrupt count fails fast, not in malloc.
-  void check_rows(std::uint64_t n, std::size_t min_row_bytes) {
-    if (n * min_row_bytes > remaining()) {
-      throw std::runtime_error("store: implausible row count in " + context_);
-    }
-  }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return static_cast<std::size_t>(end_ - p_);
-  }
-  [[nodiscard]] const std::string& context() const noexcept { return context_; }
-
- private:
-  const char* p_;
-  const char* end_;
-  std::string context_;
-};
 
 // --- raw table access -------------------------------------------------------
 
@@ -225,9 +157,9 @@ struct RawTables {
 [[nodiscard]] std::string encode_profile(const TraceDatabase& db);
 [[nodiscard]] std::string encode_alerts(const TraceDatabase& db);
 
-void decode_meta(SpanReader& r, TraceDatabase& db);
-void decode_profile(SpanReader& r, TraceDatabase& db);
-void decode_alerts(SpanReader& r, TraceDatabase& db);
+void decode_meta(codec::SpanReader& r, TraceDatabase& db);
+void decode_profile(codec::SpanReader& r, TraceDatabase& db);
+void decode_alerts(codec::SpanReader& r, TraceDatabase& db);
 
 /// Row counts for the index section table (see IndexSection::counts).
 [[nodiscard]] std::vector<std::uint64_t> meta_counts(const TraceDatabase& db);
@@ -236,16 +168,14 @@ void decode_alerts(SpanReader& r, TraceDatabase& db);
 
 /// Encodes one event chunk (magic, row counts, rows, trailing CRC32) and
 /// fills `entry` (offset is left for the writer to assign).
-[[nodiscard]] std::string encode_chunk(const CallRecord* calls, std::size_t n_calls,
-                                       const AexRecord* aexs, std::size_t n_aexs,
-                                       const PagingRecord* paging, std::size_t n_paging,
-                                       const SyncRecord* syncs, std::size_t n_syncs,
-                                       ChunkDirEntry& entry);
+[[nodiscard]] std::string encode_chunk(std::span<const CallRecord> calls,
+                                       std::span<const AexRecord> aexs,
+                                       std::span<const PagingRecord> paging,
+                                       std::span<const SyncRecord> syncs, ChunkDirEntry& entry);
 
 /// Verifies `entry.crc` over the chunk bytes and appends the rows to `db`,
-/// shifting CallIndex references by `entry.call_rebase` plus the number of
-/// calls already present in `db` from earlier stores is NOT applied here —
-/// the rebase recorded in the directory is the complete shift.
+/// shifting CallIndex references by `entry.call_rebase` — the complete
+/// shift; the number of calls already in `db` is not added.
 void decode_chunk(const char* data, std::size_t size, const ChunkDirEntry& entry,
                   TraceDatabase& db);
 

@@ -6,38 +6,15 @@
 // The OpenIo counters are maintained precisely for that claim: index bytes,
 // plus each mapped section's payload, plus (for events) the footer and every
 // chunk actually decoded.
-#include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
+#include "support/crc32.hpp"
 #include "tracedb/store/store.hpp"
 
 namespace tracedb::store {
-namespace {
-
-std::string slurp(const std::string& path, bool& ok) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    ok = false;
-    return {};
-  }
-  std::string out;
-  char buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  ok = true;
-  return out;
-}
-
-}  // namespace
-
 bool is_store(const std::string& path) {
   struct stat st{};
   if (::stat((path + "/" + kIndexFileName).c_str(), &st) != 0) return false;
@@ -45,23 +22,11 @@ bool is_store(const std::string& path) {
 }
 
 StoreReader::StoreReader(std::string dir) : dir_(std::move(dir)) {
-  bool ok = false;
-  const std::string bytes = slurp(dir_ + "/" + kIndexFileName, ok);
-  if (!ok) {
-    throw std::runtime_error("store: cannot open index in " + dir_);
-  }
-  index_ = parse_index(bytes);
-  io_.bytes_read = bytes.size();
-  io_.total_bytes = bytes.size();
+  const codec::MappedFile file(dir_ + "/" + kIndexFileName, "store", "index file");
+  index_ = parse_index({file.data(), file.size()});
+  io_.bytes_read = file.size();
+  io_.total_bytes = file.size();
   for (const auto& s : index_.sections) io_.total_bytes += s.length;
-}
-
-StoreReader::~StoreReader() {
-  for (int id = 0; id < 4; ++id) {
-    if (mapped_[id] && maps_[id].data != nullptr) {
-      ::munmap(const_cast<char*>(maps_[id].data), maps_[id].size);
-    }
-  }
 }
 
 const IndexSection& StoreReader::require(std::uint8_t id) const {
@@ -73,65 +38,41 @@ const IndexSection& StoreReader::require(std::uint8_t id) const {
   return *s;
 }
 
-const StoreReader::Mapping& StoreReader::map_section(const IndexSection& s) {
-  Mapping& m = maps_[s.id];
-  if (mapped_[s.id]) return m;
+const codec::MappedFile& StoreReader::map_section(const IndexSection& s) {
+  if (maps_[s.id]) return *maps_[s.id];
 
-  const std::string path = dir_ + "/" + s.file;
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    throw std::runtime_error("store: cannot open section file " + path);
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw std::runtime_error("store: cannot stat section file " + path);
-  }
-  const auto size = static_cast<std::uint64_t>(st.st_size);
-  if (size < s.offset + s.length) {
-    ::close(fd);
+  auto m = std::make_unique<codec::MappedFile>(dir_ + "/" + s.file, "store", "section file");
+  if (m->size() < s.offset + s.length) {
     throw std::runtime_error("store: truncated section file " + s.file);
   }
-  if (size > 0) {
-    void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (addr == MAP_FAILED) {
-      ::close(fd);
-      throw std::runtime_error("store: cannot map section file " + path + ": " +
-                               std::strerror(errno));
-    }
-    m.data = static_cast<const char*>(addr);
-    m.size = size;
-  }
-  ::close(fd);
-  mapped_[s.id] = true;
-
   // Non-event sections are verified whole on first touch; the events section
   // checksums its footer in ensure_footer() and each chunk on chunk load.
   if (s.id != kEventsSection) {
-    if (support::crc32(m.data + s.offset, s.length) != s.crc) {
+    if (support::crc32(m->data() + s.offset, s.length) != s.crc) {
       throw std::runtime_error("store: section checksum mismatch in " + s.file);
     }
     io_.bytes_read += s.length;
     io_.sections_loaded.emplace_back(section_name(s.id));
   }
-  return m;
+  maps_[s.id] = std::move(m);
+  return *maps_[s.id];
 }
 
 void StoreReader::ensure_footer() {
   if (footer_parsed_) return;
   const IndexSection& s = require(kEventsSection);
-  const Mapping& m = map_section(s);
+  const codec::MappedFile& m = map_section(s);
   // Minimum layout: an empty footer (magic + zero count, 12 bytes) plus the
   // trailing footer-length word — a zero-chunk store is valid.
   if (s.length < 20) {
     throw std::runtime_error("store: truncated event section");
   }
   std::uint64_t footer_len;
-  std::memcpy(&footer_len, m.data + s.offset + s.length - 8, 8);
+  std::memcpy(&footer_len, m.data() + s.offset + s.length - 8, 8);
   if (footer_len + 8 > s.length) {
     throw std::runtime_error("store: truncated event section");
   }
-  const char* footer = m.data + s.offset + s.length - 8 - footer_len;
+  const char* footer = m.data() + s.offset + s.length - 8 - footer_len;
   if (support::crc32(footer, footer_len) != s.crc) {
     throw std::runtime_error("store: section checksum mismatch in " + s.file);
   }
@@ -150,8 +91,8 @@ const std::vector<ChunkDirEntry>& StoreReader::chunk_directory() {
 std::string_view StoreReader::chunk_bytes(const ChunkDirEntry& entry) {
   ensure_footer();
   const IndexSection& s = require(kEventsSection);
-  const Mapping& m = map_section(s);
-  const char* data = m.data + s.offset + entry.offset;
+  const codec::MappedFile& m = map_section(s);
+  const char* data = m.data() + s.offset + entry.offset;
   if (entry.length < 4 || support::crc32(data, entry.length - 4) != entry.crc) {
     throw std::runtime_error("store: event chunk checksum mismatch");
   }
@@ -161,33 +102,27 @@ std::string_view StoreReader::chunk_bytes(const ChunkDirEntry& entry) {
 
 TraceDatabase StoreReader::load(unsigned mask) {
   TraceDatabase db;
-  if ((mask & kSectionMeta) != 0) {
-    const IndexSection& s = require(kMetaSection);
-    const Mapping& m = map_section(s);
-    SpanReader r(m.data + s.offset, s.length,
-                 std::string(section_name(kMetaSection)) + " section " + s.file);
-    decode_meta(r, db);
-  }
-  if ((mask & kSectionProfile) != 0) {
-    const IndexSection& s = require(kProfileSection);
-    const Mapping& m = map_section(s);
-    SpanReader r(m.data + s.offset, s.length,
-                 std::string(section_name(kProfileSection)) + " section " + s.file);
-    decode_profile(r, db);
-  }
-  if ((mask & kSectionAlerts) != 0) {
-    const IndexSection& s = require(kAlertsSection);
-    const Mapping& m = map_section(s);
-    SpanReader r(m.data + s.offset, s.length,
-                 std::string(section_name(kAlertsSection)) + " section " + s.file);
-    decode_alerts(r, db);
+  const struct {
+    unsigned bit;
+    std::uint8_t id;
+    void (*decode)(codec::SpanReader&, TraceDatabase&);
+  } summaries[] = {{kSectionMeta, kMetaSection, decode_meta},
+                   {kSectionProfile, kProfileSection, decode_profile},
+                   {kSectionAlerts, kAlertsSection, decode_alerts}};
+  for (const auto& section : summaries) {
+    if ((mask & section.bit) == 0) continue;
+    const IndexSection& s = require(section.id);
+    const codec::MappedFile& m = map_section(s);
+    codec::SpanReader r(m.data() + s.offset, s.length, "store",
+                        std::string(section_name(section.id)) + " section " + s.file);
+    section.decode(r, db);
   }
   if ((mask & kSectionEvents) != 0) {
     ensure_footer();
     const IndexSection& s = require(kEventsSection);
-    const Mapping& m = map_section(s);
+    const codec::MappedFile& m = map_section(s);
     for (const auto& entry : chunks_) {
-      decode_chunk(m.data + s.offset + entry.offset, entry.length, entry, db);
+      decode_chunk(m.data() + s.offset + entry.offset, entry.length, entry, db);
       io_.bytes_read += entry.length;
     }
   }
@@ -198,7 +133,7 @@ void StoreReader::load_events_overlapping(TraceDatabase& db, Nanoseconds from_ns
                                           Nanoseconds to_ns, std::int64_t thread) {
   ensure_footer();
   const IndexSection& s = require(kEventsSection);
-  const Mapping& m = map_section(s);
+  const codec::MappedFile& m = map_section(s);
   for (const auto& entry : chunks_) {
     const bool has_rows =
         entry.n_calls + entry.n_aexs + entry.n_paging + entry.n_syncs > 0;
@@ -208,7 +143,7 @@ void StoreReader::load_events_overlapping(TraceDatabase& db, Nanoseconds from_ns
                         static_cast<std::int64_t>(entry.thread_min) > thread)) {
       continue;
     }
-    decode_chunk(m.data + s.offset + entry.offset, entry.length, entry, db);
+    decode_chunk(m.data() + s.offset + entry.offset, entry.length, entry, db);
     io_.bytes_read += entry.length;
   }
 }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,9 +75,6 @@ struct WriterOptions {
 class StoreReader {
  public:
   explicit StoreReader(std::string dir);
-  ~StoreReader();
-  StoreReader(const StoreReader&) = delete;
-  StoreReader& operator=(const StoreReader&) = delete;
 
   /// Loads the selected sections into a fresh database.  Sections absent
   /// from the mask cost zero reads; unknown section ids in the index are
@@ -101,22 +99,16 @@ class StoreReader {
   [[nodiscard]] std::string_view chunk_bytes(const ChunkDirEntry& entry);
 
  private:
-  struct Mapping {
-    const char* data = nullptr;
-    std::size_t size = 0;
-  };
-
   [[nodiscard]] const IndexSection& require(std::uint8_t id) const;
   /// Maps a section file (first touch verifies the section checksum; the
   /// events section checksums its footer here and its chunks on chunk load).
-  [[nodiscard]] const Mapping& map_section(const IndexSection& s);
+  [[nodiscard]] const codec::MappedFile& map_section(const IndexSection& s);
   void ensure_footer();
 
   std::string dir_;
   StoreIndex index_;
   OpenIo io_;
-  Mapping maps_[4];
-  bool mapped_[4] = {false, false, false, false};
+  std::unique_ptr<codec::MappedFile> maps_[4];
   std::vector<ChunkDirEntry> chunks_;
   bool footer_parsed_ = false;
 };

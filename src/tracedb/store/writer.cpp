@@ -16,6 +16,7 @@
 #include <stdexcept>
 
 #include "support/atomic_file.hpp"
+#include "support/crc32.hpp"
 #include "tracedb/store/store.hpp"
 
 namespace tracedb::store {
@@ -84,9 +85,11 @@ void StoreWriter::add_events(const std::vector<CallRecord>& calls,
     ChunkDirEntry entry;
     entry.call_rebase = batch_rebase;
     entry.offset = events_.size();
-    const std::string bytes = encode_chunk(
-        calls.data() + call_begin, call_end - call_begin, aexs.data() + ai, ae - ai,
-        paging.data() + pi, pe - pi, syncs.data() + si, se - si, entry);
+    const std::string bytes =
+        encode_chunk(std::span(calls).subspan(call_begin, call_end - call_begin),
+                     std::span(aexs).subspan(ai, ae - ai),
+                     std::span(paging).subspan(pi, pe - pi),
+                     std::span(syncs).subspan(si, se - si), entry);
     events_ += bytes;
     chunks_.push_back(entry);
     ai = ae;

@@ -1,14 +1,18 @@
 # Runs an sgxperf pipeline in a fresh directory and checks its output:
-# byte-for-byte against a committed golden, and/or as valid JSON.
+# byte-for-byte against GOLDEN (a committed golden, or a file the pipeline
+# wrote itself), and/or with json_check.
 #
 #   cmake -DSGXPERF=<sgxperf> -DWORK_DIR=<dir> -DCHECK="<args>"
-#         [-DPREPARE="<args>"] [-DOUTPUT=<file>] [-DEXPECT_RC=<n>]
-#         [-DGOLDEN=<file>] [-DJSON_CHECK=<json_check>] -P golden_check.cmake
+#         [-DPREPARE="<args> [&& <args>...]"] [-DOUTPUT=<file>] [-DEXPECT_RC=<n>]
+#         [-DGOLDEN=<file>] [-DJSON_CHECK="<json_check> [--prom]"]
+#         -P golden_check.cmake
 #
 # PREPARE (optional) runs first and must exit 0, typically recording a
-# trace.  CHECK must exit EXPECT_RC (default 0).  The checked output is
-# CHECK's stdout, or the file OUTPUT (relative to WORK_DIR) when given.
-# Argument strings are split like a Unix shell command line.
+# trace; it may chain several sgxperf commands with "&&".  CHECK must exit
+# EXPECT_RC (default 0).  The checked output is CHECK's stdout, or the file
+# OUTPUT (relative to WORK_DIR) when given.  Argument strings are split like
+# a Unix shell command line; JSON_CHECK is one too, so it can carry flags
+# (json_check --prom).
 foreach(var SGXPERF WORK_DIR CHECK)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_check: ${var} is required")
@@ -22,12 +26,15 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 if(DEFINED PREPARE)
-  separate_arguments(prepare_args UNIX_COMMAND "${PREPARE}")
-  execute_process(COMMAND "${SGXPERF}" ${prepare_args} WORKING_DIRECTORY "${WORK_DIR}"
-                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "golden_check: sgxperf ${PREPARE} exited ${rc}\n${err}")
-  endif()
+  string(REPLACE "&&" ";" prepare_steps "${PREPARE}")
+  foreach(step IN LISTS prepare_steps)
+    separate_arguments(step_args UNIX_COMMAND "${step}")
+    execute_process(COMMAND "${SGXPERF}" ${step_args} WORKING_DIRECTORY "${WORK_DIR}"
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "golden_check: sgxperf ${step} exited ${rc}\n${err}")
+    endif()
+  endforeach()
 endif()
 
 separate_arguments(check_args UNIX_COMMAND "${CHECK}")
@@ -53,8 +60,9 @@ if(DEFINED GOLDEN)
 endif()
 
 if(DEFINED JSON_CHECK)
-  execute_process(COMMAND "${JSON_CHECK}" "${actual}" RESULT_VARIABLE rc)
+  separate_arguments(json_check_cmd UNIX_COMMAND "${JSON_CHECK}")
+  execute_process(COMMAND ${json_check_cmd} "${actual}" RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "golden_check: ${actual} is not valid JSON")
+    message(FATAL_ERROR "golden_check: ${JSON_CHECK} rejected ${actual}")
   endif()
 endif()

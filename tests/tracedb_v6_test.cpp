@@ -1,11 +1,13 @@
-// Binary format v6: the order-rules table and the five orderliness alert
-// kinds round-trip byte-identically, every older format (v2..v5) still loads
-// with the v6 table absent-but-valid, and corrupt v6 payloads (bad rule kind,
-// orderliness alert kinds smuggled into a pre-v6 file, implausible row
-// counts, truncation) are rejected instead of being half-loaded.
+// The flat trace format (SGXPTRC6): every table round-trips byte-identically,
+// only the current magic loads, and corrupt payloads (bad alert or rule
+// kind, malformed window interval, dangling window reference, implausible
+// row counts, truncation) are rejected with a typed error instead of being
+// half-loaded or allocating without bound.  The fixtures are assembled by
+// hand, independently of the row codec, so they also lock the byte layout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -13,6 +15,7 @@
 
 #include "telemetry/hdr_histogram.hpp"
 #include "tracedb/database.hpp"
+#include "tracedb/shard.hpp"
 
 namespace {
 
@@ -20,8 +23,11 @@ using tracedb::AlertKind;
 using tracedb::AlertRecord;
 using tracedb::CallRecord;
 using tracedb::CallType;
+using tracedb::MetricKind;
 using tracedb::OrderRuleRecord;
 using tracedb::TraceDatabase;
+using tracedb::WindowRecord;
+using tracedb::WindowSiteRecord;
 
 std::string temp_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -37,8 +43,27 @@ void spill(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Little-endian byte assembler mirroring the serializer's Writer, but into
-/// memory — so fixtures can be truncated or corrupted at exact offsets.
+/// Loads `bytes` through a temporary file: the error message, or "" if the
+/// file loaded.  Any exception other than std::runtime_error fails the test.
+std::string load_error(const std::string& bytes) {
+  const std::string path = temp_path("tracedb_v6_fixture.bin");
+  spill(path, bytes);
+  std::string what;
+  try {
+    (void)TraceDatabase::load(path);
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  std::filesystem::remove(path);
+  return what;
+}
+
+bool mentions(const std::string& what, const char* needle) {
+  return what.find(needle) != std::string::npos;
+}
+
+/// Little-endian byte assembler, independent of the serializer, so fixtures
+/// can be truncated or corrupted at exact offsets.
 struct Buf {
   std::string bytes;
 
@@ -50,30 +75,87 @@ struct Buf {
   void u64(std::uint64_t v) { raw(&v, 8); }
 };
 
-/// Appends the six empty v2 tables (calls..call_names).
-void empty_v2_tables(Buf& b) {
-  for (int t = 0; t < 6; ++t) b.u64(0);
-}
-
-/// Appends the empty v3 appendix (dropped count + metric tables).
-void empty_v3_tables(Buf& b) {
+/// The magic, then every table before the window period, all empty: calls,
+/// AEXs, paging, syncs, enclaves, call names, the dropped-event count, metric
+/// series and samples, the stream-drop count, the HDR geometry, latencies.
+/// `counts` (if given) receives the offset of each row count.
+Buf empty_head(std::vector<std::size_t>* counts = nullptr) {
+  Buf b;
+  const auto count = [&] {
+    if (counts != nullptr) counts->push_back(b.bytes.size());
+    b.u64(0);
+  };
+  b.raw("SGXPTRC6", 8);
+  for (int t = 0; t < 6; ++t) count();
   b.u64(0);  // dropped_events
-  b.u64(0);  // metric_series
-  b.u64(0);  // metric_samples
-}
-
-/// Appends the empty v4 appendix (stream drops + HDR geometry + latencies).
-void empty_v4_tables(Buf& b) {
+  count();   // metric_series
+  count();   // metric_samples
   b.u64(0);  // stream_dropped
   b.u8(static_cast<std::uint8_t>(telemetry::hdr::kSubBits));
   b.u8(static_cast<std::uint8_t>(telemetry::hdr::kMaxExponent));
-  b.u64(0);  // latencies
+  count();  // latencies
+  return b;
 }
 
-/// Appends the empty v5 time-series tables plus one alert of `alert_kind`.
-/// Alert row = kind(1) + enclave(8) + type(1) + call_id(4) + onset(8) +
-/// resolved(8) + window(4) + detail(8) = 42 bytes, last row of the table.
-void v5_tables_with_alert(Buf& b, std::uint8_t alert_kind) {
+/// A whole file with every table empty; `counts` gets all 13 count offsets.
+std::string empty_file(std::vector<std::size_t>* counts = nullptr) {
+  Buf b = empty_head(counts);
+  b.u64(0);  // window_period
+  for (int t = 0; t < 4; ++t) {  // windows, window_sites, alerts, order_rules
+    if (counts != nullptr) counts->push_back(b.bytes.size());
+    b.u64(0);
+  }
+  return b.bytes;
+}
+
+/// A minimal well-formed time series: one window, one site row, one alert.
+/// The alert row is 42 bytes: kind(1) + enclave(8) + type(1) + call_id(4) +
+/// onset(8) + resolved(8) + window(4) + detail(8).
+void small_time_series(Buf& b) {
+  b.u64(1'000'000);  // window_period
+  b.u64(1);          // windows
+  b.u32(0);          //   window_index
+  b.u64(0);          //   start_ns
+  b.u64(1'000'000);  //   end_ns
+  b.u64(4);          //   calls
+  b.u64(1);          //   aexs
+  b.u64(0);          //   page_ins
+  b.u64(0);          //   page_outs
+  b.u64(0);          //   stream_dropped
+  b.u64(2);          //   switchless_calls
+  b.u64(1);          //   switchless_fallbacks
+  b.u64(500);        //   switchless_wasted_ns
+  b.u32(1);          //   active_alerts
+  b.u64(1);          // window_sites
+  b.u32(0);          //   window_index
+  b.u64(1);          //   enclave_id
+  b.u8(1);           //   type = ocall
+  b.u32(7);          //   call_id
+  b.u64(4);          //   calls
+  b.u64(1);          //   aex_count
+  b.u64(800);        //   p50_ns
+  b.u64(1600);       //   p99_ns
+  b.u64(1);          // alerts
+  b.u8(0);           //   kind = short_calls
+  b.u64(1);          //   enclave_id
+  b.u8(1);           //   type = ocall
+  b.u32(7);          //   call_id
+  b.u64(123'456);    //   onset_ns
+  b.u64(0);          //   resolved_ns (active)
+  b.u32(0);          //   window_index
+  b.u64(1000);       //   detail
+}
+
+/// small_time_series() followed by an empty order-rule table.
+std::string time_series_fixture_bytes() {
+  Buf b = empty_head();
+  small_time_series(b);
+  b.u64(0);  // order_rules
+  return b.bytes;
+}
+
+/// No windows or sites, and one alert of `alert_kind` (a 42-byte row).
+void alert_only_time_series(Buf& b, std::uint8_t alert_kind) {
   b.u64(0);           // window_period
   b.u64(0);           // windows
   b.u64(0);           // window_sites
@@ -97,22 +179,29 @@ void rule_row(Buf& b, std::uint64_t enclave, std::uint8_t kind, std::uint32_t a,
   b.u32(b_id);
 }
 
-/// A well-formed v6 fixture: one orderliness alert plus a two-rule model.
-std::string v6_fixture_bytes() {
-  Buf b;
-  b.raw("SGXPTRC6", 8);
-  empty_v2_tables(b);
-  empty_v3_tables(b);
-  empty_v4_tables(b);
-  v5_tables_with_alert(b, 10);  // kReentrantEcall: legal in a v6 file
-  b.u64(2);                     // order_rules
-  rule_row(b, 1, 0, 0, 0);      //   init 0
-  rule_row(b, 1, 3, 0, 1);      //   edge 0 -> 1
+/// One orderliness alert plus a two-rule model.
+std::string rules_fixture_bytes() {
+  Buf b = empty_head();
+  alert_only_time_series(b, 10);  // kReentrantEcall
+  b.u64(2);                       // order_rules
+  rule_row(b, 1, 0, 0, 0);        //   init 0
+  rule_row(b, 1, 3, 0, 1);        //   edge 0 -> 1
   return b.bytes;
 }
 
-TEST(FormatV6, RoundTripsByteIdentically) {
-  TraceDatabase original;
+/// Saving `reloaded` again must reproduce `first`, the file it was loaded from.
+void expect_resave_identical(const TraceDatabase& reloaded, const std::string& first) {
+  const std::string path = temp_path("tracedb_v6_resaved.bin");
+  reloaded.save(path);
+  const std::string again = slurp(path);
+  std::filesystem::remove(path);
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, again);
+  EXPECT_EQ(first.substr(0, 8), "SGXPTRC6");
+}
+
+TraceDatabase one_call_db() {
+  TraceDatabase db;
   CallRecord c;
   c.type = CallType::kEcall;
   c.thread_id = 1;
@@ -120,8 +209,137 @@ TEST(FormatV6, RoundTripsByteIdentically) {
   c.call_id = 0;
   c.start_ns = 10;
   c.end_ns = 4215;
-  original.add_call(c);
+  db.add_call(c);
+  return db;
+}
 
+// --- magic --------------------------------------------------------------------
+
+TEST(FormatV3, RejectsUnknownMagic) {
+  // Only the current format loads.  Every older magic is rejected, even in
+  // front of a payload that loads under the current one.
+  const std::string body = empty_file().substr(8);
+  EXPECT_EQ(load_error("SGXPTRC6" + body), "");
+  for (char version = '1'; version <= '5'; ++version) {
+    const std::string what = load_error(std::string("SGXPTRC") + version + body);
+    EXPECT_TRUE(mentions(what, "bad magic")) << version << ": " << what;
+  }
+}
+
+// --- round trips ----------------------------------------------------------------
+
+TEST(FormatV3, RoundTripsByteIdentically) {
+  TraceDatabase original = one_call_db();
+  const auto counter = original.add_metric_series(MetricKind::kCounter, "logger.events", "events");
+  const auto gauge = original.add_metric_series(MetricKind::kGauge, "sgxsim.epc_resident", "pages");
+  original.add_metric_sample({counter, 1000, 2.0});
+  original.add_metric_sample({gauge, 1000, 512.0});
+  original.add_metric_sample({counter, 2000, 17.5});  // fractional values survive
+  // A real dropped event: seal the shard via merge, then append late.
+  auto& shard = original.register_shard(/*owner_thread=*/1);
+  original.merge_shards();
+  EXPECT_EQ(shard.add_call(original.calls().front()), tracedb::kShardSealed);
+  original.merge_shards();  // collects the drop into dropped_events()
+  EXPECT_EQ(original.dropped_events(), 1u);
+
+  const std::string path = temp_path("tracedb_v3_a.bin");
+  original.save(path);
+  const std::string bytes = slurp(path);
+  const TraceDatabase reloaded = TraceDatabase::load(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(reloaded.dropped_events(), 1u);
+  ASSERT_EQ(reloaded.metric_series().size(), 2u);
+  EXPECT_EQ(reloaded.metric_series()[0].name, "logger.events");
+  EXPECT_EQ(reloaded.metric_series()[0].kind, MetricKind::kCounter);
+  EXPECT_EQ(reloaded.metric_series()[1].name, "sgxsim.epc_resident");
+  EXPECT_EQ(reloaded.metric_series()[1].kind, MetricKind::kGauge);
+  ASSERT_EQ(reloaded.metric_samples().size(), 3u);
+  EXPECT_EQ(reloaded.metric_samples()[0].timestamp_ns, 1000u);
+  EXPECT_DOUBLE_EQ(reloaded.metric_samples()[2].value, 17.5);
+  expect_resave_identical(reloaded, bytes);
+}
+
+TEST(FormatV3, SeriesRegistrationIsIdempotentByName) {
+  TraceDatabase db;
+  const auto a = db.add_metric_series(MetricKind::kCounter, "x", "u");
+  const auto b = db.add_metric_series(MetricKind::kCounter, "x", "other");
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(db.metric_series().size(), 1u);
+  const auto c = db.add_metric_series(MetricKind::kGauge, "y", "");
+  EXPECT_NE(a, c);
+  EXPECT_EQ(db.metric_series().size(), 2u);
+}
+
+TEST(FormatV5, RoundTripsByteIdentically) {
+  TraceDatabase original = one_call_db();
+  original.set_window_period(1'000'000);
+  WindowRecord w0;
+  w0.window_index = 0;
+  w0.start_ns = 0;
+  w0.end_ns = 1'000'000;
+  w0.calls = 3;
+  w0.aexs = 1;
+  w0.switchless_calls = 5;
+  w0.switchless_fallbacks = 2;
+  w0.switchless_wasted_ns = 900;
+  w0.active_alerts = 1;
+  original.add_window(w0);
+  WindowRecord w1 = w0;
+  w1.window_index = 1;
+  w1.start_ns = 1'000'000;
+  w1.end_ns = 2'000'000;
+  w1.calls = 0;
+  w1.active_alerts = 2;
+  original.add_window(w1);
+
+  WindowSiteRecord s;
+  s.window_index = 1;
+  s.enclave_id = 1;
+  s.type = CallType::kOcall;
+  s.call_id = 7;
+  s.calls = 12;
+  s.aex_count = 3;
+  s.p50_ns = 750;
+  s.p99_ns = 9'000;
+  original.add_window_site(s);
+
+  AlertRecord active;
+  active.kind = AlertKind::kShortCalls;
+  active.enclave_id = 1;
+  active.type = CallType::kOcall;
+  active.call_id = 7;
+  active.onset_ns = 1'234'567;
+  active.window_index = 1;
+  active.detail = 812;
+  original.add_alert(active);
+  AlertRecord resolved = active;
+  resolved.kind = AlertKind::kLatencyShift;
+  resolved.resolved_ns = 2'000'000;
+  original.add_alert(resolved);
+
+  const std::string path = temp_path("tracedb_v5_a.bin");
+  original.save(path);
+  const std::string bytes = slurp(path);
+  const TraceDatabase reloaded = TraceDatabase::load(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(reloaded.window_period(), 1'000'000u);
+  ASSERT_EQ(reloaded.windows().size(), 2u);
+  EXPECT_EQ(reloaded.windows()[0].switchless_calls, 5u);
+  EXPECT_EQ(reloaded.windows()[0].switchless_wasted_ns, 900u);
+  EXPECT_EQ(reloaded.windows()[1].active_alerts, 2u);
+  ASSERT_EQ(reloaded.window_sites().size(), 1u);
+  EXPECT_EQ(reloaded.window_sites()[0].window_index, 1u);
+  EXPECT_EQ(reloaded.window_sites()[0].p99_ns, 9'000u);
+  ASSERT_EQ(reloaded.alerts().size(), 2u);
+  EXPECT_EQ(reloaded.alerts()[0].kind, AlertKind::kShortCalls);
+  EXPECT_EQ(reloaded.alerts()[0].resolved_ns, 0u);
+  EXPECT_EQ(reloaded.alerts()[1].kind, AlertKind::kLatencyShift);
+  EXPECT_EQ(reloaded.alerts()[1].resolved_ns, 2'000'000u);
+  expect_resave_identical(reloaded, bytes);
+}
+
+TEST(FormatV6, RoundTripsByteIdentically) {
+  TraceDatabase original = one_call_db();
   // One rule of every kind, spanning two enclaves.
   using Rule = OrderRuleRecord::Rule;
   std::vector<OrderRuleRecord> rules;
@@ -133,7 +351,7 @@ TEST(FormatV6, RoundTripsByteIdentically) {
   rules.push_back({2, Rule::kEntry, 0, 0});
   original.set_order_rules(rules);
 
-  // One alert per v6 kind: every new kind byte must survive the round trip.
+  // One alert per orderliness kind: every kind byte must survive.
   for (const auto kind :
        {AlertKind::kOutOfOrderEcall, AlertKind::kReentrantEcall, AlertKind::kUseBeforeInit,
         AlertKind::kUseAfterDestroy, AlertKind::kPhaseViolation}) {
@@ -147,11 +365,11 @@ TEST(FormatV6, RoundTripsByteIdentically) {
     original.add_alert(a);
   }
 
-  const std::string path_a = temp_path("tracedb_v6_a.bin");
-  const std::string path_b = temp_path("tracedb_v6_b.bin");
-  original.save(path_a);
-
-  const TraceDatabase reloaded = TraceDatabase::load(path_a);
+  const std::string path = temp_path("tracedb_v6_a.bin");
+  original.save(path);
+  const std::string bytes = slurp(path);
+  const TraceDatabase reloaded = TraceDatabase::load(path);
+  std::filesystem::remove(path);
   ASSERT_EQ(reloaded.order_rules().size(), 6u);
   EXPECT_EQ(reloaded.order_rules()[0].rule, Rule::kInit);
   EXPECT_EQ(reloaded.order_rules()[3].rule, Rule::kEdge);
@@ -163,134 +381,155 @@ TEST(FormatV6, RoundTripsByteIdentically) {
   EXPECT_EQ(reloaded.alerts()[4].kind, AlertKind::kPhaseViolation);
   EXPECT_EQ(reloaded.alerts()[1].detail, (7ull << 32) | 2);
   EXPECT_EQ(reloaded.alerts()[2].resolved_ns, 0u);
-
-  reloaded.save(path_b);
-  const std::string bytes_a = slurp(path_a);
-  const std::string bytes_b = slurp(path_b);
-  ASSERT_FALSE(bytes_a.empty());
-  EXPECT_EQ(bytes_a, bytes_b);
-  EXPECT_EQ(bytes_a.substr(0, 8), "SGXPTRC6");
-  std::filesystem::remove(path_a);
-  std::filesystem::remove(path_b);
+  expect_resave_identical(reloaded, bytes);
 }
 
-// --- older formats stay loadable -------------------------------------------
+// --- hand-built fixtures --------------------------------------------------------
 
-TEST(FormatV6, LoadsOlderFixturesWithEmptyOrderRules) {
-  for (const char* magic : {"SGXPTRC2", "SGXPTRC3", "SGXPTRC4", "SGXPTRC5"}) {
-    Buf b;
-    b.raw(magic, 8);
-    empty_v2_tables(b);
-    if (magic[7] >= '3') empty_v3_tables(b);
-    if (magic[7] >= '4') empty_v4_tables(b);
-    if (magic[7] >= '5') v5_tables_with_alert(b, 0);  // kShortCalls: v5-legal
-    const std::string path = temp_path("tracedb_v6_from_older.bin");
-    spill(path, b.bytes);
-    const TraceDatabase db = TraceDatabase::load(path);
-    EXPECT_TRUE(db.order_rules().empty()) << magic;
-    EXPECT_EQ(db.alerts().size(), magic[7] >= '5' ? 1u : 0u) << magic;
-    std::filesystem::remove(path);
-  }
+TEST(FormatV5, WellFormedFixtureLoads) {
+  const std::string path = temp_path("tracedb_v5_fixture.bin");
+  spill(path, time_series_fixture_bytes());
+  const TraceDatabase db = TraceDatabase::load(path);
+  std::filesystem::remove(path);
+  ASSERT_EQ(db.windows().size(), 1u);
+  ASSERT_EQ(db.window_sites().size(), 1u);
+  ASSERT_EQ(db.alerts().size(), 1u);
+  EXPECT_EQ(db.alerts()[0].onset_ns, 123'456u);
 }
-
-// --- rejection paths --------------------------------------------------------
 
 TEST(FormatV6, WellFormedFixtureLoads) {
-  const std::string path = temp_path("tracedb_v6_fixture.bin");
-  spill(path, v6_fixture_bytes());
+  const std::string path = temp_path("tracedb_v6_rules.bin");
+  spill(path, rules_fixture_bytes());
   const TraceDatabase db = TraceDatabase::load(path);
+  std::filesystem::remove(path);
   ASSERT_EQ(db.order_rules().size(), 2u);
   EXPECT_EQ(db.order_rules()[1].rule, OrderRuleRecord::Rule::kEdge);
   ASSERT_EQ(db.alerts().size(), 1u);
   EXPECT_EQ(db.alerts()[0].kind, AlertKind::kReentrantEcall);
+}
+
+TEST(FormatV6, AcceptsHighestAlertKindUnderV6Magic) {
+  Buf b = empty_head();
+  alert_only_time_series(b, 13);  // kPhaseViolation, the current ceiling
+  b.u64(0);                       // order_rules
+  const std::string path = temp_path("tracedb_v6_top_kind.bin");
+  spill(path, b.bytes);
+  const TraceDatabase db = TraceDatabase::load(path);
   std::filesystem::remove(path);
+  ASSERT_EQ(db.alerts().size(), 1u);
+  EXPECT_EQ(db.alerts()[0].kind, AlertKind::kPhaseViolation);
+
+  // ...and one past the ceiling throws.
+  Buf bad = empty_head();
+  alert_only_time_series(bad, 14);  // kAlertKindCount
+  bad.u64(0);
+  EXPECT_TRUE(mentions(load_error(bad.bytes), "unknown alert kind"));
+}
+
+// --- rejection paths ------------------------------------------------------------
+
+TEST(FormatV5, RejectsUnknownAlertKindByte) {
+  std::string bytes = time_series_fixture_bytes();
+  // The alert row is the last one before the 8-byte order-rule count, and
+  // its first byte is the kind.
+  bytes[bytes.size() - 8 - 42] = static_cast<char>(14);  // kAlertKindCount
+  EXPECT_TRUE(mentions(load_error(bytes), "unknown alert kind"));
+}
+
+TEST(FormatV5, RejectsWindowIntervalEndBeforeStart) {
+  Buf b = empty_head();
+  b.u64(1'000'000);  // window_period
+  b.u64(1);          // windows
+  b.u32(0);
+  b.u64(2'000'000);  // start_ns
+  b.u64(1'000'000);  // end_ns < start_ns: malformed
+  for (int i = 0; i < 8; ++i) b.u64(0);
+  b.u32(0);
+  b.u64(0);  // window_sites
+  b.u64(0);  // alerts
+  b.u64(0);  // order_rules
+  EXPECT_TRUE(mentions(load_error(b.bytes), "malformed window interval"));
+}
+
+TEST(FormatV5, RejectsSiteReferencingUnknownWindow) {
+  Buf b = empty_head();
+  b.u64(1'000'000);  // window_period
+  b.u64(0);          // windows: none
+  b.u64(1);          // window_sites: one, referencing window 3
+  b.u32(3);
+  b.u64(1);
+  b.u8(0);
+  b.u32(0);
+  b.u64(1);
+  b.u64(0);
+  b.u64(100);
+  b.u64(200);
+  b.u64(0);  // alerts
+  b.u64(0);  // order_rules
+  EXPECT_TRUE(mentions(load_error(b.bytes), "references unknown window"));
+}
+
+TEST(FormatV5, RejectsImplausibleRowCounts) {
+  Buf b = empty_head();
+  b.u64(1'000'000);   // window_period
+  b.u64(1ull << 33);  // windows count above the row ceiling
+  EXPECT_TRUE(mentions(load_error(b.bytes), "implausible window count"));
+}
+
+TEST(FormatV5, RejectsTruncatedFiles) {
+  const std::string full = time_series_fixture_bytes();
+  // Cut mid-alert-row, at the start of the alert row, inside the window-site
+  // count, and right after the magic: every prefix must throw, never
+  // half-load.
+  for (const std::size_t keep :
+       {full.size() - 12, full.size() - 50, full.size() - 108, std::size_t{8}}) {
+    EXPECT_NE(load_error(full.substr(0, keep)), "")
+        << "prefix of " << keep << " bytes should be rejected";
+  }
 }
 
 TEST(FormatV6, RejectsUnknownRuleKindByte) {
-  std::string bytes = v6_fixture_bytes();
+  std::string bytes = rules_fixture_bytes();
   // The rules table is last; each row is 17 bytes with the kind byte at
   // offset 8 within the row, so the second row's kind byte sits 9 bytes
   // before EOF.  Overwrite it with kOrderRuleKindCount.
   bytes[bytes.size() - 9] = static_cast<char>(5);
-  const std::string path = temp_path("tracedb_v6_bad_rule_kind.bin");
-  spill(path, bytes);
-  EXPECT_THROW((void)TraceDatabase::load(path), std::runtime_error);
-  std::filesystem::remove(path);
-}
-
-TEST(FormatV6, RejectsOrderlinessAlertKindsInPreV6Files) {
-  // The orderliness kinds (9..13) postdate v5: a v5-magic file containing
-  // one is corrupt, not forward-compatible.
-  for (const std::uint8_t kind : {std::uint8_t{9}, std::uint8_t{13}}) {
-    Buf b;
-    b.raw("SGXPTRC5", 8);
-    empty_v2_tables(b);
-    empty_v3_tables(b);
-    empty_v4_tables(b);
-    v5_tables_with_alert(b, kind);
-    const std::string path = temp_path("tracedb_v6_smuggled_kind.bin");
-    spill(path, b.bytes);
-    EXPECT_THROW((void)TraceDatabase::load(path), std::runtime_error)
-        << "alert kind " << int(kind) << " must be rejected under a v5 magic";
-    std::filesystem::remove(path);
-  }
-}
-
-TEST(FormatV6, AcceptsHighestAlertKindUnderV6Magic) {
-  Buf b;
-  b.raw("SGXPTRC6", 8);
-  empty_v2_tables(b);
-  empty_v3_tables(b);
-  empty_v4_tables(b);
-  v5_tables_with_alert(b, 13);  // kPhaseViolation, the current ceiling
-  b.u64(0);                     // order_rules
-  const std::string path = temp_path("tracedb_v6_top_kind.bin");
-  spill(path, b.bytes);
-  const TraceDatabase db = TraceDatabase::load(path);
-  ASSERT_EQ(db.alerts().size(), 1u);
-  EXPECT_EQ(db.alerts()[0].kind, AlertKind::kPhaseViolation);
-  std::filesystem::remove(path);
-
-  // ...and one past the ceiling still throws, even under the v6 magic.
-  Buf bad;
-  bad.raw("SGXPTRC6", 8);
-  empty_v2_tables(bad);
-  empty_v3_tables(bad);
-  empty_v4_tables(bad);
-  v5_tables_with_alert(bad, 14);  // kAlertKindCount
-  bad.u64(0);
-  const std::string bad_path = temp_path("tracedb_v6_past_kind.bin");
-  spill(bad_path, bad.bytes);
-  EXPECT_THROW((void)TraceDatabase::load(bad_path), std::runtime_error);
-  std::filesystem::remove(bad_path);
+  EXPECT_TRUE(mentions(load_error(bytes), "unknown order-rule kind"));
 }
 
 TEST(FormatV6, RejectsImplausibleRuleCounts) {
-  Buf b;
-  b.raw("SGXPTRC6", 8);
-  empty_v2_tables(b);
-  empty_v3_tables(b);
-  empty_v4_tables(b);
-  v5_tables_with_alert(b, 0);
-  b.u64(1ull << 33);  // rule count > kMaxV5Rows: must fail fast, before any
-                      // allocation is attempted
-  const std::string path = temp_path("tracedb_v6_huge_count.bin");
-  spill(path, b.bytes);
-  EXPECT_THROW((void)TraceDatabase::load(path), std::runtime_error);
-  std::filesystem::remove(path);
+  Buf b = empty_head();
+  alert_only_time_series(b, 0);
+  b.u64(1ull << 33);  // rule count above the row ceiling
+  EXPECT_TRUE(mentions(load_error(b.bytes), "implausible order-rule count"));
+}
+
+TEST(FormatV6, RejectsOversizedCountsBeforeReserving) {
+  // Every table's row count, set to 2^40 (past any allocation) and to 2^24
+  // (a ~1 GB reservation for calls), in a file that ends right after that
+  // count.  Each must be refused by the count check, before any reserve().
+  std::vector<std::size_t> counts;
+  const std::string full = empty_file(&counts);
+  ASSERT_EQ(counts.size(), 13u);
+  for (const std::size_t at : counts) {
+    for (const std::uint64_t n : {std::uint64_t{1} << 40, std::uint64_t{1} << 24}) {
+      std::string bytes = full.substr(0, at + 8);
+      std::memcpy(bytes.data() + at, &n, sizeof(n));
+      const std::string what = load_error(bytes);
+      EXPECT_TRUE(mentions(what, "implausible")) << "count at byte " << at << " = " << n
+                                                 << ": " << what;
+    }
+  }
 }
 
 TEST(FormatV6, RejectsTruncatedFiles) {
-  const std::string full = v6_fixture_bytes();
-  // Cut at several depths: mid-rule-row, right before the rules table, and
-  // mid-count — every prefix must throw, never half-load.
+  const std::string full = rules_fixture_bytes();
+  // Cut mid-rule-row, right before the rules table, and mid-count: every
+  // prefix must throw, never half-load.
   for (const std::size_t keep :
        {full.size() - 4, full.size() - 17, full.size() - 38, full.size() - 40}) {
-    const std::string path = temp_path("tracedb_v6_truncated.bin");
-    spill(path, full.substr(0, keep));
-    EXPECT_THROW((void)TraceDatabase::load(path), std::runtime_error)
+    EXPECT_NE(load_error(full.substr(0, keep)), "")
         << "prefix of " << keep << " bytes should be rejected";
-    std::filesystem::remove(path);
   }
 }
 
