@@ -34,14 +34,6 @@ void reserve_rows(SpanReader& r, std::uint64_t n, std::size_t min_row_bytes, con
 
 void BufWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
-void BufWriter::flush() {
-  if (sink_ == nullptr || out_.empty()) return;
-  if (std::fwrite(out_.data(), 1, out_.size(), sink_) != out_.size()) {
-    throw std::runtime_error("tracedb: write failed");
-  }
-  out_.clear();
-}
-
 void SpanReader::bytes(void* out, std::size_t n) {
   if (remaining() < n) {
     throw std::runtime_error(prefix_ + ": truncated " + context_);

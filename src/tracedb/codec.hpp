@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,17 +25,10 @@
 
 namespace tracedb::codec {
 
-/// Little-endian byte assembler.  In memory by default; given a file it
-/// flushes there every 64 KiB, so saving a large trace stays small.
+/// Little-endian in-memory byte assembler.
 class BufWriter {
  public:
-  BufWriter() = default;
-  explicit BufWriter(std::FILE* sink) : sink_(sink) {}
-
-  void bytes(const void* p, std::size_t n) {
-    out_.append(static_cast<const char*>(p), n);
-    if (sink_ != nullptr && out_.size() >= kFlushBytes) flush();
-  }
+  void bytes(const void* p, std::size_t n) { out_.append(static_cast<const char*>(p), n); }
   void u8(std::uint8_t v) { bytes(&v, 1); }
   void u32(std::uint32_t v) { bytes(&v, 4); }
   void u64(std::uint64_t v) { bytes(&v, 8); }
@@ -46,16 +38,11 @@ class BufWriter {
     u32(static_cast<std::uint32_t>(s.size()));
     bytes(s.data(), s.size());
   }
-  /// Writes the buffered bytes to the sink; throws if the write fails.
-  void flush();
-
   [[nodiscard]] const std::string& str_ref() const noexcept { return out_; }
   [[nodiscard]] std::string take() noexcept { return std::move(out_); }
   [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }
 
  private:
-  static constexpr std::size_t kFlushBytes = 1 << 16;
-  std::FILE* sink_ = nullptr;
   std::string out_;
 };
 

@@ -7,7 +7,9 @@
 // bucket geometry), the window period, windows, window sites, alerts, order
 // rules.  The SGXSTORE directory (store/) carries the same rows in other
 // sections.  load() accepts only this format; every other magic, including
-// the older SGXPTRC1-5, is rejected.
+// the older SGXPTRC1-5, is rejected.  load() maps the file read-only for the
+// duration of the decode, so a file truncated in place while it loads can
+// fault the reader: a writer that races readers uses save_trace_atomic().
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -42,9 +44,7 @@ void TraceDatabase::save(const std::string& path) const {
           "tracedb: save() with unmerged shard events — call merge_shards() first");
     }
   }
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) throw std::runtime_error("tracedb: cannot open for writing: " + path);
-  codec::BufWriter w(f.get());
+  codec::BufWriter w;
   w.bytes(kMagic, sizeof(kMagic));
   w.u64(calls_.size());
   codec::write_calls(w, calls_);
@@ -66,8 +66,14 @@ void TraceDatabase::save(const std::string& path) const {
   codec::write_window_sites(w, window_sites_);
   codec::write_alerts(w, alerts_);
   codec::write_order_rules(w, order_rules_);
-  w.flush();
-  if (std::fclose(f.release()) != 0) throw std::runtime_error("tracedb: write failed: " + path);
+
+  FilePtr f(std::fopen(path.c_str(), "wb"));
+  if (!f) throw std::runtime_error("tracedb: cannot open for writing: " + path);
+  const std::string& bytes = w.str_ref();
+  if (std::fwrite(bytes.data(), 1, bytes.size(), f.get()) != bytes.size() ||
+      std::fclose(f.release()) != 0) {
+    throw std::runtime_error("tracedb: write failed: " + path);
+  }
 }
 
 TraceDatabase TraceDatabase::load(const std::string& path) {

@@ -395,6 +395,21 @@ TEST(TraceStore, IndexChecksumMismatchIsRejected) {
   EXPECT_NE(what.find("index checksum mismatch"), std::string::npos) << what;
 }
 
+TEST(TraceStore, OlderPayloadVersionIsRejected) {
+  const TraceDatabase db = make_fixture_db();
+  StoreDir store("store_payload.store");
+  tracedb::store::pack(db, store.path);
+
+  // Every store ever written carries the v6 payload; any other is corrupt.
+  const std::string idx_path = store.path + "/" + tracedb::store::kIndexFileName;
+  tracedb::store::StoreIndex index = tracedb::store::parse_index(slurp(idx_path));
+  index.payload_version = 5;
+  spill(idx_path, tracedb::store::encode_index(index));
+
+  const std::string what = expect_store_error(store.path, tracedb::store::kAllSections);
+  EXPECT_NE(what.find("unsupported payload version 5"), std::string::npos) << what;
+}
+
 TEST(TraceStore, TruncatedEventChunkIsRejected) {
   const TraceDatabase db = make_fixture_db();
   StoreDir store("store_chunk.store");

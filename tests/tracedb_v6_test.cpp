@@ -29,8 +29,13 @@ using tracedb::TraceDatabase;
 using tracedb::WindowRecord;
 using tracedb::WindowSiteRecord;
 
+/// A temporary file name unique to the running test: ctest runs the tests
+/// of this file as parallel processes.
 std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return (std::filesystem::temp_directory_path() /
+          (std::string(test->test_suite_name()) + "." + test->name() + "." + name))
+      .string();
 }
 
 std::string slurp(const std::string& path) {
@@ -46,7 +51,7 @@ void spill(const std::string& path, const std::string& bytes) {
 /// Loads `bytes` through a temporary file: the error message, or "" if the
 /// file loaded.  Any exception other than std::runtime_error fails the test.
 std::string load_error(const std::string& bytes) {
-  const std::string path = temp_path("tracedb_v6_fixture.bin");
+  const std::string path = temp_path("load.bin");
   spill(path, bytes);
   std::string what;
   try {
@@ -191,7 +196,7 @@ std::string rules_fixture_bytes() {
 
 /// Saving `reloaded` again must reproduce `first`, the file it was loaded from.
 void expect_resave_identical(const TraceDatabase& reloaded, const std::string& first) {
-  const std::string path = temp_path("tracedb_v6_resaved.bin");
+  const std::string path = temp_path("resaved.bin");
   reloaded.save(path);
   const std::string again = slurp(path);
   std::filesystem::remove(path);
@@ -242,7 +247,7 @@ TEST(FormatV3, RoundTripsByteIdentically) {
   original.merge_shards();  // collects the drop into dropped_events()
   EXPECT_EQ(original.dropped_events(), 1u);
 
-  const std::string path = temp_path("tracedb_v3_a.bin");
+  const std::string path = temp_path("saved.bin");
   original.save(path);
   const std::string bytes = slurp(path);
   const TraceDatabase reloaded = TraceDatabase::load(path);
@@ -317,7 +322,7 @@ TEST(FormatV5, RoundTripsByteIdentically) {
   resolved.resolved_ns = 2'000'000;
   original.add_alert(resolved);
 
-  const std::string path = temp_path("tracedb_v5_a.bin");
+  const std::string path = temp_path("saved.bin");
   original.save(path);
   const std::string bytes = slurp(path);
   const TraceDatabase reloaded = TraceDatabase::load(path);
@@ -365,7 +370,7 @@ TEST(FormatV6, RoundTripsByteIdentically) {
     original.add_alert(a);
   }
 
-  const std::string path = temp_path("tracedb_v6_a.bin");
+  const std::string path = temp_path("saved.bin");
   original.save(path);
   const std::string bytes = slurp(path);
   const TraceDatabase reloaded = TraceDatabase::load(path);
@@ -387,7 +392,7 @@ TEST(FormatV6, RoundTripsByteIdentically) {
 // --- hand-built fixtures --------------------------------------------------------
 
 TEST(FormatV5, WellFormedFixtureLoads) {
-  const std::string path = temp_path("tracedb_v5_fixture.bin");
+  const std::string path = temp_path("fixture.bin");
   spill(path, time_series_fixture_bytes());
   const TraceDatabase db = TraceDatabase::load(path);
   std::filesystem::remove(path);
@@ -398,7 +403,7 @@ TEST(FormatV5, WellFormedFixtureLoads) {
 }
 
 TEST(FormatV6, WellFormedFixtureLoads) {
-  const std::string path = temp_path("tracedb_v6_rules.bin");
+  const std::string path = temp_path("fixture.bin");
   spill(path, rules_fixture_bytes());
   const TraceDatabase db = TraceDatabase::load(path);
   std::filesystem::remove(path);
@@ -412,7 +417,7 @@ TEST(FormatV6, AcceptsHighestAlertKindUnderV6Magic) {
   Buf b = empty_head();
   alert_only_time_series(b, 13);  // kPhaseViolation, the current ceiling
   b.u64(0);                       // order_rules
-  const std::string path = temp_path("tracedb_v6_top_kind.bin");
+  const std::string path = temp_path("fixture.bin");
   spill(path, b.bytes);
   const TraceDatabase db = TraceDatabase::load(path);
   std::filesystem::remove(path);
