@@ -42,7 +42,7 @@ const codec::MappedFile& StoreReader::map_section(const IndexSection& s) {
   if (maps_[s.id]) return *maps_[s.id];
 
   auto m = std::make_unique<codec::MappedFile>(dir_ + "/" + s.file, "store", "section file");
-  if (m->size() < s.offset + s.length) {
+  if (s.offset > m->size() || s.length > m->size() - s.offset) {
     throw std::runtime_error("store: truncated section file " + s.file);
   }
   // Non-event sections are verified whole on first touch; the events section
@@ -69,7 +69,7 @@ void StoreReader::ensure_footer() {
   }
   std::uint64_t footer_len;
   std::memcpy(&footer_len, m.data() + s.offset + s.length - 8, 8);
-  if (footer_len + 8 > s.length) {
+  if (footer_len > s.length - 8) {
     throw std::runtime_error("store: truncated event section");
   }
   const char* footer = m.data() + s.offset + s.length - 8 - footer_len;

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -448,6 +449,38 @@ TEST(TraceStore, TruncatedEventSectionIsRejected) {
 
   const std::string what = expect_store_error(store.path, tracedb::store::kAllSections);
   EXPECT_NE(what.find("truncated section file"), std::string::npos) << what;
+}
+
+TEST(TraceStore, WrappingExtentsAreRejected) {
+  const TraceDatabase db = make_fixture_db();
+  StoreDir store("store_wrap.store");
+  tracedb::store::pack(db, store.path);
+
+  // A section offset whose sum with the length wraps past 2^64.
+  const std::string idx_path = store.path + "/" + tracedb::store::kIndexFileName;
+  const std::string idx = slurp(idx_path);
+  tracedb::store::StoreIndex index = tracedb::store::parse_index(idx);
+  for (auto& section : index.sections) {
+    if (section.id == tracedb::store::kMetaSection) {
+      section.offset = ~std::uint64_t{0};
+      section.length = 2;
+    }
+  }
+  spill(idx_path, tracedb::store::encode_index(index));
+  EXPECT_NE(expect_store_error(store.path, tracedb::store::kSectionMeta)
+                .find("truncated section file"),
+            std::string::npos);
+  spill(idx_path, idx);
+
+  // A footer length that wraps when the 8-byte trailer is added to it.
+  const std::string events_path = store.path + "/events.db";
+  std::string events = slurp(events_path);
+  const std::uint64_t huge = ~std::uint64_t{0} - 7;
+  std::memcpy(events.data() + events.size() - 8, &huge, 8);
+  spill(events_path, events);
+  EXPECT_NE(expect_store_error(store.path, tracedb::store::kAllSections)
+                .find("truncated event section"),
+            std::string::npos);
 }
 
 TEST(TraceStore, UnknownSectionIsSkippedForwardCompatibly) {
