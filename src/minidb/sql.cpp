@@ -103,7 +103,7 @@ constexpr char kSep = '\x1f';  // table/key separator in the underlying tree
 }  // namespace
 
 std::string SqlEngine::catalog_key(const std::string& table) {
-  return std::string("\x01catalog") + kSep + table;
+  return std::string("\x01" "catalog") + kSep + table;
 }
 
 std::string SqlEngine::row_key(const std::string& table, const std::string& key) {

@@ -203,8 +203,8 @@ KvProxy::KvProxy(sgxsim::Urts& urts, Store& backing_store, Config config)
           ctx.work(1'000);  // map insert
           // Session initialisation holds the lock for real time too, so a
           // simultaneous connect storm contends like the paper observed.
-          for (volatile std::uint32_t spin = 0; spin < ts->connect_spin_iterations;
-               spin = spin + 1) {
+          for (volatile std::uint32_t spin = 0; spin < ts->connect_spin_iterations;) {
+            spin = spin + 1;
           }
           if (session.buffers == 0) {
             // Allocate (and zero) the session's crypto/IO buffers: the bulk

@@ -134,7 +134,8 @@ SgxStatus TrustedContext::mutex_lock(MutexId id) {
         work(urts_.cost_.spin_iteration_ns);
         // A PAUSE-style backoff that also takes real time, so spinning can
         // genuinely outlast a concurrently-held critical section.
-        for (volatile int backoff = 0; backoff < 8; backoff = backoff + 1) {
+        for (volatile int backoff = 0; backoff < 8;) {
+          backoff = backoff + 1;
         }
         if (try_take()) return SgxStatus::kSuccess;
       }

@@ -16,11 +16,8 @@
 namespace tracedb::codec {
 namespace {
 
-/// Ceiling on any table's row count: far above a real trace, and low enough
-/// that a count times a row size cannot overflow.
-constexpr std::uint64_t kMaxRows = 1ull << 32;
-
-/// Checks a row count and reserves room for it in `out`.
+/// Checks a row count and reserves room for it in `out`.  The store reader
+/// reserves all of its chunks' rows up front, so there this is a no-op.
 template <class Record>
 void reserve_rows(SpanReader& r, std::uint64_t n, std::size_t min_row_bytes, const char* table,
                   std::vector<Record>& out) {
@@ -110,7 +107,7 @@ void write_calls(BufWriter& w, std::span<const CallRecord> rows) {
 
 void read_calls(SpanReader& r, std::uint64_t n, std::vector<CallRecord>& out,
                 CallIndex rebase) {
-  reserve_rows(r, n, 1 + 1 + 4 + 8 + 4 + 8 + 8 + 8 + 4, "call", out);
+  reserve_rows(r, n, kCallRowBytes, "call", out);
   for (std::uint64_t i = 0; i < n; ++i) {
     CallRecord c;
     c.type = static_cast<CallType>(r.u8());
@@ -138,7 +135,7 @@ void write_aexs(BufWriter& w, std::span<const AexRecord> rows) {
 }
 
 void read_aexs(SpanReader& r, std::uint64_t n, std::vector<AexRecord>& out, CallIndex rebase) {
-  reserve_rows(r, n, 4 + 8 + 8 + 8 + 1, "aex", out);
+  reserve_rows(r, n, kAexRowBytes, "aex", out);
   for (std::uint64_t i = 0; i < n; ++i) {
     AexRecord a;
     a.thread_id = r.u32();
@@ -161,7 +158,7 @@ void write_paging(BufWriter& w, std::span<const PagingRecord> rows) {
 }
 
 void read_paging(SpanReader& r, std::uint64_t n, std::vector<PagingRecord>& out) {
-  reserve_rows(r, n, 8 + 8 + 1 + 8, "paging", out);
+  reserve_rows(r, n, kPagingRowBytes, "paging", out);
   for (std::uint64_t i = 0; i < n; ++i) {
     PagingRecord p;
     p.enclave_id = r.u64();
@@ -183,7 +180,7 @@ void write_syncs(BufWriter& w, std::span<const SyncRecord> rows) {
 }
 
 void read_syncs(SpanReader& r, std::uint64_t n, std::vector<SyncRecord>& out) {
-  reserve_rows(r, n, 1 + 4 + 4 + 8 + 8, "sync", out);
+  reserve_rows(r, n, kSyncRowBytes, "sync", out);
   for (std::uint64_t i = 0; i < n; ++i) {
     SyncRecord s;
     s.kind = static_cast<SyncKind>(r.u8());

@@ -25,6 +25,16 @@
 
 namespace tracedb::codec {
 
+/// Ceiling on any table's row count: far above a real trace, and low enough
+/// that a count times a row size cannot overflow.
+inline constexpr std::uint64_t kMaxRows = 1ull << 32;
+
+/// Encoded bytes of one row of each event table (their rows are fixed-width).
+inline constexpr std::size_t kCallRowBytes = 1 + 1 + 4 + 8 + 4 + 8 + 8 + 8 + 4;
+inline constexpr std::size_t kAexRowBytes = 4 + 8 + 8 + 8 + 1;
+inline constexpr std::size_t kPagingRowBytes = 8 + 8 + 1 + 8;
+inline constexpr std::size_t kSyncRowBytes = 1 + 4 + 4 + 8 + 8;
+
 /// Little-endian in-memory byte assembler.
 class BufWriter {
  public:

@@ -16,6 +16,8 @@ using codec::SpanReader;
 
 constexpr std::size_t kMinIndexBytes = 8 /*magic*/ + 4 /*version*/ + 1 /*payload*/ +
                                        8 /*generation*/ + 4 /*n_sections*/ + 4 /*self-crc*/;
+/// Event chunk bytes around the rows: magic, the four row counts, trailing CRC.
+constexpr std::uint64_t kChunkFrameBytes = 4 + 4 * 8 + 4;
 
 }  // namespace
 
@@ -148,6 +150,7 @@ std::vector<ChunkDirEntry> parse_footer(const char* data, std::size_t size,
   r.check_rows(n, 8 * 9 + 4 * 3, "chunk");
   std::vector<ChunkDirEntry> chunks;
   chunks.reserve(n);
+  std::uint64_t chunks_total = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     ChunkDirEntry c;
     c.offset = r.u64();
@@ -164,6 +167,20 @@ std::vector<ChunkDirEntry> parse_footer(const char* data, std::size_t size,
     c.thread_max = r.u32();
     if (c.offset > file_size || c.length > file_size - c.offset) {
       throw std::runtime_error("store: truncated event chunk");
+    }
+    // The reader reserves its event tables from these counts before it
+    // decodes a chunk, so bound them by the bytes that must back them: each
+    // chunk's rows by its length, and the chunks together by the chunk area.
+    if (c.length > file_size - chunks_total) {
+      throw std::runtime_error("store: implausible event chunk extents");
+    }
+    chunks_total += c.length;
+    if (c.n_calls > codec::kMaxRows || c.n_aexs > codec::kMaxRows ||
+        c.n_paging > codec::kMaxRows || c.n_syncs > codec::kMaxRows ||
+        kChunkFrameBytes + c.n_calls * codec::kCallRowBytes + c.n_aexs * codec::kAexRowBytes +
+                c.n_paging * codec::kPagingRowBytes + c.n_syncs * codec::kSyncRowBytes >
+            c.length) {
+      throw std::runtime_error("store: implausible event chunk row counts");
     }
     chunks.push_back(c);
   }

@@ -114,7 +114,8 @@ struct ChunkDirEntry {
 
 [[nodiscard]] std::string encode_footer(const std::vector<ChunkDirEntry>& chunks);
 /// Parses the footer span of an events file; `file_size` bounds the chunk
-/// extents ("truncated event chunk" is rejected here).
+/// extents ("truncated event chunk" is rejected here), their sum, and each
+/// chunk's row counts, which may not need more bytes than the chunk holds.
 [[nodiscard]] std::vector<ChunkDirEntry> parse_footer(const char* data, std::size_t size,
                                                       std::uint64_t file_size);
 

@@ -15,6 +15,31 @@
 #include "tracedb/store/store.hpp"
 
 namespace tracedb::store {
+namespace {
+
+/// Grows each event table of `db` once, to hold its rows plus those of every
+/// chunk `selected` accepts.  parse_footer() has bounded the counts by the
+/// chunk bytes, and one exact reserve per table keeps the load linear: a
+/// reserve per chunk would copy the tables once per chunk.
+template <class Selected>
+void reserve_events(TraceDatabase& db, const std::vector<ChunkDirEntry>& chunks,
+                    Selected selected) {
+  std::uint64_t calls = 0, aexs = 0, paging = 0, syncs = 0;
+  for (const auto& entry : chunks) {
+    if (!selected(entry)) continue;
+    calls += entry.n_calls;
+    aexs += entry.n_aexs;
+    paging += entry.n_paging;
+    syncs += entry.n_syncs;
+  }
+  RawTables::calls(db).reserve(db.calls().size() + calls);
+  RawTables::aexs(db).reserve(db.aexs().size() + aexs);
+  RawTables::paging(db).reserve(db.paging().size() + paging);
+  RawTables::syncs(db).reserve(db.syncs().size() + syncs);
+}
+
+}  // namespace
+
 bool is_store(const std::string& path) {
   struct stat st{};
   if (::stat((path + "/" + kIndexFileName).c_str(), &st) != 0) return false;
@@ -121,6 +146,7 @@ TraceDatabase StoreReader::load(unsigned mask) {
     ensure_footer();
     const IndexSection& s = require(kEventsSection);
     const codec::MappedFile& m = map_section(s);
+    reserve_events(db, chunks_, [](const ChunkDirEntry&) { return true; });
     for (const auto& entry : chunks_) {
       decode_chunk(m.data() + s.offset + entry.offset, entry.length, entry, db);
       io_.bytes_read += entry.length;
@@ -134,15 +160,17 @@ void StoreReader::load_events_overlapping(TraceDatabase& db, Nanoseconds from_ns
   ensure_footer();
   const IndexSection& s = require(kEventsSection);
   const codec::MappedFile& m = map_section(s);
-  for (const auto& entry : chunks_) {
+  const auto selected = [&](const ChunkDirEntry& entry) {
     const bool has_rows =
         entry.n_calls + entry.n_aexs + entry.n_paging + entry.n_syncs > 0;
-    if (!has_rows) continue;
-    if (entry.max_ns < from_ns || entry.min_ns > to_ns) continue;
-    if (thread >= 0 && (static_cast<std::int64_t>(entry.thread_max) < thread ||
-                        static_cast<std::int64_t>(entry.thread_min) > thread)) {
-      continue;
-    }
+    if (!has_rows) return false;
+    if (entry.max_ns < from_ns || entry.min_ns > to_ns) return false;
+    return thread < 0 || (static_cast<std::int64_t>(entry.thread_max) >= thread &&
+                          static_cast<std::int64_t>(entry.thread_min) <= thread);
+  };
+  reserve_events(db, chunks_, selected);
+  for (const auto& entry : chunks_) {
+    if (!selected(entry)) continue;
     decode_chunk(m.data() + s.offset + entry.offset, entry.length, entry, db);
     io_.bytes_read += entry.length;
   }

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "support/clock.hpp"
+#include "support/crc32.hpp"
 #include "support/histogram.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -243,6 +246,51 @@ TEST(StrUtil, FormatDuration) {
 TEST(StrUtil, FormatBytes) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(1'320'000), "1.26 MiB");
+}
+
+// --- crc32 --------------------------------------------------------------------
+
+/// The IEEE CRC-32 one bit at a time: the definition the table-driven
+/// implementation must agree with.
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> crc_test_bytes(std::size_t n) {
+  std::vector<unsigned char> bytes(n);
+  Rng rng(42);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.next_below(256));
+  return bytes;
+}
+
+TEST(Crc32, KnownAnswer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  const auto bytes = crc_test_bytes(257 + 8);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; n <= 257; ++n) {
+      ASSERT_EQ(crc32(bytes.data() + offset, n), bitwise_crc32(bytes.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32, IsIncrementalAtEverySplit) {
+  const auto bytes = crc_test_bytes(64);
+  const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = crc32(bytes.data(), split);
+    EXPECT_EQ(crc32(bytes.data() + split, bytes.size() - split, head), whole) << split;
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -480,6 +481,73 @@ TEST(TraceStore, WrappingExtentsAreRejected) {
   spill(events_path, events);
   EXPECT_NE(expect_store_error(store.path, tracedb::store::kAllSections)
                 .find("truncated event section"),
+            std::string::npos);
+}
+
+TEST(TraceStore, ImplausibleDirectoryCountsAreRejected) {
+  const TraceDatabase db = make_fixture_db();
+  StoreDir store("store_counts.store");
+  tracedb::store::pack(db, store.path, {.chunk_calls = 3});
+
+  const std::string events_path = store.path + "/events.db";
+  const std::string idx_path = store.path + "/" + tracedb::store::kIndexFileName;
+  const std::string events = slurp(events_path);
+  const std::string idx = slurp(idx_path);
+  std::uint64_t footer_len;
+  std::memcpy(&footer_len, events.data() + events.size() - 8, 8);
+  const std::size_t footer_at = events.size() - 8 - footer_len;
+  const auto chunks =
+      tracedb::store::parse_footer(events.data() + footer_at, footer_len, footer_at);
+  ASSERT_GT(chunks.size(), 1u);
+
+  // Writes a rewritten directory and re-checksums the footer and the index,
+  // so the directory bound is the check that fires.  The reader sizes its
+  // tables from these counts: a lying one must be a typed error, never a
+  // huge allocation.
+  const auto load_with_footer =
+      [&](const std::vector<tracedb::store::ChunkDirEntry>& lying) -> std::string {
+    const std::string footer = tracedb::store::encode_footer(lying);
+    EXPECT_EQ(footer.size(), footer_len);
+    spill(events_path, events.substr(0, footer_at) + footer + events.substr(events.size() - 8));
+    tracedb::store::StoreIndex index = tracedb::store::parse_index(idx);
+    for (auto& section : index.sections) {
+      if (section.id == tracedb::store::kEventsSection) {
+        section.crc = support::crc32(footer.data(), footer.size());
+      }
+    }
+    spill(idx_path, tracedb::store::encode_index(index));
+    try {
+      return expect_store_error(store.path, tracedb::store::kAllSections);
+    } catch (const std::bad_alloc&) {
+      ADD_FAILURE() << "a lying directory reached an allocation";
+      return {};
+    }
+  };
+  const auto load_with_calls = [&](std::uint64_t n_calls) {
+    auto lying = chunks;
+    lying[0].n_calls = n_calls;
+    return load_with_footer(lying);
+  };
+
+  EXPECT_NE(load_with_calls(std::uint64_t{1} << 40).find("implausible"), std::string::npos);
+
+  // The chunk frame is its magic, four row counts and a CRC; its rows fill
+  // the rest exactly, so this is the most calls its length can hold.
+  const auto& first = chunks[0];
+  const std::uint64_t frame = 4 + 4 * 8 + 4;
+  const std::uint64_t max_calls = (first.length - frame - first.n_aexs * 29 -
+                                   first.n_paging * 25 - first.n_syncs * 25) / 46;
+  ASSERT_EQ(max_calls, first.n_calls);
+  EXPECT_NE(load_with_calls(max_calls + 1).find("implausible"), std::string::npos);
+
+  // Every entry naming the largest chunk: each is in bounds and honest, but
+  // together they claim more bytes, and so more rows, than the chunk area.
+  const auto largest = *std::max_element(
+      chunks.begin(), chunks.end(),
+      [](const auto& a, const auto& b) { return a.length < b.length; });
+  ASSERT_GT(largest.length * chunks.size(), footer_at);
+  const std::vector<tracedb::store::ChunkDirEntry> repeated(chunks.size(), largest);
+  EXPECT_NE(load_with_footer(repeated).find("implausible event chunk extents"),
             std::string::npos);
 }
 

@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI driver: build + run the full test suite four times —
-#   1. plain RelWithDebInfo build,
+#   1. plain RelWithDebInfo build with -Werror (the tree builds warning-free),
 #   2. ThreadSanitizer build (-DSGXPERF_SANITIZE=thread), which must report
 #      zero races across the concurrent recording paths,
 #   3. AddressSanitizer build (-DSGXPERF_SANITIZE=address), which must report
@@ -37,7 +37,7 @@ run_suite() {
 }
 
 echo "=== plain build ==="
-run_suite "$root/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+run_suite "$root/build" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-Werror
 
 echo "=== bench smoke run (JSON artefacts) ==="
 smoke_dir="$root/build/bench-smoke"
