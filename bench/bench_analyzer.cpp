@@ -1,18 +1,13 @@
-// E9 — analyser micro-validation and performance.
+// E9 — analyser micro-validation.
 //
-// (a) Detector threshold sweeps: synthetic traces that straddle the Eq.1/2/3
-//     boundaries, confirming the paper's default weights fire exactly where
-//     intended (an ablation over the configurable α/β/γ/δ/ε/λ).
-// (b) google-benchmark timings of the analyser itself over traces of
-//     increasing size (the tool must remain usable on million-event traces).
-#include <benchmark/benchmark.h>
-
-#include <chrono>
+// Detector threshold sweeps: synthetic traces that straddle the Eq.1/2/3
+// boundaries, confirming the paper's default weights fire exactly where
+// intended (an ablation over the configurable α/β/γ/δ/ε/λ).  The analyser's
+// own wall-clock cost is wallbench's `perf.analyzer.analyze_ms`.
 #include <cstdio>
 
 #include "bench_json.hpp"
 #include "perf/analyzer.hpp"
-#include "support/rng.hpp"
 
 namespace {
 
@@ -93,35 +88,10 @@ bool eq3_fires(std::uint64_t gap_us) {
   return false;
 }
 
-TraceDatabase make_large_trace(std::size_t calls) {
-  TraceDatabase db;
-  support::Rng rng(7);
-  std::uint64_t t = 0;
-  for (std::size_t i = 0; i < calls; ++i) {
-    const auto id = static_cast<tracedb::CallId>(rng.next_below(24));
-    const auto duration = 1'000 + rng.next_below(30'000);
-    const bool is_ecall = rng.chance(0.5);
-    add_call(db, is_ecall ? CallType::kEcall : CallType::kOcall, id, t, t + duration);
-    t += duration + rng.next_below(20'000);
-  }
-  return db;
-}
-
-void BM_AnalyzeTrace(benchmark::State& state) {
-  const auto db = make_large_trace(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    Analyzer analyzer(db);
-    benchmark::DoNotOptimize(analyzer.analyze());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_AnalyzeTrace)->Arg(1'000)->Arg(10'000)->Arg(100'000);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  bench::JsonReport json("analyzer", smoke, bench::strip_out_dir_flag(argc, argv));
+  bench::JsonReport json("analyzer", bench::smoke_flag(argc, argv));
   std::printf("=== E9: analyser detector validation (Eq. 1-3, paper §4.3.2) ===\n\n");
 
   std::printf("Eq.1 (move/duplicate) vs fraction of sub-1us calls (alpha = 0.35):\n  ");
@@ -163,22 +133,5 @@ int main(int argc, char** argv) {
   }
   json.metric("eq3_last_firing_gap_us", static_cast<double>(eq3_last_fire), "us");
   std::printf("\n\n");
-
-  // Analyser cost on a mid-size trace: measured directly (real time) so the
-  // smoke run reports it without the google-benchmark harness.
-  {
-    const auto db = make_large_trace(10'000);
-    const auto t0 = std::chrono::steady_clock::now();
-    Analyzer analyzer(db);
-    benchmark::DoNotOptimize(analyzer.analyze());
-    const double ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-    std::printf("analyse 10k-call trace: %.2f ms\n\n", ms);
-    json.metric("analyze_10k_calls_ms", ms, "ms");
-  }
-
-  if (smoke) return json.write() ? 0 : 1;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return json.write() ? 0 : 1;
 }

@@ -16,8 +16,8 @@
 
 int main(int argc, char** argv) {
   using namespace glamdring;
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  bench::JsonReport json("glamdring", smoke, bench::strip_out_dir_flag(argc, argv));
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::JsonReport json("glamdring", smoke);
 
   std::printf("=== E5: Glamdring-partitioned signing (paper §5.2.3, Fig. 6 right) ===\n");
   std::printf(

@@ -1,10 +1,12 @@
 // Machine-readable bench output.
 //
-// Every bench binary accepts `--smoke` (a fast, reduced-workload run for CI)
-// and, when given it, writes its headline numbers to `BENCH_<name>.json` in
-// the current directory alongside the usual human-readable tables.  CI
-// validates each file with tools/json_check and can diff the numbers across
-// commits without scraping stdout.
+// Every bench binary accepts `--smoke` (a fast, reduced-workload run).  A
+// bench whose headline numbers are deterministic then writes them to
+// `BENCH_<name>.json` in the current directory, next to the usual
+// human-readable tables.  Each such file is an exact ctest golden
+// (tests/golden/bench/, golden_bench_<name>), so only virtual-time results
+// belong here: a number that depends on the OS scheduler or the wall clock
+// stays in the printed table.
 //
 // File shape (deterministic key order, one metric per row):
 //
@@ -22,45 +24,18 @@
 
 namespace bench {
 
-/// Detects `--smoke` and removes it from argv so downstream argument parsers
-/// (notably benchmark::Initialize, which rejects unknown flags) never see it.
-inline bool strip_smoke_flag(int& argc, char** argv) {
-  bool smoke = false;
-  int w = 1;
-  for (int r = 1; r < argc; ++r) {
-    if (std::string_view(argv[r]) == "--smoke") {
-      smoke = true;
-      continue;
-    }
-    argv[w++] = argv[r];
+/// True when `--smoke` is among the arguments.
+inline bool smoke_flag(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--smoke") return true;
   }
-  argv[argc = w] = nullptr;
-  return smoke;
-}
-
-/// Detects `--out-dir DIR` and removes both tokens from argv.  Returns DIR,
-/// or "." when absent — the directory JsonReport::write() lands in, so CI
-/// can collect every bench's JSON in one place (the repo root) regardless
-/// of each binary's working directory.
-inline std::string strip_out_dir_flag(int& argc, char** argv) {
-  std::string dir = ".";
-  int w = 1;
-  for (int r = 1; r < argc; ++r) {
-    if (std::string_view(argv[r]) == "--out-dir" && r + 1 < argc) {
-      dir = argv[++r];
-      continue;
-    }
-    argv[w++] = argv[r];
-  }
-  argv[argc = w] = nullptr;
-  return dir;
+  return false;
 }
 
 /// Accumulates named scalar results; write() emits BENCH_<name>.json.
 class JsonReport {
  public:
-  JsonReport(std::string name, bool smoke, std::string out_dir = ".")
-      : name_(std::move(name)), smoke_(smoke), out_dir_(std::move(out_dir)) {}
+  JsonReport(std::string name, bool smoke) : name_(std::move(name)), smoke_(smoke) {}
 
   void metric(std::string_view metric, double value, std::string_view unit = "") {
     rows_.push_back({std::string(metric), value, std::string(unit)});
@@ -86,7 +61,7 @@ class JsonReport {
     w.end_array();
     w.end_object();
 
-    const std::string path = out_dir_ + "/BENCH_" + name_ + ".json";
+    const std::string path = "BENCH_" + name_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) {
       std::fprintf(stderr, "bench: cannot open %s for writing\n", path.c_str());
@@ -109,7 +84,6 @@ class JsonReport {
 
   std::string name_;
   bool smoke_;
-  std::string out_dir_;
   std::vector<Row> rows_;
 };
 

@@ -5,15 +5,10 @@
 //   (2) an ecall performing one ocall, executed n times;
 //   (3) a long ecall (k loop iterations), with AEX counting / tracing.
 // Reported: mean virtual time per call, native vs with-logger, and the
-// derived per-call / per-AEX overheads next to the paper's numbers.
-//
-// Experiment (4) is ours: a contended multi-thread workload comparing the
-// sharded per-thread recording path against the legacy global-mutex path in
-// REAL time (virtual time cannot see lock contention).
-#include <chrono>
+// derived per-call / per-AEX overheads next to the paper's numbers.  The
+// logger's real recording cost is wallbench's
+// `perf.logger.record_ns_per_event`.
 #include <cstdio>
-#include <thread>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "perf/logger.hpp"
@@ -38,9 +33,7 @@ SgxStatus empty_ocall(void*) { return SgxStatus::kSuccess; }
 
 struct Machine {
   Machine() {
-    EnclaveConfig config;
-    config.tcs_count = 16;  // enough TCSs for the contended experiment
-    eid = urts.create_enclave(std::move(config), edl::parse(kEdl));
+    eid = urts.create_enclave({}, edl::parse(kEdl));
     table = make_ocall_table({&empty_ocall});
     Enclave& e = urts.enclave(eid);
     e.register_ecall("ecall_empty", [](TrustedContext&, void*) { return SgxStatus::kSuccess; });
@@ -68,9 +61,8 @@ double mean_call_ns(Machine& m, CallId id, int n, int warmup) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  const std::string out_dir = bench::strip_out_dir_flag(argc, argv);
-  bench::JsonReport json("logger_overhead", smoke, out_dir);
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::JsonReport json("logger_overhead", smoke);
   // The paper uses n = 1,000,000 for (1)/(2); virtual time is deterministic,
   // so a smaller n gives identical means while keeping real time low.
   const int kN = smoke ? 2'000 : 20'000;
@@ -183,113 +175,5 @@ int main(int argc, char** argv) {
   json.metric("long_ecall_aex_tracing_us", tracing.per_call_us, "us");
   json.metric("aex_per_long_ecall", tracing.aex_per_call);
 
-  // Experiments (4)/(5) measure real wall-clock contention — slow and noisy
-  // under CI, so the smoke run reports the deterministic virtual-time numbers
-  // above and stops here.
-  if (smoke) return json.write() ? 0 : 1;
-
-  // --- experiment (4): contended recording primitive -----------------------
-  // The hot-path cost the refactor targets: appending one call record.  T
-  // threads append kRecordsPerThread records each, either through the
-  // database mutex (the old path) or into their own EventShard (the new
-  // path, with the one-time merge accounted separately).  Real wall-clock
-  // time — virtual time cannot see lock traffic.
-  constexpr std::size_t kRecordsPerThread = 200'000;
-  struct PrimitiveResult {
-    double ns_per_record = 0;
-    double merge_ms = 0;
-  };
-  const auto run_primitive = [&](std::size_t threads, bool sharded) {
-    tracedb::TraceDatabase db;
-    std::vector<tracedb::EventShard*> shards;
-    for (std::size_t t = 0; t < threads && sharded; ++t) {
-      shards.push_back(&db.register_shard(static_cast<tracedb::ThreadId>(t + 1), t));
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        tracedb::CallRecord rec;
-        rec.thread_id = static_cast<tracedb::ThreadId>(t + 1);
-        for (std::size_t i = 0; i < kRecordsPerThread; ++i) {
-          rec.start_ns = i;
-          rec.end_ns = i + 1;
-          if (sharded) {
-            shards[t]->add_call(rec);
-          } else {
-            db.add_call(rec);
-          }
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    const auto t1 = std::chrono::steady_clock::now();
-    if (sharded) db.merge_shards();
-    const auto t2 = std::chrono::steady_clock::now();
-
-    PrimitiveResult result;
-    result.ns_per_record = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                           static_cast<double>(threads * kRecordsPerThread);
-    result.merge_ms = std::chrono::duration<double, std::milli>(t2 - t1).count();
-    return result;
-  };
-
-  std::printf("\n(4) contended record append, %zu records per thread (real time)\n",
-              kRecordsPerThread);
-  std::printf("%8s %20s %20s %10s %12s\n", "threads", "mutex (ns/rec)", "sharded (ns/rec)",
-              "speedup", "merge (ms)");
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const PrimitiveResult mutex_path = run_primitive(threads, false);
-    const PrimitiveResult sharded_path = run_primitive(threads, true);
-    std::printf("%8zu %17.1f ns %17.1f ns %9.2fx %9.2f ms\n", threads,
-                mutex_path.ns_per_record, sharded_path.ns_per_record,
-                mutex_path.ns_per_record / sharded_path.ns_per_record,
-                sharded_path.merge_ms);
-  }
-
-  // --- experiment (5): the same contention seen end-to-end -----------------
-  // T worker threads hammer ecall+ocall pairs through one attached logger;
-  // reported is the logger's per-event overhead over an identical native
-  // (logger-free) run, so the simulator's own shared-clock cost cancels out.
-  constexpr int kContendedCallsPerThread = 4'000;
-  const auto run_workload = [&](std::size_t threads, int mode /*0=native,1=mutex,2=sharded*/) {
-    Machine m;
-    tracedb::TraceDatabase db;
-    perf::LoggerConfig config;
-    config.count_aex = false;
-    config.trace_paging = false;
-    config.sharded = mode == 2;
-    perf::Logger logger(db, config);
-    if (mode != 0) logger.attach(m.urts);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.emplace_back([&] {
-        for (int i = 0; i < kContendedCallsPerThread; ++i) {
-          m.urts.sgx_ecall(m.eid, 1, &m.table, nullptr);
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
-    const auto elapsed =
-        std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0).count();
-    if (mode != 0) logger.detach();
-    // Two records (ecall + ocall) per pair.
-    return elapsed / static_cast<double>(threads * kContendedCallsPerThread * 2);
-  };
-
-  std::printf("\n(5) end-to-end logger overhead under contention (real ns/event over native)\n");
-  std::printf("%8s %16s %16s %16s\n", "threads", "native ns/call", "mutex overhead",
-              "sharded overhead");
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    const double native = run_workload(threads, 0);
-    const double with_mutex = run_workload(threads, 1);
-    const double with_shards = run_workload(threads, 2);
-    std::printf("%8zu %13.0f ns %13.0f ns %13.0f ns\n", threads, native, with_mutex - native,
-                with_shards - native);
-  }
-  return 0;
+  return smoke && !json.write() ? 1 : 0;
 }

@@ -1,14 +1,13 @@
-// E13 — online analyser feed cost.
+// E13 — online analyser verdicts on a synthetic stream.
 //
 // `sgxperf monitor` runs OnlineAnalyzer::feed() on the consumer side of the
-// streaming subscription while the workload is live, so the per-event cost
-// bounds the event rate one monitoring thread can sustain without dropping.
-// Feeds a pre-built synthetic stream (ecalls with nested short ocalls, the
-// shape that exercises every detector's hot path: Eq. 1 counting, Eq. 2
-// start/end correlation, Eq. 3 same-key gaps, windowed HDR recording) and
-// reports ns/event, events/s and what the detectors concluded.
-#include <atomic>
-#include <chrono>
+// streaming subscription while the workload is live.  Feeds a pre-built
+// synthetic stream (ecalls with nested short ocalls, the shape that
+// exercises every detector's hot path: Eq. 1 counting, Eq. 2 start/end
+// correlation, Eq. 3 same-key gaps, windowed HDR recording) and reports what
+// the detectors concluded, with and without the interface-orderliness
+// checker.  The feed's wall-clock cost is wallbench's
+// `perf.online.feed_ns_per_event`.
 #include <cstdio>
 #include <vector>
 
@@ -18,11 +17,10 @@
 #include "support/rng.hpp"
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  bench::JsonReport json("online", smoke, bench::strip_out_dir_flag(argc, argv));
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::JsonReport json("online", smoke);
   const std::size_t kEvents = smoke ? 200'000 : 2'000'000;
 
-  // Pre-build the stream so the measured loop is feed() alone.
   std::vector<perf::StreamEvent> events;
   events.reserve(kEvents + 1);
   support::Rng rng(11);
@@ -64,17 +62,13 @@ int main(int argc, char** argv) {
   }
 
   perf::OnlineAnalyzer online;
-  const auto t0 = std::chrono::steady_clock::now();
   online.feed(events);
   online.finish(t);
-  const double sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   // Second leg: the same stream with the interface-orderliness checker armed
   // on a worst-case-dense model (every id an entry, all 64 edges legal), so
   // every ecall takes the full known/entry/edge lookup path and no violation
-  // short-circuits it.  The delta against the first leg is the per-event
-  // price of `monitor --order-model`.
+  // short-circuits it.
   perf::OnlineConfig checked_config;
   auto& em = checked_config.order.enclaves[1];
   for (std::uint32_t a = 0; a < 8; ++a) {
@@ -83,63 +77,24 @@ int main(int argc, char** argv) {
     for (std::uint32_t b = 0; b < 8; ++b) em.edges.emplace(a, b);
   }
   perf::OnlineAnalyzer checked(checked_config);
-  const auto t1 = std::chrono::steady_clock::now();
   checked.feed(events);
   checked.finish(t);
-  const double checked_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
 
   std::size_t order_alerts = 0;
   for (const auto& a : checked.active_alerts()) {
     if (a.kind >= tracedb::AlertKind::kOutOfOrderEcall) ++order_alerts;
   }
 
-  // Third leg (E18): the conservation-ledger instrumentation cost.  The
-  // ledger adds exactly one per-event touch to the hot pipeline — the
-  // subscription's relaxed `published` increment (the record stage's
-  // produced side is derived from the existing merge accounting at zero
-  // per-event cost).  Re-running feed() and subtracting would bury a couple
-  // of ns under tens of ns of run-to-run noise, so the increment is timed
-  // directly and reported relative to the feed baseline.
-  std::atomic<std::uint64_t> published{0};
-  const auto t2 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    published.fetch_add(1, std::memory_order_relaxed);
-  }
-  const double ledger_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t2).count();
-  if (published.load() != events.size()) return 1;  // keep the loop alive
-
-  const double ns_per_event = sec * 1e9 / static_cast<double>(events.size());
-  const double events_per_s = static_cast<double>(events.size()) / sec;
-  const double checked_ns_per_event = checked_sec * 1e9 / static_cast<double>(events.size());
-  const double checker_overhead = ns_per_event == 0.0
-                                      ? 0.0
-                                      : (checked_ns_per_event - ns_per_event) / ns_per_event;
-  std::printf("=== E13: online analyser feed throughput ===\n\n");
+  std::printf("=== E13: online analyser verdicts ===\n\n");
   std::printf("events fed:       %zu (%.3f virtual s)\n", events.size(),
               static_cast<double>(t) / 1e9);
-  std::printf("feed cost:        %.0f ns/event (%.2fM events/s)\n", ns_per_event,
-              events_per_s / 1e6);
   std::printf("windows closed:   %zu\n", online.windows().size());
   std::printf("alerts recorded:  %zu (%zu active at end)\n", online.alerts().size(),
               online.active_alerts().size());
-  std::printf("with order check: %.0f ns/event (%+.1f%%), %zu orderliness alerts\n",
-              checked_ns_per_event, checker_overhead * 100.0, order_alerts);
+  std::printf("with order check: %zu orderliness alerts\n", order_alerts);
 
-  const double ledger_ns_per_event = ledger_sec * 1e9 / static_cast<double>(events.size());
-  const double ledger_overhead =
-      ns_per_event == 0.0 ? 0.0 : ledger_ns_per_event / ns_per_event;
-  std::printf("ledger tax:       %.2f ns/event (+%.2f%% of feed — budget <2%%)\n",
-              ledger_ns_per_event, ledger_overhead * 100.0);
-
-  json.metric("feed_ns_per_event", ns_per_event, "ns");
-  json.metric("feed_events_per_s", events_per_s, "events/s");
   json.metric("windows", static_cast<double>(online.windows().size()), "windows");
   json.metric("alerts", static_cast<double>(online.alerts().size()), "alerts");
-  json.metric("feed_checked_ns_per_event", checked_ns_per_event, "ns");
   json.metric("order_alerts", static_cast<double>(order_alerts), "alerts");
-  json.metric("ledger_ns_per_event", ledger_ns_per_event, "ns");
-  json.metric("ledger_overhead_pct", ledger_overhead * 100.0, "%");
   return json.write() ? 0 : 1;
 }

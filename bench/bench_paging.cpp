@@ -91,9 +91,8 @@ SweepResult run_sweep(double epc_fraction, bool preload, int sweeps = 4,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  const std::string out_dir = bench::strip_out_dir_flag(argc, argv);
-  bench::JsonReport json("paging", smoke, out_dir);
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::JsonReport json("paging", smoke);
   std::printf("=== E11: EPC oversubscription / paging ablation (paper §2.3.3, §3.5) ===\n");
   std::printf("EPC shrunk to %zu pages; 4 sweeps over a data set of varying size\n\n",
               kEpcPages);

@@ -11,6 +11,11 @@
 // per converted site, while the runtime shares one per-enclave pool across
 // both sites; the measured run therefore gets 2x the per-site best count so
 // both arms have the same total worker budget.
+//
+// The minikv clients free-run on OS threads, so the recorded trace, and with
+// it every number here, depends on scheduling: the bench prints its results
+// and writes no JSON.  The exit status still gates the 1% identity
+// validation and a failure-free workload.
 #include <cstdio>
 
 #include "bench_json.hpp"
@@ -43,9 +48,7 @@ minikv::DriverReport record_run(tracedb::TraceDatabase& db, const minikv::Driver
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  const std::string out_dir = bench::strip_out_dir_flag(argc, argv);
-  bench::JsonReport json("replay", smoke, out_dir);
+  const bool smoke = bench::smoke_flag(argc, argv);
 
   minikv::DriverConfig dcfg;
   dcfg.clients = smoke ? 3 : 8;
@@ -61,13 +64,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(base_report.operations),
               static_cast<double>(base_report.virtual_duration_ns) / 1e6,
               base_report.throughput_ops_per_s);
-  json.metric("baseline_ops_per_s", base_report.throughput_ops_per_s, "ops/s");
 
   // --- 2. validate the replay against the recording ----------------------------
   replay::ReplayEngine engine(baseline);
   const auto validation = engine.validate();
   std::fputs(replay::render_validation(validation).c_str(), stdout);
-  json.metric("validation_span_error", validation.span_error, "fraction");
   if (!validation.within(0.01)) {
     std::fputs("error: identity replay drifted more than 1% from the recording\n", stderr);
     return 1;
@@ -96,8 +97,6 @@ int main(int argc, char** argv) {
               static_cast<double>(predicted.recorded_span_ns) / 1e6,
               static_cast<double>(predicted.replayed_span_ns) / 1e6,
               static_cast<unsigned long long>(predicted.transitions_removed));
-  json.metric("predicted_speedup", predicted.speedup(), "x");
-  json.metric("predicted_best_workers", static_cast<double>(sweep.best_workers), "workers");
 
   // --- 4. measure: apply the recommendation and re-record ----------------------
   tracedb::TraceDatabase after;
@@ -109,16 +108,11 @@ int main(int argc, char** argv) {
               measured, static_cast<double>(base_report.virtual_duration_ns) / 1e6,
               static_cast<double>(sw_report.virtual_duration_ns) / 1e6,
               2 * sweep.best_workers);
-  json.metric("measured_speedup", measured, "x");
-  json.metric("switchless_ops_per_s", sw_report.throughput_ops_per_s, "ops/s");
 
   const double error = measured > 0.0
                            ? 100.0 * (predicted.speedup() - measured) / measured
                            : 0.0;
   std::printf("prediction error: %+.1f%%\n", error);
-  json.metric("prediction_error_pct", error, "%");
-
-  if (smoke && !json.write()) return 1;
   if (base_report.failures + sw_report.failures > 0) {
     std::fprintf(stderr, "error: %llu workload failures\n",
                  static_cast<unsigned long long>(base_report.failures + sw_report.failures));

@@ -68,8 +68,8 @@ RunResult run_enclavised(sgxsim::Urts& urts, WriteMode mode) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  bench::JsonReport json("sqlite", smoke, bench::strip_out_dir_flag(argc, argv));
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::JsonReport json("sqlite", smoke);
   if (smoke) kCommits = 100;
   std::printf("=== E4: minidb insert throughput (paper §5.2.2, Fig. 6 left) ===\n");
   std::printf("paper: native 23,087 req/s; enclavised 13,160 (0.57x); merged 17,483 (+33%%)\n\n");

@@ -37,9 +37,8 @@ double storm_ns_per_call(Urts& urts, EnclaveId eid, OcallTable& table, CallId id
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  const std::string out_dir = bench::strip_out_dir_flag(argc, argv);
-  bench::JsonReport json("switchless", smoke, out_dir);
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::JsonReport json("switchless", smoke);
   const int kCalls = smoke ? 5'000 : 50'000;
   std::printf("=== extension: switchless calls vs regular transitions ===\n");
   std::printf("the remedy §2.3/§6 cites (SCONE async calls, HotCalls) for SISC-bound "

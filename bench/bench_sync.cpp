@@ -2,13 +2,13 @@
 //
 // A contended counter protected by (a) the SDK default mutex (sleep/wake
 // ocalls on contention) and (b) the hybrid spin-then-sleep mutex sgx-perf
-// recommends for short critical sections.  Reports sync-ocall counts and
-// virtual-time cost per operation for several spin budgets.
-#include <benchmark/benchmark.h>
-
+// recommends for short critical sections.  Reports sync-ocall counts per
+// operation for several spin budgets.  The workers free-run on OS threads,
+// so the counts depend on scheduling: the bench prints them and writes no
+// JSON (`--smoke` only shrinks the run).
 #include <atomic>
-#include <cstdio>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -46,7 +46,6 @@ SgxStatus counting_wake(void* ms) {
 struct Run {
   std::uint64_t sleeps = 0;
   std::uint64_t wakes = 0;
-  double virtual_us_per_op = 0;
 };
 
 Run run_contended(MutexKind kind, std::uint32_t spin_limit, int threads, int ops_per_thread,
@@ -83,7 +82,6 @@ Run run_contended(MutexKind kind, std::uint32_t spin_limit, int threads, int ops
   // Rendezvous so the workers genuinely overlap.
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
-  const auto t0 = urts.clock().now();
   std::vector<std::thread> workers;
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&] {
@@ -95,42 +93,18 @@ Run run_contended(MutexKind kind, std::uint32_t spin_limit, int threads, int ops
   while (ready.load() < threads) std::this_thread::yield();
   go.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();
-  const auto elapsed = urts.clock().now() - t0;
 
   Run run;
   run.sleeps = stats.sleeps.load();
   run.wakes = stats.wakes.load();
-  run.virtual_us_per_op = static_cast<double>(elapsed) / 1e3 /
-                          static_cast<double>(threads * ops_per_thread);
   g_stats = nullptr;
   return run;
 }
 
-void BM_SdkMutexUncontended(benchmark::State& state) {
-  Urts urts;
-  const EnclaveId eid = urts.create_enclave({}, edl::parse(kEdl));
-  OcallTable table = make_ocall_table({});
-  Enclave& enclave = urts.enclave(eid);
-  const MutexId mutex = enclave.create_mutex();
-  enclave.register_ecall("ecall_hammer", [mutex](TrustedContext& ctx, void*) {
-    for (int i = 0; i < 100; ++i) {
-      ctx.mutex_lock(mutex);
-      ctx.mutex_unlock(mutex);
-    }
-    return SgxStatus::kSuccess;
-  });
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(urts.sgx_ecall(eid, 0, &table, nullptr));
-  }
-}
-BENCHMARK(BM_SdkMutexUncontended);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  const std::string out_dir = bench::strip_out_dir_flag(argc, argv);
-  bench::JsonReport json("sync", smoke, out_dir);
+  const bool smoke = bench::smoke_flag(argc, argv);
   std::printf("=== E10: in-enclave synchronisation ablation (paper §2.3.2 / §3.4) ===\n\n");
   constexpr int kThreads = 4;
   const int kOps = smoke ? 100 : 400;
@@ -138,32 +112,20 @@ int main(int argc, char** argv) {
   std::printf("contended counter: %d threads x %d ops, 2 us critical section\n\n", kThreads,
               kOps);
   std::printf("%-28s %10s %10s %16s\n", "mutex", "sleeps", "wakes", "sync ocalls/op");
-  {
-    const Run sdk = run_contended(MutexKind::kSdkDefault, 0, kThreads, kOps, 2'000);
-    std::printf("%-28s %10llu %10llu %16.4f\n", "SDK default (sleep ocalls)",
-                static_cast<unsigned long long>(sdk.sleeps),
-                static_cast<unsigned long long>(sdk.wakes),
-                static_cast<double>(sdk.sleeps + sdk.wakes) / (kThreads * kOps));
-    json.metric("sync_ocalls_per_op.sdk_default",
-                static_cast<double>(sdk.sleeps + sdk.wakes) / (kThreads * kOps), "ocalls");
-  }
+  const auto print_row = [&](const char* label, const Run& run) {
+    std::printf("%-28s %10llu %10llu %16.4f\n", label,
+                static_cast<unsigned long long>(run.sleeps),
+                static_cast<unsigned long long>(run.wakes),
+                static_cast<double>(run.sleeps + run.wakes) / (kThreads * kOps));
+  };
+  print_row("SDK default (sleep ocalls)",
+            run_contended(MutexKind::kSdkDefault, 0, kThreads, kOps, 2'000));
   for (const std::uint32_t spin : {64u, 512u, 100'000u}) {
-    const Run hybrid = run_contended(MutexKind::kHybridSpin, spin, kThreads, kOps, 2'000);
     char label[64];
     std::snprintf(label, sizeof(label), "hybrid spin (limit %u)", spin);
-    std::printf("%-28s %10llu %10llu %16.4f\n", label,
-                static_cast<unsigned long long>(hybrid.sleeps),
-                static_cast<unsigned long long>(hybrid.wakes),
-                static_cast<double>(hybrid.sleeps + hybrid.wakes) / (kThreads * kOps));
-    std::snprintf(label, sizeof(label), "sync_ocalls_per_op.hybrid_spin_%u", spin);
-    json.metric(label, static_cast<double>(hybrid.sleeps + hybrid.wakes) / (kThreads * kOps),
-                "ocalls");
+    print_row(label, run_contended(MutexKind::kHybridSpin, spin, kThreads, kOps, 2'000));
   }
   std::printf("\nthe hybrid lock eliminates the short wake-up ocalls (<10 us) the analyser "
               "flags as SSC\n\n");
-  if (smoke) return json.write() ? 0 : 1;
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

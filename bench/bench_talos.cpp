@@ -19,8 +19,8 @@
 
 int main(int argc, char** argv) {
   using namespace minissl;
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  bench::JsonReport json("talos", smoke, bench::strip_out_dir_flag(argc, argv));
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::JsonReport json("talos", smoke);
   const int kRequests = smoke ? 100 : 1000;
 
   sgxsim::Urts urts;

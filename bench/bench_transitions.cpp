@@ -4,9 +4,8 @@
 // ~5,850 / ~10,170 / ~13,100 cycles (~2,130 / ~3,850 / ~4,890 ns) on an
 // unpatched / Spectre-patched / Spectre+L1TF-patched machine, plus the full
 // SDK ecall and ecall+ocall costs the rest of the evaluation builds on.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
+#include <string>
 
 #include "bench_json.hpp"
 #include "sgxsim/runtime.hpp"
@@ -42,32 +41,6 @@ struct Machine {
   OcallTable table;
 };
 
-void BM_EcallRoundTrip(benchmark::State& state) {
-  Machine m(static_cast<PatchLevel>(state.range(0)));
-  std::uint64_t virtual_ns = 0;
-  for (auto _ : state) {
-    const auto t0 = m.urts.clock().now();
-    benchmark::DoNotOptimize(m.urts.sgx_ecall(m.eid, 0, &m.table, nullptr));
-    virtual_ns += m.urts.clock().now() - t0;
-  }
-  state.counters["virtual_ns_per_call"] =
-      static_cast<double>(virtual_ns) / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_EcallRoundTrip)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_EcallPlusOcall(benchmark::State& state) {
-  Machine m(static_cast<PatchLevel>(state.range(0)));
-  std::uint64_t virtual_ns = 0;
-  for (auto _ : state) {
-    const auto t0 = m.urts.clock().now();
-    benchmark::DoNotOptimize(m.urts.sgx_ecall(m.eid, 1, &m.table, nullptr));
-    virtual_ns += m.urts.clock().now() - t0;
-  }
-  state.counters["virtual_ns_per_call"] =
-      static_cast<double>(virtual_ns) / static_cast<double>(state.iterations());
-}
-BENCHMARK(BM_EcallPlusOcall)->Arg(0)->Arg(1)->Arg(2);
-
 void print_paper_table(bench::JsonReport& report) {
   const support::CycleConverter cycles(2.75);
   std::printf("\n=== E1: enclave transition costs vs patch level (paper §2.3.1) ===\n");
@@ -100,12 +73,8 @@ void print_paper_table(bench::JsonReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::strip_smoke_flag(argc, argv);
-  const std::string out_dir = bench::strip_out_dir_flag(argc, argv);
-  bench::JsonReport report("transitions", smoke, out_dir);
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::JsonReport report("transitions", smoke);
   print_paper_table(report);
-  if (smoke) return report.write() ? 0 : 1;  // virtual time: the table is exact
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return smoke && !report.write() ? 1 : 0;
 }

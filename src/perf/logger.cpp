@@ -138,7 +138,7 @@ void Logger::detach() {
   urts_ = nullptr;
 
   finalize_open_calls(now);
-  if (config_.sharded) db_.merge_shards();
+  db_.merge_shards();
   persist_latency();
   // A final unconditional sample closes every counter track at detach time
   // (after the merge, so tracedb's merge metrics are included).  The sampler
@@ -148,7 +148,6 @@ void Logger::detach() {
 }
 
 void Logger::flush() {
-  if (!config_.sharded) return;
   {
     std::lock_guard lock(mu_);
     for (const auto& pt : per_threads_) {
@@ -218,7 +217,7 @@ void Logger::finalize_open_calls(Nanoseconds now) {
         aex = pt->aex_count_current_ecall;
         innermost_ecall = false;
       }
-      record_finish(*pt, it->index, now, aex);
+      pt->shard->finish_call(it->index, now, aex);
     }
     pt->stack.clear();
     pt->aex_count_current_ecall = 0;
@@ -243,9 +242,7 @@ Logger::PerThread& Logger::per_thread() {
 
   std::lock_guard lock(mu_);
   auto pt = std::make_unique<PerThread>();
-  if (config_.sharded) {
-    pt->shard = &db_.register_shard(urts_->current_thread_id(), urts_->current_thread_slot());
-  }
+  pt->shard = &db_.register_shard(urts_->current_thread_id(), urts_->current_thread_slot());
   PerThread* raw = pt.get();
   per_threads_.push_back(std::move(pt));
   epochs.emplace(attach_token_, raw);
@@ -255,32 +252,15 @@ Logger::PerThread& Logger::per_thread() {
 }
 
 CallIndex Logger::record_call(PerThread& pt, const CallRecord& rec) {
-  const CallIndex idx = pt.shard != nullptr ? pt.shard->add_call(rec) : db_.add_call(rec);
+  const CallIndex idx = pt.shard->add_call(rec);
   auto& m = logger_metrics();
-  if (pt.shard != nullptr && idx == tracedb::kShardSealed) {
+  if (idx == tracedb::kShardSealed) {
     m.late_drops.add();
   } else {
     m.events.add();
     (rec.type == CallType::kEcall ? m.ecalls : m.ocalls).add();
   }
   return idx;
-}
-
-void Logger::record_finish(PerThread& pt, CallIndex idx, Nanoseconds end_ns,
-                           std::uint32_t aex_count) {
-  if (pt.shard != nullptr) {
-    pt.shard->finish_call(idx, end_ns, aex_count);
-  } else {
-    db_.finish_call(idx, end_ns, aex_count);
-  }
-}
-
-void Logger::record_kind(PerThread& pt, CallIndex idx, OcallKind kind) {
-  if (pt.shard != nullptr) {
-    pt.shard->set_call_kind(idx, kind);
-  } else {
-    db_.set_call_kind(idx, kind);
-  }
 }
 
 void Logger::register_names(const sgxsim::Enclave& enclave) {
@@ -397,7 +377,7 @@ SgxStatus Logger::shadow_sgx_ecall(EnclaveId eid, CallId id, const sgxsim::Ocall
     clock.advance(cost.logger_ecall_post_ns);
     logger_metrics().instr_ns.add(cost.logger_ecall_post_ns);
     const Nanoseconds end_ns = clock.now();
-    record_finish(pt, idx, end_ns, pt.aex_count_current_ecall);
+    pt.shard->finish_call(idx, end_ns, pt.aex_count_current_ecall);
     if (auto* hist = latency_for(pt, eid, CallType::kEcall, id)) {
       hist->record(end_ns - rec.start_ns);
     }
@@ -458,16 +438,12 @@ SgxStatus Logger::on_stub_call(const OcallStubRegistry::StubInfo& info, void* ms
   if (info.is_sync) {
     const auto* s = static_cast<const sgxsim::SyncOcallMs*>(ms);
     const std::size_t offset = info.sync_offset;
-    record_kind(pt, idx, sync_kind(offset));
+    pt.shard->set_call_kind(idx, sync_kind(offset));
     tracedb::SyncRecord sync;
     sync.enclave_id = info.enclave_id;
     sync.timestamp_ns = clock.now();
     auto record_sync = [&](const tracedb::SyncRecord& r) {
-      if (pt.shard != nullptr) {
-        pt.shard->add_sync(r);
-      } else {
-        db_.add_sync(r);
-      }
+      pt.shard->add_sync(r);
       logger_metrics().syncs.add();
       logger_metrics().events.add();
     };
@@ -514,7 +490,7 @@ SgxStatus Logger::on_stub_call(const OcallStubRegistry::StubInfo& info, void* ms
     clock.advance(cost.logger_ocall_post_ns);
     logger_metrics().instr_ns.add(cost.logger_ocall_post_ns);
     const Nanoseconds end_ns = clock.now();
-    record_finish(pt, idx, end_ns, 0);
+    pt.shard->finish_call(idx, end_ns, 0);
     if (auto* hist = latency_for(pt, info.enclave_id, CallType::kOcall, info.ocall_id)) {
       hist->record(end_ns - rec.start_ns);
     }
@@ -581,11 +557,7 @@ void Logger::on_aex(EnclaveId eid, ThreadId tid, Nanoseconds now, sgxsim::AexCau
         break;
       }
     }
-    if (pt.shard != nullptr) {
-      pt.shard->add_aex(rec);
-    } else {
-      db_.add_aex(rec);
-    }
+    pt.shard->add_aex(rec);
     logger_metrics().aexs.add();
     logger_metrics().events.add();
   } else {
@@ -602,12 +574,7 @@ void Logger::on_paging(EnclaveId eid, std::uint64_t page, sgxsim::PageDirection 
   rec.direction = dir == sgxsim::PageDirection::kIn ? tracedb::PageDirection::kPageIn
                                                     : tracedb::PageDirection::kPageOut;
   rec.timestamp_ns = now;
-  PerThread& pt = per_thread();
-  if (pt.shard != nullptr) {
-    pt.shard->add_paging(rec);
-  } else {
-    db_.add_paging(rec);
-  }
+  per_thread().shard->add_paging(rec);
   if (stream_.has_subscribers()) {
     StreamEvent ev;
     ev.kind = StreamEvent::Kind::kPaging;

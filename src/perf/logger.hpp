@@ -11,8 +11,7 @@
 // per-thread buffer (a tracedb::EventShard) with no locking on the hot path;
 // detach() (or flush()) seals the shards and merges them into the globally
 // time-ordered database, so the analyser and the serialized format never see
-// a difference.  Set LoggerConfig::sharded = false to fall back to the old
-// single-mutex path (kept for A/B benchmarking of the contention win).
+// a difference.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +38,6 @@ struct LoggerConfig {
   bool trace_aex = false;
   /// Subscribe to the driver's paging events (kprobe analogue).
   bool trace_paging = true;
-  /// Record into per-thread shards (lock-free hot path, merged at detach).
-  /// false = serialize every record through the database mutex.
-  bool sharded = true;
   /// Virtual-time cadence at which the telemetry registry is sampled into
   /// the trace (MetricSample table, format v3).  0 = sampling off, which
   /// keeps traces byte-identical to pre-telemetry recordings.
@@ -80,7 +76,7 @@ class Logger {
   /// shards for further recording — the mid-session quiescent point tests
   /// and tools use to inspect a trace without detaching.  Throws
   /// std::logic_error if any traced call is still in flight.  All worker
-  /// threads must have quiesced.  No-op in non-sharded mode.
+  /// threads must have quiesced.
   void flush();
 
   [[nodiscard]] bool attached() const noexcept { return urts_ != nullptr; }
@@ -141,7 +137,7 @@ class Logger {
   /// path never reads the database (whose arrays another thread's merge
   /// could be growing) to classify the parent.
   struct StackEntry {
-    tracedb::CallIndex index = tracedb::kNoParent;  // shard-local if sharded
+    tracedb::CallIndex index = tracedb::kNoParent;  // shard-local
     tracedb::CallType type = tracedb::CallType::kEcall;
     /// Stream identity of this in-flight call: (call_id, start_ns) lets a
     /// nested call's completion event name its parent *instance* without
@@ -154,8 +150,7 @@ class Logger {
   using LatencyKey = std::tuple<sgxsim::EnclaveId, tracedb::CallType, sgxsim::CallId>;
 
   /// Per-thread recording state, touched only by its owner thread on the
-  /// hot path.  In sharded mode `shard` points at this thread's EventShard;
-  /// in mutex mode it is null and records go straight to the database.
+  /// hot path; every record goes to `shard`, this thread's EventShard.
   struct PerThread {
     tracedb::EventShard* shard = nullptr;
     std::vector<StackEntry> stack;
@@ -174,11 +169,9 @@ class Logger {
   /// first call and never confuses epochs or logger instances.
   PerThread& per_thread();
 
-  // Record routing: shard in sharded mode, database mutex otherwise.
+  /// Appends a call start to this thread's shard and counts it (or its
+  /// late drop, once the shard is sealed).
   tracedb::CallIndex record_call(PerThread& pt, const tracedb::CallRecord& rec);
-  void record_finish(PerThread& pt, tracedb::CallIndex idx, support::Nanoseconds end_ns,
-                     std::uint32_t aex_count);
-  void record_kind(PerThread& pt, tracedb::CallIndex idx, tracedb::OcallKind kind);
 
   /// Ensures `eid`'s enclave record and call names exist (lazy path for
   /// enclaves created before attach).

@@ -1,15 +1,12 @@
 // Concurrency regression net for the sharded recording path: N real threads
 // hammer ecalls/ocalls through one attached Logger, and the merged database
 // must contain every record exactly once, with per-thread monotonic
-// timestamps, correct cross-references, analyzer verdicts matching the
-// single-threaded baseline, and (for single-threaded workloads) serialized
-// bytes identical to the legacy mutex path.
+// timestamps, correct cross-references and analyzer verdicts matching the
+// single-threaded baseline.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -181,60 +178,6 @@ TEST(LoggerConcurrency, AnalyzerVerdictsMatchSingleThreadedBaseline) {
   };
   EXPECT_TRUE(ocall_short_call_verdict(st));
   EXPECT_EQ(ocall_short_call_verdict(mt), ocall_short_call_verdict(st));
-}
-
-TEST(LoggerConcurrency, MutexModeStillRecordsEverything) {
-  Urts urts;
-  tracedb::TraceDatabase db;
-  perf::LoggerConfig config;
-  config.sharded = false;
-  perf::Logger logger(db, config);
-  logger.attach(urts);
-  const EnclaveId eid = build_enclave(urts);
-  run_workload(urts, eid, kThreads, kCallsPerThread);
-  logger.detach();
-
-  EXPECT_EQ(db.calls().size(), kThreads * kCallsPerThread * 2);
-  EXPECT_EQ(db.shard_count(), 0u);
-}
-
-TEST(LoggerConcurrency, SingleThreadedTraceBytesIdenticalShardedVsMutex) {
-  // The acceptance bar of the refactor: for a single-threaded workload the
-  // serialized trace must be bit-identical between the sharded path and the
-  // legacy mutex path.
-  auto record = [](bool sharded, const std::string& path) {
-    Urts urts;
-    tracedb::TraceDatabase db;
-    perf::LoggerConfig config;
-    config.sharded = sharded;
-    perf::Logger logger(db, config);
-    logger.attach(urts);
-    const EnclaveId eid = build_enclave(urts);
-    run_workload(urts, eid, 1, kCallsPerThread);
-    logger.detach();
-    db.save(path);
-  };
-  const std::string sharded_path = testing::TempDir() + "/st_sharded.bin";
-  const std::string mutex_path = testing::TempDir() + "/st_mutex.bin";
-  record(true, sharded_path);
-  record(false, mutex_path);
-
-  auto slurp = [](const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::string out;
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-    std::fclose(f);
-    return out;
-  };
-  const std::string a = slurp(sharded_path);
-  const std::string b = slurp(mutex_path);
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  std::remove(sharded_path.c_str());
-  std::remove(mutex_path.c_str());
 }
 
 }  // namespace

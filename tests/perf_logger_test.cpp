@@ -323,32 +323,6 @@ TEST_F(LoggerTest, DetachWithCallsInFlightFinalizesOpenRecords) {
   logger_->attach(urts_);  // re-attach for TearDown symmetry
 }
 
-TEST_F(LoggerTest, DetachWithCallsInFlightFinalizesMutexModeToo) {
-  logger_->detach();
-  perf::LoggerConfig config;
-  config.sharded = false;
-  logger_ = std::make_unique<perf::Logger>(db_, config);
-  logger_->attach(urts_);
-
-  Enclave& e = urts_.enclave(eid_);
-  e.register_ecall("ecall_with_ocall", [&](TrustedContext& ctx, void*) {
-    FnMs ms;
-    ms.fn = [&] {
-      logger_->detach();
-      return SgxStatus::kSuccess;
-    };
-    return ctx.ocall(1, &ms);
-  });
-  EXPECT_EQ(urts_.sgx_ecall(eid_, 1, &table_, nullptr), SgxStatus::kSuccess);
-
-  ASSERT_EQ(db_.calls().size(), 2u);
-  for (const auto& c : db_.calls()) {
-    EXPECT_GT(c.end_ns, 0u);
-    EXPECT_GE(c.end_ns, c.start_ns);
-  }
-  logger_->attach(urts_);
-}
-
 TEST_F(LoggerTest, FlushWithCallsInFlightThrows) {
   Enclave& e = urts_.enclave(eid_);
   e.register_ecall("ecall_with_ocall", [&](TrustedContext& ctx, void*) {
