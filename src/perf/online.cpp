@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 #include <utility>
 
 namespace perf {
@@ -42,6 +43,15 @@ const char* to_string(AlertKind k) noexcept {
 }
 
 OnlineAnalyzer::OnlineAnalyzer(OnlineConfig config) : config_(std::move(config)) {
+  set_order_model(std::move(config_.order));
+}
+
+void OnlineAnalyzer::set_order_model(OrderModel model) {
+  if (events_seen_ != 0) {
+    throw std::logic_error("OnlineAnalyzer: order model set after the first event");
+  }
+  config_.order = std::move(model);
+  order_checker_.reset();
   if (!config_.order.empty()) {
     order_checker_.emplace(config_.order,
                            [this](const OrderViolation& v) { on_order_violation(v); });

@@ -103,6 +103,10 @@ class OnlineAnalyzer {
   void set_externals(ExternalsFn fn) { externals_ = std::move(fn); }
   void set_alert_sink(AlertSink sink) { sink_ = std::move(sink); }
   void set_window_sink(WindowSink sink) { window_sink_ = std::move(sink); }
+  /// Replaces the orderliness model (empty disables the checker).  Only
+  /// before the first feed(), so the checker sees every lifecycle event;
+  /// throws std::logic_error afterwards.
+  void set_order_model(OrderModel model);
 
   /// Feeds one stream event.  Cheap-predicate detectors (Eq. 1–3, SSC,
   /// paging) re-evaluate the affected site immediately; percentile-based

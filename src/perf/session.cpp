@@ -117,14 +117,20 @@ std::size_t MonitorSession::poll() {
   return total;
 }
 
-std::uint64_t MonitorSession::pump(const std::atomic<bool>& done, std::size_t interval_ms) {
+std::uint64_t MonitorSession::pump(const std::atomic<bool>& done, std::size_t interval_ms,
+                                   const std::function<void()>& idle) {
   std::uint64_t total = 0;
   for (;;) {
     const std::size_t n = poll();
     total += n;
     if (n > 0) continue;  // keep draining while events are flowing
     if (done.load(std::memory_order_acquire)) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
+    if (interval_ms == 0) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
+    }
+    if (idle) idle();
   }
   total += poll();  // everything published before `done` flipped is in the ring
   return total;

@@ -14,7 +14,7 @@
 //   ... workload runs; session.poll() from a monitoring thread ...
 //   logger.detach();
 //   session.finish();                               // seals + resolves
-//   session.persist();                              // v5 windows/alerts
+//   session.persist();                              // windows + alerts
 //
 // Sinks observe the same typed transitions the daemon emits: every alert
 // raise/resolve the moment the predicate flips, every closed window with
@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -182,10 +183,17 @@ class MonitorSession {
   /// number of events consumed.  Call repeatedly from one thread.
   std::size_t poll();
 
-  /// The monitor daemon's consumer loop: drain continuously until `done`
-  /// turns true, sleeping `interval_ms` between empty polls, then drain the
-  /// tail.  Returns total events consumed.
-  std::uint64_t pump(const std::atomic<bool>& done, std::size_t interval_ms = 10);
+  /// Installs the orderliness model (empty disables the checker) after the
+  /// session subscribed and before the first poll() — for embedders whose
+  /// model names enclaves created after subscribing, like the stress soak.
+  /// Throws std::logic_error once an event has been fed.
+  void set_order_model(OrderModel model) { online_.set_order_model(std::move(model)); }
+
+  /// The consumer loop: drain continuously until `done` turns true, waiting
+  /// `interval_ms` between empty polls (0 = yield) and running `idle` after
+  /// each wait, then drain the tail.  Returns total events consumed.
+  std::uint64_t pump(const std::atomic<bool>& done, std::size_t interval_ms = 10,
+                     const std::function<void()>& idle = {});
 
   /// Seals the session: drains the tail of the stream, closes the
   /// subscription, finishes the analyser (resolving stale alerts) and emits
@@ -194,8 +202,8 @@ class MonitorSession {
   /// to the last streamed event otherwise.  Idempotent.
   void finish();
 
-  /// Persists the window/alert tables into the logger's database (the v5
-  /// payload).  Call after finish().
+  /// Persists the window/alert tables (and the order rules, when a model
+  /// is set) into the logger's database.  Call after finish().
   void persist();
 
   [[nodiscard]] SessionStats stats() const;

@@ -1,12 +1,11 @@
 #include "stress/harness.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <thread>
 
 #include "perf/logger.hpp"
-#include "perf/online.hpp"
+#include "perf/session.hpp"
 
 namespace stress {
 
@@ -14,16 +13,22 @@ SoakResult run_soak(Stressor& stressor, sgxsim::Urts& urts,
                     tracedb::TraceDatabase& db, const SoakConfig& config) {
   perf::Logger logger(db);
   logger.attach(urts);
-  auto sub = logger.subscribe("stress-soak", config.subscription_capacity);
-  if (sub == nullptr) {
+  perf::MonitorSessionConfig session_config;
+  session_config.subscription_name = "stress-soak";
+  session_config.subscription_capacity = config.subscription_capacity;
+  session_config.online.analyzer = config.analyzer;
+  if (config.window_ns > 0) session_config.online.window_ns = config.window_ns;
+  perf::MonitorSession session(logger, session_config);
+  if (!session.ok()) {
     throw std::runtime_error("stress: no free stream subscriber slot");
   }
 
   // The stressor's orderliness model is keyed by enclave ids that only exist
   // after prepare(), but prepare() must stay on the workload thread (thread
   // registration order pins the merged trace).  Handshake: the workload
-  // thread prepares and parks; this thread reads the model, builds the
-  // online analyser, and releases the workers.
+  // thread prepares and parks; this thread hands the model to the session,
+  // which subscribed first so the lifecycle events are queued, and releases
+  // the workers.
   SoakResult out;
   std::atomic<int> stage{0};  // 0 = preparing, 1 = prepared, 2 = released
   std::atomic<bool> workload_done{false};
@@ -35,66 +40,28 @@ SoakResult run_soak(Stressor& stressor, sgxsim::Urts& urts,
     workload_done.store(true, std::memory_order_release);
   });
   while (stage.load(std::memory_order_acquire) < 1) std::this_thread::yield();
-
-  perf::OnlineConfig online_config;
-  online_config.analyzer = config.analyzer;
-  online_config.order = config.order ? *config.order : stressor.order_model();
-  if (config.window_ns > 0) online_config.window_ns = config.window_ns;
-  perf::OnlineAnalyzer online(online_config);
-  online.set_externals([&logger] {
-    perf::WindowExternals ext;
-    ext.stream_dropped = logger.stream_dropped();
-    return ext;
-  });
-  std::uint64_t raised = 0;
-  std::uint64_t resolved = 0;
-  online.set_alert_sink([&raised, &resolved](const tracedb::AlertRecord&, bool was_resolved) {
-    (was_resolved ? resolved : raised) += 1;
-  });
-
+  session.set_order_model(config.order ? *config.order : stressor.order_model());
   stage.store(2, std::memory_order_release);
 
-  // Consumer loop (this thread): drain the subscription into the online
-  // analyser while the workload runs, then once more after it finishes so
-  // no tail of the stream is lost.
-  std::vector<perf::StreamEvent> batch;
-  batch.reserve(4096);
-  for (;;) {
-    batch.clear();
-    if (sub->poll(batch) > 0) {
-      online.feed(batch);
-      continue;
-    }
-    if (workload_done.load(std::memory_order_acquire)) break;
-    std::this_thread::yield();
-  }
+  session.pump(workload_done, /*interval_ms=*/0);
   workload.join();
-  for (;;) {
-    batch.clear();
-    if (sub->poll(batch) == 0) break;
-    online.feed(batch);
-  }
-  sub->close();
   logger.detach();
+  session.finish();
+  session.persist();
 
-  std::uint64_t end_ns = 0;
-  for (const auto& c : db.calls()) end_ns = std::max(end_ns, c.end_ns);
-  for (const auto& a : db.aexs()) end_ns = std::max(end_ns, a.timestamp_ns);
-  for (const auto& p : db.paging()) end_ns = std::max(end_ns, p.timestamp_ns);
-  online.finish(end_ns);
-  online.persist(db);
-
-  out.events = online.events_seen();
+  const perf::SessionStats stats = session.stats();
+  const perf::OnlineAnalyzer& online = session.analyzer();
+  out.events = stats.events;
   out.windows = online.windows().size();
-  out.alerts_raised = raised;
-  out.alerts_resolved = resolved;
+  out.alerts_raised = stats.alerts_raised;
+  out.alerts_resolved = stats.alerts_resolved;
   out.active_alerts = online.active_alerts();
   for (const auto& alert : out.active_alerts) {
     if (alert.kind != tracedb::AlertKind::kLatencyShift) out.triggered.insert(alert.kind);
   }
-  out.stream_dropped = sub->dropped();
-  out.sealed_dropped = db.merge_stats().dropped;
-  out.pending_evicted = online.pending_evicted();
+  out.stream_dropped = stats.stream_dropped;
+  out.sealed_dropped = stats.sealed_dropped;
+  out.pending_evicted = stats.pending_evicted;
 
   const auto& spec = stressor.spec();
   for (const auto kind : spec.must_trigger) {

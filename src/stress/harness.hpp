@@ -1,8 +1,8 @@
 // SoakHarness: runs a stressor under the full live-observability stack —
-// Logger attached, a stream subscription feeding an OnlineAnalyzer on a
-// dedicated consumer thread (the `sgxperf monitor` architecture) — and
-// seals the run into a normal v5 trace.  This is how the stress suite
-// doubles as a labeled corpus: the SoakResult carries both the raw run
+// Logger attached, the workload on its own thread and a perf::MonitorSession
+// (the `sgxperf monitor` consumer loop) draining the stream — and seals the
+// run into a normal trace with windows and alerts.  This is how the stress
+// suite doubles as a labeled corpus: the SoakResult carries both the raw run
 // stats and the verdict of the triggered alert kinds against the
 // stressor's ground-truth label set.
 #pragma once
@@ -56,10 +56,11 @@ struct SoakResult {
   }
 };
 
-/// Runs `stressor` with the logger attached and a live subscription feeding
-/// an online analyser on a separate consumer thread, then seals the run:
-/// finish() at the last recorded timestamp and persist() the windows/alerts
-/// into `db`, which afterwards holds a complete v5 trace of the stress run.
+/// Runs `stressor` with the logger attached and a MonitorSession pumping
+/// the stream on the calling thread while the workload runs on another, then
+/// seals the run: finish() at the last recorded timestamp and persist() the
+/// windows/alerts into `db`, which afterwards holds a complete trace of the
+/// stress run.
 SoakResult run_soak(Stressor& stressor, sgxsim::Urts& urts,
                     tracedb::TraceDatabase& db, const SoakConfig& config);
 

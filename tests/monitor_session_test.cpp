@@ -11,6 +11,8 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -197,6 +199,58 @@ TEST(MonitorSession, PumpDrainsAConcurrentWorkload) {
   // finish() may drain a tail beyond what pump() saw, never less.
   EXPECT_GE(session.stats().events, pumped);
   EXPECT_EQ(session.stats().stream_dropped, 0u);
+}
+
+TEST(MonitorSession, OrderModelInstalledAfterSubscribingChecksTheRun) {
+  // The stress soak's shape: subscribe first so the lifecycle events are
+  // queued, create the enclaves the model names, then install the model.
+  const auto stressor = stress::make_stressor("order");
+  ASSERT_NE(stressor, nullptr);
+  sgxsim::Urts urts(sgxsim::CostModel::preset(sgxsim::PatchLevel::kUnpatched));
+  tracedb::TraceDatabase db;
+  perf::Logger logger(db);
+  logger.attach(urts);
+  perf::MonitorSessionConfig config;
+  config.subscription_capacity = 1 << 18;
+  perf::MonitorSession session(logger, config);
+  ASSERT_TRUE(session.ok());
+
+  stress::StressConfig scfg;
+  scfg.threads = 2;
+  scfg.duration_ns = 20'000'000;
+  scfg.seed = 7;
+  scfg.lockstep = true;
+  stressor->prepare(urts, scfg);
+  session.set_order_model(stressor->order_model());
+  stress::run_stressor(*stressor, urts, scfg, /*already_prepared=*/true);
+  ASSERT_GT(session.poll(), 0u);
+  EXPECT_THROW(session.set_order_model({}), std::logic_error);
+  logger.detach();
+  session.finish();
+
+  std::set<tracedb::AlertKind> active;
+  for (const auto& a : session.analyzer().active_alerts()) active.insert(a.kind);
+  for (const auto kind : stressor->spec().must_trigger) {
+    EXPECT_EQ(active.count(kind), 1u) << perf::to_string(kind);
+  }
+}
+
+TEST(MonitorSession, PumpWithZeroIntervalRunsIdleOnTheCallingThread) {
+  tracedb::TraceDatabase db;
+  perf::Logger logger(db);
+  perf::MonitorSession session(logger);
+  ASSERT_TRUE(session.ok());
+  std::atomic<bool> done{false};
+  int idle_calls = 0;
+  const auto caller = std::this_thread::get_id();
+  EXPECT_EQ(session.pump(done, 0,
+                         [&] {
+                           ++idle_calls;
+                           EXPECT_EQ(std::this_thread::get_id(), caller);
+                           done.store(true, std::memory_order_release);
+                         }),
+            0u);
+  EXPECT_EQ(idle_calls, 1);
 }
 
 TEST(MonitorSession, AlertJsonCarriesSchemaVersionFirst) {

@@ -37,7 +37,7 @@
 // `monitor` is `top`'s daemon sibling: instead of rendering frames it feeds
 // the stream into the online analyser (perf/online.hpp), emits every alert
 // transition as a JSON line on stderr the moment the predicate flips, and
-// persists the windowed time-series + alert history as a v5 trace.  On a
+// persists the windowed time-series + alert history into the trace.  On a
 // quiesced run its end-of-run verdicts equal `sgxperf report`'s findings.
 //
 // `serve` is the fleet half: a daemon that ingests binary alert/window
@@ -55,16 +55,22 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "fleet/corpus.hpp"
@@ -117,7 +123,7 @@ struct Options {
   std::size_t interval_ms = 100;       // top/monitor: wall-clock poll interval
   support::Nanoseconds window_ns = 0;  // top/monitor: aggregation window (0 = default)
   std::string alert_log_path;          // monitor: duplicate alert JSON-lines here
-  std::string out_path;                // monitor/stress: save the v5 trace here
+  std::string out_path;                // monitor/stress: save the trace here
   // stress flags
   std::string stressor;                        // cpu | vm | sync | ocall-storm | mixed
   support::Nanoseconds duration_ns = 200'000'000;  // virtual-time budget
@@ -138,7 +144,7 @@ struct Options {
   std::string socket_path;                 // serve: ingest socket path
   std::string query_socket_path;           // serve: query socket; fleet: daemon to ask
   std::size_t retention = 256;             // serve/fleet: fleet windows retained
-  std::string checkpoint_path;             // serve: periodic v5 checkpoint trace
+  std::string checkpoint_path;             // serve: periodic checkpoint trace
   std::uint64_t checkpoint_every = 0;      // serve: checkpoint every N merged windows
   std::uint64_t idle_exit_ms = 0;          // serve: exit after idle (0 = run forever)
   std::string fleet_socket;                // monitor: stream wire frames to this ingest socket
@@ -184,7 +190,7 @@ void usage() {
       "  monitor  online anti-pattern detection over a running workload:\n"
       "           monitor [--workload demo|kv|db] [--threads N] [--calls N]\n"
       "           [--window NS] [--interval N] [--alert-log FILE] [--out trace.bin] [--json]\n"
-      "           alerts stream to stderr as JSON lines; --out saves the v5 trace\n"
+      "           alerts stream to stderr as JSON lines; --out saves the trace\n"
       "  stress   run a labeled stressor through the logger + online analyser:\n"
       "           stress --stressor cpu|vm|sync|ocall-storm|mixed [--threads N]\n"
       "           [--duration NS] [--intensity N] [--seed N] [--epc-mb N]\n"
@@ -247,7 +253,7 @@ void usage() {
       "  --socket PATH     (serve) ingest UNIX socket producers connect to\n"
       "  --query-socket P  (serve, fleet) query UNIX socket\n"
       "  --retention N     (serve, fleet --corpus) fleet windows retained (default 256)\n"
-      "  --checkpoint FILE (serve) persist the fleet series as a v5 trace\n"
+      "  --checkpoint FILE (serve) persist the fleet series as a trace\n"
       "  --checkpoint-every N  (serve) checkpoint every N merged windows (0 = at exit)\n"
       "  --idle-exit-ms N  (serve) exit after N ms with no connection (0 = run forever)\n"
       "  --prom            (metrics) Prometheus text exposition format on stdout\n"
@@ -280,6 +286,40 @@ void usage() {
       "  --replay-threads N     (whatif) scenario replay parallelism (0 = auto)\n"
       "  --whatif          (compare) diff the trace against a replayed scenario\n",
       stderr);
+}
+
+/// Runs `fn`; when it throws, prints "error: <what>" and returns false.
+template <typename Fn>
+bool reported(Fn&& fn) {
+  try {
+    fn();
+    return true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return false;
+  }
+}
+
+/// Saves `db` to `path` unless `path` is empty; false after printing the error.
+bool save_to(const tracedb::TraceDatabase& db, const std::string& path) {
+  return path.empty() || reported([&] { tracedb::save_trace(db, path); });
+}
+
+/// Parses a non-negative number that fits `T`: no sign, no trailing
+/// characters, no overflow; whole for integer `T`, finite for floating `T`.
+template <typename T>
+std::optional<T> parse_number(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  if constexpr (std::is_signed_v<T>) {
+    if (value < 0) return std::nullopt;
+  }
+  return value;
 }
 
 bool parse_args(int argc, char** argv, Options& opts) {
@@ -326,6 +366,85 @@ bool parse_args(int argc, char** argv, Options& opts) {
       }
     }
   }
+  // Flag tables.  A numeric flag takes only a non-negative number that
+  // fits its field (parse_number); anything else exits 2.
+  const std::map<std::string_view, std::string*> strings = {
+      {"--edl", &opts.edl_path},
+      {"--call", &opts.call_name},
+      {"--chrome", &opts.chrome_path},
+      {"--switchless", &opts.switchless_site},
+      {"--eliminate", &opts.eliminate_site},
+      {"--merge", &opts.merge_site},
+      {"--workers", &opts.workers_range},
+      {"--cost-profile", &opts.cost_profile},
+      {"--recorded-profile", &opts.recorded_profile},
+      {"--workload", &opts.workload},
+      {"--alert-log", &opts.alert_log_path},
+      {"--out", &opts.out_path},
+      {"--stressor", &opts.stressor},
+      {"--socket", &opts.socket_path},
+      {"--query-socket", &opts.query_socket_path},
+      {"--checkpoint", &opts.checkpoint_path},
+      {"--fleet", &opts.fleet_socket},
+      {"--fleet-host", &opts.fleet_host},
+      {"--by", &opts.rank_by},
+      {"--prom-out", &opts.prom_out_path},
+      {"--model", &opts.model_path},
+      {"--order-model", &opts.model_path},
+      {"--embed", &opts.embed_path},
+  };
+  const std::map<std::string_view, bool*> switches = {
+      {"--json", &opts.json},
+      {"--tree", &opts.tree},
+      {"--whatif", &opts.whatif},
+      {"--all-recommendations", &opts.all_recommendations},
+      {"--corpus", &opts.corpus},
+      {"--prom", &opts.prom},
+  };
+  using NumberSetter = std::function<void(const std::string& flag, const char* text)>;
+  const auto into = [](auto& field) -> NumberSetter {
+    return [&field](const std::string& flag, const char* text) {
+      const auto value = parse_number<std::remove_reference_t<decltype(field)>>(text);
+      if (!value) {
+        std::fprintf(stderr, "error: bad value '%s' for %s (want a non-negative number)\n",
+                     text, flag.c_str());
+        std::exit(2);
+      }
+      field = *value;
+    };
+  };
+  auto& cfg = opts.config;
+  const std::map<std::string_view, NumberSetter> numbers = {
+      {"--enclave", into(opts.enclave_id)},
+      {"--bins", into(opts.bins)},
+      {"--threads", into(opts.threads)},
+      {"--calls", into(opts.calls)},
+      {"--eq1-alpha", into(cfg.eq1_alpha)},
+      {"--eq1-beta", into(cfg.eq1_beta)},
+      {"--eq1-gamma", into(cfg.eq1_gamma)},
+      {"--eq2-gamma", into(cfg.eq2_gamma)},
+      {"--eq3-epsilon", into(cfg.eq3_epsilon)},
+      {"--eq3-lambda", into(cfg.eq3_lambda)},
+      {"--transition-ns", into(cfg.ecall_transition_ns)},
+      {"--sample-ns", into(opts.sample_ns)},
+      {"--epc-mb", into(opts.epc_mb)},
+      {"--replay-threads", into(opts.replay_threads)},
+      {"--frames", into(opts.frames)},
+      {"--interval", into(opts.interval_ms)},
+      {"--interval-ms", into(opts.interval_ms)},
+      {"--window", into(opts.window_ns)},
+      {"--duration", into(opts.duration_ns)},
+      {"--intensity", into(opts.intensity)},
+      {"--seed", into(opts.seed)},
+      {"--retention", into(opts.retention)},
+      {"--checkpoint-every", into(opts.checkpoint_every)},
+      {"--idle-exit-ms", into(opts.idle_exit_ms)},
+      {"--idle-exit", into(opts.idle_exit_ms)},
+      {"--n", into(opts.top_n)},
+      {"--max-loss", into(opts.max_loss)},
+      {"--self-stat-ms", into(opts.self_stat_ms)},
+  };
+
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -335,114 +454,12 @@ bool parse_args(int argc, char** argv, Options& opts) {
       }
       return argv[++i];
     };
-    if (arg == "--edl") {
-      opts.edl_path = next();
-    } else if (arg == "--enclave") {
-      opts.enclave_id = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--call") {
-      opts.call_name = next();
-    } else if (arg == "--bins") {
-      opts.bins = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--threads") {
-      opts.threads = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--calls") {
-      opts.calls = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--eq1-alpha") {
-      opts.config.eq1_alpha = std::strtod(next(), nullptr);
-    } else if (arg == "--eq1-beta") {
-      opts.config.eq1_beta = std::strtod(next(), nullptr);
-    } else if (arg == "--eq1-gamma") {
-      opts.config.eq1_gamma = std::strtod(next(), nullptr);
-    } else if (arg == "--eq2-gamma") {
-      opts.config.eq2_gamma = std::strtod(next(), nullptr);
-    } else if (arg == "--eq3-epsilon") {
-      opts.config.eq3_epsilon = std::strtod(next(), nullptr);
-    } else if (arg == "--eq3-lambda") {
-      opts.config.eq3_lambda = std::strtod(next(), nullptr);
-    } else if (arg == "--transition-ns") {
-      opts.config.ecall_transition_ns = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--chrome") {
-      opts.chrome_path = next();
-    } else if (arg == "--sample-ns") {
-      opts.sample_ns = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--json") {
-      opts.json = true;
-    } else if (arg == "--tree") {
-      opts.tree = true;
-    } else if (arg == "--switchless") {
-      opts.switchless_site = next();
-    } else if (arg == "--eliminate") {
-      opts.eliminate_site = next();
-    } else if (arg == "--merge") {
-      opts.merge_site = next();
-    } else if (arg == "--workers") {
-      opts.workers_range = next();
-    } else if (arg == "--cost-profile") {
-      opts.cost_profile = next();
-    } else if (arg == "--recorded-profile") {
-      opts.recorded_profile = next();
-    } else if (arg == "--epc-mb") {
-      opts.epc_mb = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--replay-threads") {
-      opts.replay_threads = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--all-recommendations") {
-      opts.all_recommendations = true;
-    } else if (arg == "--whatif") {
-      opts.whatif = true;
-    } else if (arg == "--workload") {
-      opts.workload = next();
-    } else if (arg == "--frames") {
-      opts.frames = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--interval" || arg == "--interval-ms") {
-      opts.interval_ms = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--window") {
-      opts.window_ns = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--alert-log") {
-      opts.alert_log_path = next();
-    } else if (arg == "--out") {
-      opts.out_path = next();
-    } else if (arg == "--stressor") {
-      opts.stressor = next();
-    } else if (arg == "--duration") {
-      opts.duration_ns = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--intensity") {
-      opts.intensity = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--seed") {
-      opts.seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--socket") {
-      opts.socket_path = next();
-    } else if (arg == "--query-socket") {
-      opts.query_socket_path = next();
-    } else if (arg == "--retention") {
-      opts.retention = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--checkpoint") {
-      opts.checkpoint_path = next();
-    } else if (arg == "--checkpoint-every") {
-      opts.checkpoint_every = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--idle-exit-ms" || arg == "--idle-exit") {
-      opts.idle_exit_ms = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--fleet") {
-      opts.fleet_socket = next();
-    } else if (arg == "--fleet-host") {
-      opts.fleet_host = next();
-    } else if (arg == "--by") {
-      opts.rank_by = next();
-    } else if (arg == "--n") {
-      opts.top_n = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--corpus") {
-      opts.corpus = true;
-    } else if (arg == "--prom") {
-      opts.prom = true;
-    } else if (arg == "--max-loss") {
-      opts.max_loss = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--prom-out") {
-      opts.prom_out_path = next();
-    } else if (arg == "--self-stat-ms") {
-      opts.self_stat_ms = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--model" || arg == "--order-model") {
-      opts.model_path = next();
-    } else if (arg == "--embed") {
-      opts.embed_path = next();
+    if (const auto s = strings.find(arg); s != strings.end()) {
+      *s->second = next();
+    } else if (const auto b = switches.find(arg); b != switches.end()) {
+      *b->second = true;
+    } else if (const auto n = numbers.find(arg); n != numbers.end()) {
+      n->second(arg, next());
     } else if (!arg.empty() && arg[0] != '-' && opts.command == "fleet") {
       opts.fleet_args.push_back(arg);  // fleet series <host> <enclave> <site>
     } else if (!arg.empty() && arg[0] != '-' && opts.command == "store") {
@@ -517,12 +534,7 @@ int run_record(const Options& opts) {
   logger.detach();  // seals + merges the per-thread shards
 
   const auto stats = db.merge_stats();
-  try {
-    tracedb::save_trace(db, opts.trace_path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  if (!save_to(db, opts.trace_path)) return 1;
   if (opts.json) {
     support::json::Writer w;
     w.begin_object();
@@ -589,6 +601,33 @@ void run_named_workload(sgxsim::Urts& urts, const Options& opts) {
   }
 }
 
+/// Session settings shared by `monitor` and `doctor --workload`.
+perf::MonitorSessionConfig live_session_config(const Options& opts, std::string name) {
+  perf::MonitorSessionConfig scfg;
+  scfg.identity = {opts.fleet_host, opts.workload};
+  scfg.subscription_name = std::move(name);
+  scfg.online.analyzer = opts.config;
+  if (opts.window_ns > 0) scfg.online.window_ns = opts.window_ns;
+  return scfg;
+}
+
+/// The live half of `monitor` and `doctor --workload`: the selected workload
+/// runs on a worker thread while `session` pumps the stream on this one
+/// (`idle` runs here after each empty-poll wait), then the run is sealed —
+/// the logger detaches (shards merged) and the session finishes.
+void run_live(sgxsim::Urts& urts, perf::Logger& logger, perf::MonitorSession& session,
+              const Options& opts, const std::function<void()>& idle = {}) {
+  std::atomic<bool> done{false};
+  std::thread worker([&] {
+    run_named_workload(urts, opts);
+    done.store(true, std::memory_order_release);
+  });
+  session.pump(done, opts.interval_ms, idle);
+  worker.join();
+  logger.detach();   // workload quiesced: seals and merges the shards
+  session.finish();  // resolves stale alerts, emits stats/bye to the sinks
+}
+
 /// `sgxperf top`: attach the logger to a live workload, subscribe to the
 /// event stream and repaint aggregate statistics while it runs.  The logger
 /// is never detached between frames — everything shown comes through the
@@ -651,7 +690,7 @@ int run_top(const Options& opts) {
 /// daemon when --fleet names an ingest socket, a status line with the loss
 /// counters goes to stderr about once a second, and finish() seals the run —
 /// stale alerts resolve, the window time-series and alert history persist
-/// into the trace (v5), and a summary goes to stdout.
+/// into the trace, and a summary goes to stdout.
 int run_monitor(const Options& opts) {
   if (opts.threads == 0 || opts.calls == 0) {
     std::fputs("error: --threads and --calls must be > 0\n", stderr);
@@ -666,18 +705,9 @@ int run_monitor(const Options& opts) {
 
   // Subscribe before the workload starts so no event predates the ring, and
   // size the ring generously: a dropped event would skew the online state.
-  perf::MonitorSessionConfig scfg;
-  scfg.identity = {opts.fleet_host, opts.workload};
-  scfg.subscription_name = "monitor";
-  scfg.online.analyzer = opts.config;
-  if (opts.window_ns > 0) scfg.online.window_ns = opts.window_ns;
+  perf::MonitorSessionConfig scfg = live_session_config(opts, "monitor");
   if (!opts.model_path.empty()) {
-    try {
-      scfg.online.order = perf::load_model_spec(opts.model_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
+    if (!reported([&] { scfg.online.order = perf::load_model_spec(opts.model_path); })) return 2;
   }
   perf::MonitorSession session(logger, urts, scfg);
   if (!session.ok()) {
@@ -729,50 +759,29 @@ int run_monitor(const Options& opts) {
     session.add_sink(fleet_sink);
   }
 
-  std::atomic<bool> done{false};
-  std::thread worker([&] {
-    run_named_workload(urts, opts);
-    done.store(true, std::memory_order_release);
-  });
-
-  // The session's pump loop, with a periodic status line: the per-subscriber
-  // stream-drop / sealed-shard-drop counters were invisible mid-run before.
+  // A status line about once a second while the workload runs: the loss
+  // counters of the subscription and the sealed shards, mid-run.
   using Clock = std::chrono::steady_clock;
   auto next_status = Clock::now() + std::chrono::seconds(1);
-  for (;;) {
-    if (session.poll() > 0) continue;  // keep draining while events are flowing
-    if (done.load(std::memory_order_acquire)) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(opts.interval_ms));
-    if (Clock::now() >= next_status) {
-      const auto st = session.stats();
-      std::fprintf(stderr,
-                   "monitor: %llu events, alerts %llu/%llu, stream_dropped=%llu "
-                   "sealed_dropped=%llu pending_evicted=%llu\n",
-                   static_cast<unsigned long long>(st.events),
-                   static_cast<unsigned long long>(st.alerts_raised),
-                   static_cast<unsigned long long>(st.alerts_resolved),
-                   static_cast<unsigned long long>(st.stream_dropped),
-                   static_cast<unsigned long long>(st.sealed_dropped),
-                   static_cast<unsigned long long>(st.pending_evicted));
-      next_status = Clock::now() + std::chrono::seconds(1);
-    }
-  }
-  worker.join();
-  session.poll();   // everything published before `done` flipped is in the ring
-  logger.detach();  // workload quiesced: seals and merges the shards
-  session.finish(); // resolves stale alerts, emits stats/bye to the sinks
+  run_live(urts, logger, session, opts, [&] {
+    if (Clock::now() < next_status) return;
+    const auto st = session.stats();
+    std::fprintf(stderr,
+                 "monitor: %llu events, alerts %llu/%llu, stream_dropped=%llu "
+                 "sealed_dropped=%llu pending_evicted=%llu\n",
+                 static_cast<unsigned long long>(st.events),
+                 static_cast<unsigned long long>(st.alerts_raised),
+                 static_cast<unsigned long long>(st.alerts_resolved),
+                 static_cast<unsigned long long>(st.stream_dropped),
+                 static_cast<unsigned long long>(st.sealed_dropped),
+                 static_cast<unsigned long long>(st.pending_evicted));
+    next_status = Clock::now() + std::chrono::seconds(1);
+  });
   session.persist();
   if (alert_log != nullptr) std::fclose(alert_log);
   if (fleet_fd >= 0) ::close(fleet_fd);
 
-  if (!opts.out_path.empty()) {
-    try {
-      tracedb::save_trace(db, opts.out_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
+  if (!save_to(db, opts.out_path)) return 1;
 
   const auto& online = session.analyzer();
   const auto stats = session.stats();
@@ -918,28 +927,15 @@ int run_fleet(const Options& opts) {
   std::string response;
   if (opts.corpus) {
     fleet::Aggregator agg({opts.retention});
-    try {
-      fleet::run_corpus(agg, fleet::default_corpus());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
+    if (!reported([&] { fleet::run_corpus(agg, fleet::default_corpus()); })) return 1;
     response = agg.query(request);
     if (!opts.out_path.empty()) {
       tracedb::TraceDatabase db;
       agg.checkpoint(db);
-      try {
-        tracedb::save_trace(db, opts.out_path);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-      }
+      if (!save_to(db, opts.out_path)) return 1;
     }
   } else if (!opts.query_socket_path.empty()) {
-    try {
-      response = fleet::query_server(opts.query_socket_path, request);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
+    if (!reported([&] { response = fleet::query_server(opts.query_socket_path, request); })) {
       return 1;
     }
   } else {
@@ -962,7 +958,7 @@ void kinds_array(support::json::Writer& w, std::string_view key,
 
 /// `sgxperf stress`: run one labeled stressor through the logger + online
 /// analyser soak harness (src/stress/harness.hpp), report deterministic
-/// bogo-ops and the label verdict, and optionally save the v5 trace.  The
+/// bogo-ops and the label verdict, and optionally save the trace.  The
 /// exit status reflects the verdict, so a stress run doubles as a detector
 /// precision/recall check.
 int run_stress(const Options& opts) {
@@ -1003,30 +999,13 @@ int run_stress(const Options& opts) {
   scfg.analyzer = opts.config;
   if (opts.window_ns > 0) scfg.window_ns = opts.window_ns;
   if (!opts.model_path.empty()) {
-    try {
-      scfg.order = perf::load_model_spec(opts.model_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
+    if (!reported([&] { scfg.order = perf::load_model_spec(opts.model_path); })) return 2;
   }
 
   stress::SoakResult result;
-  try {
-    result = stress::run_soak(*stressor, urts, db, scfg);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
+  if (!reported([&] { result = stress::run_soak(*stressor, urts, db, scfg); })) return 1;
 
-  if (!opts.out_path.empty()) {
-    try {
-      tracedb::save_trace(db, opts.out_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-  }
+  if (!save_to(db, opts.out_path)) return 1;
 
   const auto& spec = stressor->spec();
   if (opts.json) {
@@ -1114,8 +1093,11 @@ int run_order(const Options& opts, const tracedb::TraceDatabase& db) {
         std::fprintf(stderr, "error: cannot write %s\n", opts.out_path.c_str());
         return 1;
       }
-      std::fwrite(spec.data(), 1, spec.size(), f);
-      std::fclose(f);
+      const std::size_t written = std::fwrite(spec.data(), 1, spec.size(), f);
+      if (std::fclose(f) != 0 || written != spec.size()) {
+        std::fprintf(stderr, "error: short write to %s\n", opts.out_path.c_str());
+        return 1;
+      }
     }
     if (!opts.embed_path.empty()) {
       try {
@@ -1182,12 +1164,7 @@ int run_order(const Options& opts, const tracedb::TraceDatabase& db) {
   perf::OrderModel model;
   const char* source = "embedded";
   if (!opts.model_path.empty()) {
-    try {
-      model = perf::load_model_spec(opts.model_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
+    if (!reported([&] { model = perf::load_model_spec(opts.model_path); })) return 2;
     source = opts.model_path.c_str();
   } else {
     model = perf::model_from_rules(db.order_rules());
@@ -1317,7 +1294,7 @@ std::string stats_json(const perf::AnalysisReport& report, const tracedb::TraceD
     w.end_object();
   }
   w.end_array();
-  // v5 time-series (sgxperf monitor): the windowed run history and the full
+  // Time-series (sgxperf monitor): the windowed run history and the full
   // alert trail, so CI and dashboards can answer "when did this regress".
   w.kv("window_period_ns", static_cast<std::uint64_t>(db.window_period()));
   w.key("windows");
@@ -1420,59 +1397,69 @@ std::optional<sgxsim::PatchLevel> parse_profile(const std::string& name) {
 /// Parses "--workers N" or "--workers A..B" into an inclusive range.
 std::optional<std::pair<std::size_t, std::size_t>> parse_workers(const std::string& range) {
   const auto pos = range.find("..");
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  if (pos == std::string::npos) {
-    lo = hi = std::strtoul(range.c_str(), nullptr, 10);
-  } else {
-    lo = std::strtoul(range.substr(0, pos).c_str(), nullptr, 10);
-    hi = std::strtoul(range.substr(pos + 2).c_str(), nullptr, 10);
-  }
-  if (lo == 0 || hi < lo) {
+  const std::string_view text = range;
+  const auto lo = parse_number<std::size_t>(text.substr(0, pos));
+  const auto hi = pos == std::string::npos ? lo : parse_number<std::size_t>(text.substr(pos + 2));
+  if (!lo || !hi || *lo == 0 || *hi < *lo) {
     std::fprintf(stderr, "error: bad --workers '%s' (want N or A..B, 1-based)\n", range.c_str());
     return std::nullopt;
   }
-  return std::make_pair(lo, hi);
+  return std::make_pair(*lo, *hi);
 }
 
-/// Builds one combined scenario from the ad-hoc CLI flags (used by
-/// `compare --whatif`, where a single after-trace is materialized).  Returns
-/// nullopt on a bad flag; `*any` says whether any pass was requested.
-std::optional<replay::Scenario> scenario_from_flags(const Options& opts,
-                                                    const tracedb::TraceDatabase& db,
-                                                    std::size_t workers, bool* any) {
-  replay::Scenario s;
-  s.name = "whatif";
-  *any = false;
+/// The what-if flags, resolved once against a trace: the replay settings
+/// (--recorded-profile, --replay-threads), the --workers range, and one
+/// named single-pass scenario per --switchless/--eliminate/--merge/
+/// --cost-profile/--epc-mb flag, in that order (switchless at the lowest
+/// worker count).  `whatif` runs the passes one by one; `compare --whatif`
+/// composes them into one scenario.
+struct WhatIf {
+  replay::ReplayConfig replay;
+  std::size_t min_workers = 1;
+  std::size_t max_workers = 1;
+  std::vector<replay::Scenario> passes;
+};
+
+/// Fills `w` from the flags.  Returns 0, or the exit status after printing
+/// the reason: 2 for a malformed flag, 1 for an unknown call site.
+int resolve_whatif(const Options& opts, const tracedb::TraceDatabase& db, WhatIf& w) {
+  const auto recorded = parse_profile(opts.recorded_profile);
+  if (!recorded) return 2;
+  const auto workers = parse_workers(opts.workers_range);
+  if (!workers) return 2;
+  w.replay.recorded_cost = sgxsim::CostModel::preset(*recorded);
+  w.replay.threads = opts.replay_threads;
+  std::tie(w.min_workers, w.max_workers) = *workers;
+
+  const auto pass = [&w](std::string name) -> replay::Scenario& {
+    w.passes.emplace_back().name = std::move(name);
+    return w.passes.back();
+  };
   if (!opts.switchless_site.empty()) {
     const auto key = find_call(db, opts.enclave_id, opts.switchless_site);
-    if (!key) return std::nullopt;
-    s.switchless.push_back({*key, workers});
-    *any = true;
+    if (!key) return 1;
+    pass("switchless " + opts.switchless_site).switchless.push_back({*key, w.min_workers});
   }
   if (!opts.eliminate_site.empty()) {
     const auto key = find_call(db, opts.enclave_id, opts.eliminate_site);
-    if (!key) return std::nullopt;
-    s.eliminate.push_back({*key});
-    *any = true;
+    if (!key) return 1;
+    pass("eliminate " + opts.eliminate_site).eliminate.push_back({*key});
   }
   if (!opts.merge_site.empty()) {
     const auto key = find_call(db, opts.enclave_id, opts.merge_site);
-    if (!key) return std::nullopt;
-    s.merge.push_back({*key, std::nullopt});
-    *any = true;
+    if (!key) return 1;
+    pass("merge " + opts.merge_site).merge.push_back({*key, std::nullopt});
   }
   if (!opts.cost_profile.empty()) {
     const auto profile = parse_profile(opts.cost_profile);
-    if (!profile) return std::nullopt;
-    s.cost_profile = *profile;
-    *any = true;
+    if (!profile) return 2;
+    pass("cost-profile " + opts.cost_profile).cost_profile = *profile;
   }
   if (opts.epc_mb > 0) {
-    s.epc_pages = opts.epc_mb * (1024 * 1024 / sgxsim::kPageSize);
-    *any = true;
+    pass(support::format("epc %zu MiB", opts.epc_mb)).epc_pages =
+        opts.epc_mb * (1024 * 1024 / sgxsim::kPageSize);
   }
-  return s;
+  return 0;
 }
 
 /// One analyser recommendation with its replay-predicted speedup, flattened
@@ -1490,65 +1477,32 @@ struct RankedRecommendation {
 /// re-cost it under the scenarios requested on the command line and/or rank
 /// every analyser recommendation by its predicted speedup.
 int run_whatif(const Options& opts, tracedb::TraceDatabase& db) {
-  const auto recorded = parse_profile(opts.recorded_profile);
-  if (!recorded) return 2;
-  const auto workers = parse_workers(opts.workers_range);
-  if (!workers) return 2;
-
-  replay::ReplayConfig rcfg;
-  rcfg.recorded_cost = sgxsim::CostModel::preset(*recorded);
-  rcfg.threads = opts.replay_threads;
-  replay::ReplayEngine engine(db, rcfg);
+  WhatIf whatif;
+  if (const int rc = resolve_whatif(opts, db, whatif); rc != 0) return rc;
+  replay::ReplayEngine engine(db, whatif.replay);
   const auto validation = engine.validate();
 
+  // A switchless pass sweeps the --workers range; every other pass runs once.
   std::vector<replay::ScenarioResult> results;
   std::string sweep_text;
-
-  if (!opts.switchless_site.empty()) {
-    const auto key = find_call(db, opts.enclave_id, opts.switchless_site);
-    if (!key) return 1;
-    const auto sweep = engine.sweep_switchless(*key, workers->first, workers->second);
-    if (!opts.json) sweep_text = replay::render_sweep_text(sweep, workers->first);
+  for (const auto& pass : whatif.passes) {
+    if (pass.switchless.empty()) {
+      results.push_back(engine.run(pass));
+      continue;
+    }
+    const auto sweep = engine.sweep_switchless(pass.switchless.front().site, whatif.min_workers,
+                                               whatif.max_workers);
+    if (!opts.json) sweep_text = replay::render_sweep_text(sweep, whatif.min_workers);
     for (const auto& point : sweep.points) results.push_back(point);
-  }
-  if (!opts.eliminate_site.empty()) {
-    const auto key = find_call(db, opts.enclave_id, opts.eliminate_site);
-    if (!key) return 1;
-    replay::Scenario s;
-    s.name = "eliminate " + opts.eliminate_site;
-    s.eliminate.push_back({*key});
-    results.push_back(engine.run(s));
-  }
-  if (!opts.merge_site.empty()) {
-    const auto key = find_call(db, opts.enclave_id, opts.merge_site);
-    if (!key) return 1;
-    replay::Scenario s;
-    s.name = "merge " + opts.merge_site;
-    s.merge.push_back({*key, std::nullopt});
-    results.push_back(engine.run(s));
-  }
-  if (!opts.cost_profile.empty()) {
-    const auto profile = parse_profile(opts.cost_profile);
-    if (!profile) return 2;
-    replay::Scenario s;
-    s.name = "cost-profile " + opts.cost_profile;
-    s.cost_profile = *profile;
-    results.push_back(engine.run(s));
-  }
-  if (opts.epc_mb > 0) {
-    replay::Scenario s;
-    s.name = support::format("epc %zu MiB", opts.epc_mb);
-    s.epc_pages = opts.epc_mb * (1024 * 1024 / sgxsim::kPageSize);
-    results.push_back(engine.run(s));
   }
 
   std::vector<RankedRecommendation> ranked;
   if (opts.all_recommendations) {
     perf::AnalyzerConfig acfg = opts.config;
     acfg.predict_speedups = true;
-    acfg.replay_cost = rcfg.recorded_cost;
-    acfg.switchless_min_workers = workers->first;
-    acfg.switchless_max_workers = workers->second;
+    acfg.replay_cost = whatif.replay.recorded_cost;
+    acfg.switchless_min_workers = whatif.min_workers;
+    acfg.switchless_max_workers = whatif.max_workers;
     acfg.replay_threads = opts.replay_threads;
     perf::Analyzer analyzer(db, acfg);
     if (!opts.edl_path.empty()) {
@@ -1790,30 +1744,12 @@ int run_doctor(const Options& opts) {
       tracedb::TraceDatabase db;
       perf::Logger logger(db);
       logger.attach(urts);
-      perf::MonitorSessionConfig scfg;
-      scfg.identity = {opts.fleet_host, opts.workload};
-      scfg.subscription_name = "doctor";
-      scfg.online.analyzer = opts.config;
-      if (opts.window_ns > 0) scfg.online.window_ns = opts.window_ns;
-      perf::MonitorSession session(logger, urts, scfg);
+      perf::MonitorSession session(logger, urts, live_session_config(opts, "doctor"));
       if (!session.ok()) {
         std::fputs("error: no free streaming subscriber slot\n", stderr);
         return 2;
       }
-      std::atomic<bool> done{false};
-      std::thread worker([&] {
-        run_named_workload(urts, opts);
-        done.store(true, std::memory_order_release);
-      });
-      for (;;) {
-        if (session.poll() > 0) continue;
-        if (done.load(std::memory_order_acquire)) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(opts.interval_ms));
-      }
-      worker.join();
-      session.poll();   // drain everything published before `done` flipped
-      logger.detach();  // seal + merge so the record stage is final
-      session.finish();
+      run_live(urts, logger, session, opts);
       led = session.ledger();
     }
   } catch (const std::exception& e) {
@@ -1919,24 +1855,27 @@ int main(int argc, char** argv) {
     if (opts.whatif) {
       // Diff the recorded trace against a replayed what-if scenario instead
       // of a second recording: same table, no second measurement run needed.
-      const auto recorded = parse_profile(opts.recorded_profile);
-      if (!recorded) return 2;
-      const auto workers = parse_workers(opts.workers_range);
-      if (!workers) return 2;
-      bool any = false;
-      const auto scenario = scenario_from_flags(opts, db, workers->first, &any);
-      if (!scenario) return 1;
-      if (!any) {
+      WhatIf whatif;
+      if (const int rc = resolve_whatif(opts, db, whatif); rc != 0) return rc;
+      if (whatif.passes.empty()) {
         std::fputs("error: compare --whatif needs at least one scenario flag "
                    "(--switchless/--eliminate/--merge/--cost-profile/--epc-mb)\n",
                    stderr);
         return 2;
       }
-      replay::ReplayConfig rcfg;
-      rcfg.recorded_cost = sgxsim::CostModel::preset(*recorded);
-      rcfg.threads = opts.replay_threads;
-      replay::ReplayEngine engine(db, rcfg);
-      const auto after = engine.materialize(*scenario);
+      replay::Scenario scenario;
+      scenario.name = "whatif";
+      for (const auto& pass : whatif.passes) {
+        scenario.switchless.insert(scenario.switchless.end(), pass.switchless.begin(),
+                                   pass.switchless.end());
+        scenario.eliminate.insert(scenario.eliminate.end(), pass.eliminate.begin(),
+                                  pass.eliminate.end());
+        scenario.merge.insert(scenario.merge.end(), pass.merge.begin(), pass.merge.end());
+        if (pass.cost_profile) scenario.cost_profile = pass.cost_profile;
+        if (pass.epc_pages) scenario.epc_pages = pass.epc_pages;
+      }
+      replay::ReplayEngine engine(db, whatif.replay);
+      const auto after = engine.materialize(scenario);
       std::fputs(perf::render_comparison(perf::compare_traces(db, after)).c_str(), stdout);
       return 0;
     }
@@ -1980,8 +1919,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    const bool ok = written == json.size() && std::fclose(f) == 0;
-    if (!ok) {
+    if (std::fclose(f) != 0 || written != json.size()) {
       std::fprintf(stderr, "error: short write to %s\n", opts.chrome_path.c_str());
       return 1;
     }
@@ -2008,6 +1946,10 @@ int main(int argc, char** argv) {
     const auto key = find_call(db, opts.enclave_id, opts.call_name);
     if (!key) return 1;
     if (opts.command == "hist") {
+      if (opts.bins == 0) {
+        std::fputs("error: --bins must be > 0\n", stderr);
+        return 2;
+      }
       const auto hist = perf::duration_histogram(db, *key, opts.bins);
       std::fputs(hist.render_ascii(60, "us").c_str(), stdout);
       std::fputs(hist.to_csv().c_str(), stdout);
