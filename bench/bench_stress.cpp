@@ -3,18 +3,16 @@
 // Two questions:
 //  * bogo-ops per virtual second per stressor — the Stress-SGX-style
 //    headline number (deterministic, comparable across machines);
-//  * what OnlineAnalyzer::feed() concludes on a real ocall-storm stream,
-//    recorded from the storm stressor through the actual logger — the
-//    nastiest event mix the suite generates.
+//  * what the online analyser concludes on a real ocall-storm stream,
+//    recorded from the storm stressor through the actual logger into a
+//    MonitorSession — the nastiest event mix the suite generates.
 // Wall-clock costs of the same layers are wallbench's per-layer metrics.
-#include <algorithm>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_json.hpp"
 #include "perf/logger.hpp"
-#include "perf/online.hpp"
+#include "perf/session.hpp"
 #include "sgxsim/runtime.hpp"
 #include "stress/stressor.hpp"
 #include "tracedb/database.hpp"
@@ -50,42 +48,33 @@ int main(int argc, char** argv) {
     json.metric(name + "_bogo_ops_per_vsec", result.bogo_ops_per_vsec(), "ops/s");
   }
 
-  // Record a real ocall-storm stream through the logger, then feed it to
-  // the online analyser.
+  // Record a real ocall-storm stream through the logger into a monitor
+  // session, which drains it once the run has quiesced.
   const auto storm = stress::make_stressor("ocall-storm");
   sgxsim::Urts urts;
   tracedb::TraceDatabase db;
   perf::Logger logger(db);
   logger.attach(urts);
-  auto sub = logger.subscribe("bench-stress", 1 << 20);
+  perf::MonitorSessionConfig session_config;
+  session_config.subscription_name = "bench-stress";
+  session_config.subscription_capacity = 1 << 20;
+  perf::MonitorSession session(logger, session_config);
   stress::StressConfig config;
   config.threads = 4;
   config.duration_ns = smoke ? 100'000'000 : 1'000'000'000;
   const auto storm_result = stress::run_stressor(*storm, urts, config);
   logger.detach();
+  session.finish();
 
-  std::vector<perf::StreamEvent> events;
-  std::vector<perf::StreamEvent> batch;
-  std::uint64_t end_ns = 0;
-  while (sub->poll(batch, 4096) > 0) {
-    for (const auto& ev : batch) {
-      end_ns = std::max(end_ns, ev.end_ns);
-      events.push_back(ev);
-    }
-    batch.clear();
-  }
-  sub->close();
+  const perf::SessionStats stats = session.stats();
+  const auto& alerts = session.analyzer().alerts();
+  std::printf("\nstorm stream:     %llu events from %llu bogo-ops (dropped: %llu)\n",
+              static_cast<unsigned long long>(stats.events),
+              static_cast<unsigned long long>(storm_result.bogo_ops),
+              static_cast<unsigned long long>(stats.stream_dropped));
+  std::printf("online analyser:  %zu alerts recorded\n", alerts.size());
 
-  perf::OnlineAnalyzer online;
-  online.feed(events);
-  online.finish(end_ns);
-
-  std::printf("\nstorm stream:     %zu events from %llu bogo-ops (dropped: %llu)\n",
-              events.size(), static_cast<unsigned long long>(storm_result.bogo_ops),
-              static_cast<unsigned long long>(sub->dropped()));
-  std::printf("online analyser:  %zu alerts recorded\n", online.alerts().size());
-
-  json.metric("storm_events", static_cast<double>(events.size()), "events");
-  json.metric("storm_alerts", static_cast<double>(online.alerts().size()), "alerts");
+  json.metric("storm_events", static_cast<double>(stats.events), "events");
+  json.metric("storm_alerts", static_cast<double>(alerts.size()), "alerts");
   return json.write() ? 0 : 1;
 }

@@ -1919,7 +1919,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    if (std::fclose(f) != 0 || written != json.size()) {
+    const bool ok = written == json.size() && std::fclose(f) == 0;
+    if (!ok) {
       std::fprintf(stderr, "error: short write to %s\n", opts.chrome_path.c_str());
       return 1;
     }
