@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "perf/logger.hpp"
-#include "perf/session.hpp"
 
 namespace stress {
 
@@ -49,19 +48,12 @@ SoakResult run_soak(Stressor& stressor, sgxsim::Urts& urts,
   session.finish();
   session.persist();
 
-  const perf::SessionStats stats = session.stats();
-  const perf::OnlineAnalyzer& online = session.analyzer();
-  out.events = stats.events;
-  out.windows = online.windows().size();
-  out.alerts_raised = stats.alerts_raised;
-  out.alerts_resolved = stats.alerts_resolved;
-  out.active_alerts = online.active_alerts();
+  out.session = session.stats();
+  out.windows = session.analyzer().windows().size();
+  out.active_alerts = session.analyzer().active_alerts();
   for (const auto& alert : out.active_alerts) {
     if (alert.kind != tracedb::AlertKind::kLatencyShift) out.triggered.insert(alert.kind);
   }
-  out.stream_dropped = stats.stream_dropped;
-  out.sealed_dropped = stats.sealed_dropped;
-  out.pending_evicted = stats.pending_evicted;
 
   const auto& spec = stressor.spec();
   for (const auto kind : spec.must_trigger) {

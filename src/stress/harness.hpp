@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "perf/analyzer.hpp"
+#include "perf/session.hpp"
 #include "stress/stressor.hpp"
 #include "tracedb/database.hpp"
 
@@ -34,18 +35,14 @@ struct SoakConfig {
 
 struct SoakResult {
   StressResult stress;
-  std::uint64_t events = 0;
+  /// The session's final counters: events fed, alert transitions, stream
+  /// and sealed-shard drops, Eq. 2 evictions (the drops must stay 0).
+  perf::SessionStats session;
   std::uint64_t windows = 0;
-  std::uint64_t alerts_raised = 0;
-  std::uint64_t alerts_resolved = 0;
   std::vector<tracedb::AlertRecord> active_alerts;
   /// Alert kinds active at end of run, kLatencyShift excluded (it is an
   /// online-only change signal outside every stressor's label universe).
   std::set<tracedb::AlertKind> triggered;
-  std::uint64_t stream_dropped = 0;
-  /// Events rejected by sealed shards during the merge (must stay 0).
-  std::uint64_t sealed_dropped = 0;
-  std::uint64_t pending_evicted = 0;
   /// Label verdict: must_trigger kinds that did not fire / must_not kinds
   /// that did.
   std::set<tracedb::AlertKind> missing;

@@ -408,8 +408,8 @@ SoakParity run_order_soak(const std::string& name) {
   config.stress.seed = 7;
   config.stress.lockstep = true;
   const auto result = stress::run_soak(*stressor, urts, db, config);
-  EXPECT_EQ(result.stream_dropped, 0u) << name;
-  EXPECT_EQ(result.sealed_dropped, 0u) << name;
+  EXPECT_EQ(result.session.stream_dropped, 0u) << name;
+  EXPECT_EQ(result.session.sealed_dropped, 0u) << name;
 
   // persist() embedded the model as v6 rules; the batch side replays the
   // merged trace against that embedded model — exactly what a later

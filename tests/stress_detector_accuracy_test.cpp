@@ -53,10 +53,10 @@ CorpusRun record_corpus(const std::string& name, support::Nanoseconds duration_n
   const auto result = stress::run_soak(*stressor, urts, db, config);
 
   // Labels are only assertable on lossless runs.
-  EXPECT_EQ(result.stream_dropped, 0u) << name;
-  EXPECT_EQ(result.sealed_dropped, 0u) << name;
-  EXPECT_EQ(result.pending_evicted, 0u) << name;
-  EXPECT_GT(result.events, 0u) << name;
+  EXPECT_EQ(result.session.stream_dropped, 0u) << name;
+  EXPECT_EQ(result.session.sealed_dropped, 0u) << name;
+  EXPECT_EQ(result.session.pending_evicted, 0u) << name;
+  EXPECT_GT(result.session.events, 0u) << name;
   EXPECT_GT(result.stress.bogo_ops, 0u) << name;
 
   CorpusRun run;

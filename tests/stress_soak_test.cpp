@@ -34,31 +34,31 @@ stress::SoakResult soak(const std::string& name, support::Nanoseconds duration_n
   config.subscription_capacity = 1 << 18;
   const auto result = stress::run_soak(*stressor, urts, db, config);
 
-  EXPECT_EQ(result.sealed_dropped, 0u) << name;
-  EXPECT_EQ(result.stream_dropped, 0u) << name;
-  EXPECT_EQ(result.pending_evicted, 0u) << name;
+  EXPECT_EQ(result.session.sealed_dropped, 0u) << name;
+  EXPECT_EQ(result.session.stream_dropped, 0u) << name;
+  EXPECT_EQ(result.session.pending_evicted, 0u) << name;
   EXPECT_GT(result.windows, 0u) << name;
   EXPECT_GT(result.stress.bogo_ops, 0u) << name;
   // Post-mortem side of the same run: the merged trace saw every call the
   // stream did (calls produce 1 stream event each; AEX/paging add more).
-  EXPECT_GE(result.events, db.calls().size()) << name;
+  EXPECT_GE(result.session.events, db.calls().size()) << name;
   std::printf("soak %-12s %llu events, %llu windows, %llu bogo-ops, %llu alerts raised\n",
-              name.c_str(), static_cast<unsigned long long>(result.events),
+              name.c_str(), static_cast<unsigned long long>(result.session.events),
               static_cast<unsigned long long>(result.windows),
               static_cast<unsigned long long>(result.stress.bogo_ops),
-              static_cast<unsigned long long>(result.alerts_raised));
+              static_cast<unsigned long long>(result.session.alerts_raised));
   return result;
 }
 
 TEST(StressSoak, MixedFreeRunIsLossless) {
   const auto result = soak("mixed", 80'000'000, 1024);
   // ~10k events — two orders of magnitude above the parity tests' demo runs.
-  EXPECT_GE(result.events, 5'000u);
+  EXPECT_GE(result.session.events, 5'000u);
 }
 
 TEST(StressSoak, OcallStormFreeRunIsLossless) {
   const auto result = soak("ocall-storm", 100'000'000, sgxsim::Driver::kDefaultEpcPages);
-  EXPECT_GE(result.events, 5'000u);
+  EXPECT_GE(result.session.events, 5'000u);
 }
 
 }  // namespace

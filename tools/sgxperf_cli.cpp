@@ -1008,6 +1008,7 @@ int run_stress(const Options& opts) {
   if (!save_to(db, opts.out_path)) return 1;
 
   const auto& spec = stressor->spec();
+  const perf::SessionStats& st = result.session;
   if (opts.json) {
     support::json::Writer w;
     w.begin_object();
@@ -1024,13 +1025,13 @@ int run_stress(const Options& opts) {
     w.begin_array();
     for (const auto ops : result.stress.per_thread_ops) w.value(ops);
     w.end_array();
-    w.kv("events", result.events);
+    w.kv("events", st.events);
     w.kv("windows", result.windows);
-    w.kv("alerts_raised", result.alerts_raised);
-    w.kv("alerts_resolved", result.alerts_resolved);
-    w.kv("stream_dropped", result.stream_dropped);
-    w.kv("sealed_dropped", result.sealed_dropped);
-    w.kv("pending_evicted", result.pending_evicted);
+    w.kv("alerts_raised", st.alerts_raised);
+    w.kv("alerts_resolved", st.alerts_resolved);
+    w.kv("stream_dropped", st.stream_dropped);
+    w.kv("sealed_dropped", st.sealed_dropped);
+    w.kv("pending_evicted", st.pending_evicted);
     kinds_array(w, "must_trigger", spec.must_trigger);
     kinds_array(w, "must_not", spec.must_not);
     kinds_array(w, "triggered", result.triggered);
@@ -1046,10 +1047,10 @@ int run_stress(const Options& opts) {
                 static_cast<double>(result.stress.elapsed_ns) / 1e6,
                 result.stress.bogo_ops_per_vsec(), opts.threads);
     std::printf("observed: %llu events in %llu windows; alerts %llu raised / %llu resolved\n",
-                static_cast<unsigned long long>(result.events),
+                static_cast<unsigned long long>(st.events),
                 static_cast<unsigned long long>(result.windows),
-                static_cast<unsigned long long>(result.alerts_raised),
-                static_cast<unsigned long long>(result.alerts_resolved));
+                static_cast<unsigned long long>(st.alerts_raised),
+                static_cast<unsigned long long>(st.alerts_resolved));
     const auto print_kinds = [](const char* label, const std::set<tracedb::AlertKind>& kinds) {
       std::printf("%s", label);
       if (kinds.empty()) std::printf(" (none)");
@@ -1064,12 +1065,12 @@ int run_stress(const Options& opts) {
       print_kinds("labels MISSING:", result.missing);
       print_kinds("labels FALSE-POSITIVE:", result.false_positives);
     }
-    if (result.stream_dropped > 0 || result.sealed_dropped > 0 || result.pending_evicted > 0) {
+    if (st.stream_dropped > 0 || st.sealed_dropped > 0 || st.pending_evicted > 0) {
       std::printf("warning: %llu stream events dropped, %llu sealed-shard drops, "
                   "%llu pending children evicted\n",
-                  static_cast<unsigned long long>(result.stream_dropped),
-                  static_cast<unsigned long long>(result.sealed_dropped),
-                  static_cast<unsigned long long>(result.pending_evicted));
+                  static_cast<unsigned long long>(st.stream_dropped),
+                  static_cast<unsigned long long>(st.sealed_dropped),
+                  static_cast<unsigned long long>(st.pending_evicted));
     }
     if (!opts.out_path.empty()) std::printf("trace written to %s\n", opts.out_path.c_str());
   }
