@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #endif
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "perf/analyzer.hpp"
 #include "perf/compare.hpp"
 #include "perf/logger.hpp"
+#include "stress/stressor.hpp"
 #include "tests/sim_helpers.hpp"
 #endif
 
@@ -263,8 +265,9 @@ TEST(ReplayScenario, CostProfileSwapSlowsTheTraceDown) {
   EXPECT_LT(r.speedup(), 1.0);
 }
 
-TEST(ReplayScenario, EpcGrowthRemovesReplayedFaults) {
-  // Record an oversubscribed sweep: heap larger than the 192-page EPC.
+/// Records an oversubscribed sweep: two ecalls each touching a 256-page heap
+/// on a machine with a 192-page EPC.
+TraceDatabase record_epc_sweep() {
   constexpr const char* kSweepEdl = R"(
 enclave {
   trusted { public int ecall_sweep(void); };
@@ -294,6 +297,11 @@ enclave {
     urts.sgx_ecall(eid, 0, &table, nullptr);
   }
   logger.detach();
+  return db;
+}
+
+TEST(ReplayScenario, EpcGrowthRemovesReplayedFaults) {
+  const TraceDatabase db = record_epc_sweep();
   ASSERT_GT(db.paging().size(), 0u);
 
   ReplayConfig rcfg;
@@ -328,6 +336,230 @@ TEST(ReplaySweep, PicksTheSmallestWorkerCountAtPeakSpeedup) {
   for (std::size_t w = 1; w < sweep.best_workers; ++w) {
     EXPECT_GT(sweep.points[w - 1].replayed_span_ns, best_span);
   }
+}
+
+// --- behaviour locks ------------------------------------------------------------
+// Exact values captured from the map-based EPC LRU, the vector-per-call
+// replay index and the replay-every-count sweep.  Faster passes must give
+// the same numbers.
+
+/// Every field of one scenario result, on one line.
+std::string fingerprint(const replay::ScenarioResult& r) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf, "%s|%llu|%llu|%llu|%llu|%llu", r.name.c_str(),
+                static_cast<unsigned long long>(r.recorded_span_ns),
+                static_cast<unsigned long long>(r.replayed_span_ns),
+                static_cast<unsigned long long>(r.transitions_removed),
+                static_cast<unsigned long long>(r.page_faults_before),
+                static_cast<unsigned long long>(r.page_faults_after));
+  std::string out = buf;
+  for (const auto& o : r.switchless) {
+    std::snprintf(buf, sizeof buf, "|%llu:%d:%u:%s:%zu:%llu:%llu:%llu:%llu",
+                  static_cast<unsigned long long>(o.site.enclave_id),
+                  static_cast<int>(o.site.type), o.site.call_id, o.site_name.c_str(), o.workers,
+                  static_cast<unsigned long long>(o.served),
+                  static_cast<unsigned long long>(o.fallbacks),
+                  static_cast<unsigned long long>(o.busy_ns),
+                  static_cast<unsigned long long>(o.wasted_worker_ns));
+    out += buf;
+  }
+  return out;
+}
+
+/// Every field of a sweep: one line per point, then the verdict.
+std::string fingerprint(const replay::SweepResult& sweep) {
+  std::string out;
+  for (const auto& p : sweep.points) out += fingerprint(p) + "\n";
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "best %zu %.17g", sweep.best_workers, sweep.best_speedup);
+  return out + buf;
+}
+
+/// Three threads, each issuing ten 12 us ecalls of one site (each with a
+/// nested ocall) every 20 us, staggered by 3 us: one or two switchless
+/// workers cannot keep up, three can.
+TraceDatabase overlapping_db() {
+  TraceDatabase db;
+  db.add_call_name({1, CallType::kEcall, 0, "ecall_hot"});
+  db.add_call_name({1, CallType::kOcall, 0, "ocall_io"});
+  for (std::uint64_t k = 0; k < 10; ++k) {
+    for (std::uint32_t t = 0; t < 3; ++t) {
+      tracedb::CallRecord e;
+      e.type = CallType::kEcall;
+      e.thread_id = 100 + t;
+      e.enclave_id = 1;
+      e.call_id = 0;
+      e.start_ns = 1'000 + k * 20'000 + t * 3'000;
+      e.end_ns = e.start_ns + 12'000;
+      const auto parent = db.add_call(e);
+      tracedb::CallRecord o = e;
+      o.type = CallType::kOcall;
+      o.parent = parent;
+      o.start_ns = e.start_ns + 6'000;
+      o.end_ns = e.start_ns + 8'000;
+      db.add_call(o);
+    }
+  }
+  return db;
+}
+
+TEST(ReplayLocks, EpcPassAtEvictingAndRoomyCapacities) {
+  const TraceDatabase db = record_epc_sweep();
+  ReplayConfig rcfg;
+  rcfg.recorded_epc_pages = 192;
+  ReplayEngine engine(db, rcfg);
+  std::string got;
+  for (const std::size_t pages : {96u, 192u, 256u, 768u}) {
+    Scenario s;
+    s.name = "epc " + std::to_string(pages);
+    s.epc_pages = pages;
+    got += fingerprint(engine.run(s));
+    // The savings attributed to calls: each call's re-timed duration.
+    const TraceDatabase after = engine.materialize(s);
+    for (const auto& c : after.calls()) got += " " + std::to_string(c.duration());
+    got += "\n";
+  }
+  EXPECT_EQ(got,
+            "epc 96|15207931|15207931|0|520|520 7603624 7603624\n"
+            "epc 192|15207931|15207931|0|520|520 7603624 7603624\n"
+            "epc 256|15207931|15207931|0|520|520 7603624 7603624\n"
+            "epc 768|15207931|11879931|0|520|260 7603624 4275624\n")
+      << got;
+}
+
+/// Two enclaves, each with one long ecall (and a nested ocall) on its own
+/// thread, and 600 page-ins drawn from 48 pages per enclave with a hot set,
+/// some of them after every call ended (unattributed savings).
+TraceDatabase scattered_faults_db() {
+  TraceDatabase db;
+  for (std::uint32_t e = 1; e <= 2; ++e) {
+    tracedb::CallRecord c;
+    c.type = CallType::kEcall;
+    c.thread_id = e;
+    c.enclave_id = e;
+    c.start_ns = 100 * e;
+    c.end_ns = 4'000'000 + 100'000 * e;
+    const auto parent = db.add_call(c);
+    tracedb::CallRecord o = c;
+    o.type = CallType::kOcall;
+    o.parent = parent;
+    o.start_ns = 1'000'000;
+    o.end_ns = 1'500'000;
+    db.add_call(o);
+  }
+  std::uint64_t x = 12345;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    tracedb::PagingRecord p;
+    p.enclave_id = 1 + ((x >> 60) & 1);
+    p.page_number = (x >> 59) % 3 == 0 ? (x >> 20) % 6 : (x >> 24) % 48;
+    p.direction = (x >> 40) % 5 == 0 ? tracedb::PageDirection::kPageOut
+                                     : tracedb::PageDirection::kPageIn;
+    p.timestamp_ns = 200 + i * 8'000;
+    db.add_paging(p);
+  }
+  return db;
+}
+
+TEST(ReplayLocks, EpcPassOnScatteredFaults) {
+  const TraceDatabase db = scattered_faults_db();
+  ReplayEngine engine(db);
+  std::string got;
+  for (const std::size_t pages : {4u, 12u, 24u, 40u, 64u}) {
+    Scenario s;
+    s.name = "epc " + std::to_string(pages);
+    s.epc_pages = pages;
+    got += fingerprint(engine.run(s));
+    const TraceDatabase after = engine.materialize(s);
+    for (const auto& c : after.calls()) got += " " + std::to_string(c.duration());
+    got += "\n";
+  }
+  EXPECT_EQ(got,
+            "epc 4|4199900|3626300|0|464|394 3818300 436000 3777400 448800\n"
+            "epc 12|4199900|2871100|0|464|284 3267900 436000 3124600 308000\n"
+            "epc 24|4199900|2062300|0|464|177 2563900 320800 2651000 205600\n"
+            "epc 40|4199900|1550300|0|464|107 2179900 308000 2279800 167200\n"
+            "epc 64|4199900|1460700|0|464|93 2090300 308000 2279800 167200\n")
+      << got;
+}
+
+TEST(ReplayLocks, SweepPointsWithAndWithoutLowCountFallbacks) {
+  const TraceDatabase busy = overlapping_db();
+  const auto contended = ReplayEngine(busy).sweep_switchless(CallKey{1, CallType::kEcall, 0}, 1, 6);
+  EXPECT_EQ(fingerprint(contended), 
+            "switchless ecall_hot x1|198000|198000|10|0|0|1:0:0:ecall_hot:1:10:20:84150:113850\n"
+            "switchless ecall_hot x2|198000|198000|20|0|0|1:0:0:ecall_hot:2:20:10:168300:227700\n"
+            "switchless ecall_hot x3|198000|162150|30|0|0|1:0:0:ecall_hot:3:30:0:252450:234000\n"
+            "switchless ecall_hot x4|198000|162150|30|0|0|1:0:0:ecall_hot:4:30:0:252450:396150\n"
+            "switchless ecall_hot x5|198000|162150|30|0|0|1:0:0:ecall_hot:5:30:0:252450:558300\n"
+            "switchless ecall_hot x6|198000|162150|30|0|0|1:0:0:ecall_hot:6:30:0:252450:720450\n"
+            "best 3 1.2210915818686401") << fingerprint(contended);
+
+  const TraceDatabase serial = record_demo(1, 60);
+  const auto idle = ReplayEngine(serial).sweep_switchless(demo_ecall_key(serial), 1, 5);
+  EXPECT_EQ(fingerprint(idle), 
+            "switchless ecall_with_ocall x1|671257|456157|60|0|0|1:0:0:ecall_with_ocall:1:60:0:"
+            "415860:40297\n"
+            "switchless ecall_with_ocall x2|671257|456157|60|0|0|1:0:0:ecall_with_ocall:2:60:0:"
+            "415860:496454\n"
+            "switchless ecall_with_ocall x3|671257|456157|60|0|0|1:0:0:ecall_with_ocall:3:60:0:"
+            "415860:952611\n"
+            "switchless ecall_with_ocall x4|671257|456157|60|0|0|1:0:0:ecall_with_ocall:4:60:0:"
+            "415860:1408768\n"
+            "switchless ecall_with_ocall x5|671257|456157|60|0|0|1:0:0:ecall_with_ocall:5:60:0:"
+            "415860:1864925\n"
+            "best 1 1.4715481731070663") << fingerprint(idle);
+}
+
+/// Records `cycles` 4-step cycles of the `mixed` stressor on one thread
+/// (intensity 8, seed 7) with a 4 MiB EPC.
+TraceDatabase record_mixed(std::size_t cycles) {
+  Urts urts(CostModel::preset(PatchLevel::kUnpatched), /*epc_pages=*/1024);
+  const auto stressor = stress::make_stressor("mixed");
+  stress::StressConfig config;
+  config.threads = 1;
+  config.intensity = 8;
+  config.seed = 7;
+  stressor->prepare(urts, config);
+  TraceDatabase db;
+  perf::Logger logger(db);
+  logger.attach(urts);
+  for (std::uint64_t op = 0; op < cycles * 4; ++op) stressor->step(urts, 0, op);
+  logger.detach();
+  return db;
+}
+
+/// FNV-1a of everything the analyser reports about findings and predictions.
+std::string findings_fingerprint(const perf::AnalysisReport& report) {
+  std::string out;
+  char buf[256];
+  for (const auto& f : report.findings) {
+    std::snprintf(buf, sizeof buf, "%s|%llu:%d:%u|%s|%.17g|", perf::to_string(f.kind),
+                  static_cast<unsigned long long>(f.subject.enclave_id),
+                  static_cast<int>(f.subject.type), f.subject.call_id, f.partner_name.c_str(),
+                  f.severity);
+    out += buf + f.detail;
+    for (const auto& rec : f.recommendations) {
+      std::snprintf(buf, sizeof buf, "|%s:%.17g:%zu:", perf::to_string(rec.action),
+                    rec.predicted_speedup, rec.best_workers);
+      out += buf + rec.scenario;
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char ch : s) h = (h ^ ch) * 0x100000001b3ull;
+  return h;
+}
+
+TEST(ReplayLocks, AnalyzerFindingsAndPredictionsOnMixedTrace) {
+  const TraceDatabase db = record_mixed(100);
+  ASSERT_EQ(db.calls().size(), 10500u);
+  const std::string fp = findings_fingerprint(perf::Analyzer(db).analyze());
+  EXPECT_EQ(fnv1a(fp), 1066608448786348715ull) << fp;
 }
 
 // --- determinism --------------------------------------------------------------
