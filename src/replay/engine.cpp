@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <limits>
 #include <map>
 #include <thread>
+#include <unordered_map>
 
 #include "tracedb/query.hpp"
 
@@ -24,6 +26,12 @@ CallKey key_of(const CallRecord& c) noexcept {
   return CallKey{c.enclave_id, c.type, c.call_id};
 }
 
+/// Worker-ns a switchless pool idles over a replayed span.
+void set_wasted_worker_ns(SwitchlessOutcome& o, std::uint64_t span) noexcept {
+  const std::uint64_t pool = static_cast<std::uint64_t>(o.workers) * span;
+  o.wasted_worker_ns = pool > o.busy_ns ? pool - o.busy_ns : 0;
+}
+
 /// u + d, saturating at 0 from below.
 std::uint64_t clamp_add(std::uint64_t u, std::int64_t d) noexcept {
   if (d >= 0) return u + static_cast<std::uint64_t>(d);
@@ -36,21 +44,33 @@ std::uint64_t clamp_add(std::uint64_t u, std::int64_t d) noexcept {
 ReplayEngine::ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config)
     : db_(db), config_(config) {
   const auto& calls = db_.calls();
-  children_.resize(calls.size());
+  const std::size_t n = calls.size();
 
-  // Children lists and per-thread top-level sequences.  Trace order is start
-  // order (merged traces are globally time-sorted), so appending in index
-  // order keeps every sequence start-ordered.
+  // Children lists (a counting sort over `parent`) and per-thread top-level
+  // sequences.  Trace order is start order (merged traces are globally
+  // time-sorted), so filling in index order keeps every sequence
+  // start-ordered.  child_begin_[p] first holds the end of p's range; the
+  // backwards fill walks it down to the start.
+  child_begin_.assign(n + 1, 0);
+  for (const auto& c : calls) {
+    if (c.parent != kNoParent) ++child_begin_[static_cast<std::size_t>(c.parent)];
+  }
+  for (std::size_t p = 1; p <= n; ++p) child_begin_[p] += child_begin_[p - 1];
+  child_list_.resize(child_begin_[n]);
+  for (std::size_t i = n; i-- > 0;) {
+    if (calls[i].parent == kNoParent) continue;
+    child_list_[--child_begin_[static_cast<std::size_t>(calls[i].parent)]] =
+        static_cast<CallIndex>(i);
+  }
+
   std::map<tracedb::ThreadId, std::size_t> thread_slot;
   std::uint64_t min_start = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_end = 0;
-  for (std::size_t i = 0; i < calls.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const auto& c = calls[i];
     min_start = std::min(min_start, c.start_ns);
     max_end = std::max(max_end, c.end_ns);
-    if (c.parent != kNoParent) {
-      children_[static_cast<std::size_t>(c.parent)].push_back(static_cast<CallIndex>(i));
-    } else {
+    if (c.parent == kNoParent) {
       const auto [it, inserted] = thread_slot.emplace(c.thread_id, top_level_.size());
       if (inserted) top_level_.emplace_back();
       top_level_[it->second].push_back(static_cast<CallIndex>(i));
@@ -209,10 +229,12 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
     const std::size_t capacity = std::max<std::size_t>(1, *scenario.epc_pages);
     const std::uint64_t saved_per_fault = old_cost.page_fault_ns + old_cost.page_in_ns;
     // Per-enclave LRU keyed by fault recency (the only recency signal the
-    // trace has).  tick orders are per-engine deterministic.
+    // trace has).  Every touch queues (tick, page); an entry goes stale when
+    // its page is touched again or evicted, so the first entry still
+    // matching its page's tick is the least recently used resident page.
     struct Lru {
-      std::map<std::uint64_t, std::uint64_t> page_tick;  // page -> last tick
-      std::map<std::uint64_t, std::uint64_t> tick_page;  // tick -> page
+      std::unordered_map<std::uint64_t, std::uint64_t> tick_of;  // resident page -> last tick
+      std::deque<std::pair<std::uint64_t, std::uint64_t>> order;  // (tick, page), oldest first
     };
     std::map<tracedb::EnclaveId, Lru> lru;
     std::uint64_t tick = 0;
@@ -221,10 +243,9 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
       if (pr.direction != tracedb::PageDirection::kPageIn) continue;
       Lru& l = lru[pr.enclave_id];
       ++tick;
-      if (const auto it = l.page_tick.find(pr.page_number); it != l.page_tick.end()) {
+      l.order.emplace_back(tick, pr.page_number);
+      if (const auto [it, inserted] = l.tick_of.try_emplace(pr.page_number, tick); !inserted) {
         // Still resident at this capacity: the recorded fault disappears.
-        l.tick_page.erase(it->second);
-        l.tick_page.emplace(tick, pr.page_number);
         it->second = tick;
         --result.page_faults_after;
         if (paging_call_[p] != kNoParent) {
@@ -235,12 +256,16 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
         }
         continue;
       }
-      l.page_tick.emplace(pr.page_number, tick);
-      l.tick_page.emplace(tick, pr.page_number);
-      if (l.page_tick.size() > capacity) {
-        const auto victim = l.tick_page.begin();
-        l.page_tick.erase(victim->second);
-        l.tick_page.erase(victim);
+      if (l.tick_of.size() > capacity) {
+        for (;;) {
+          const auto [t, page] = l.order.front();
+          l.order.pop_front();
+          if (const auto victim = l.tick_of.find(page);
+              victim != l.tick_of.end() && victim->second == t) {
+            l.tick_of.erase(victim);
+            break;
+          }
+        }
       }
     }
   }
@@ -260,7 +285,9 @@ std::uint64_t ReplayEngine::retime_call(CallIndex idx, std::uint64_t new_start,
   std::uint64_t t = new_start;
   std::int64_t carry = delta[static_cast<std::size_t>(idx)];
   std::uint64_t prev_end = c.start_ns;
-  for (const CallIndex ch : children_[static_cast<std::size_t>(idx)]) {
+  for (std::size_t k = child_begin_[static_cast<std::size_t>(idx)];
+       k < child_begin_[static_cast<std::size_t>(idx) + 1]; ++k) {
+    const CallIndex ch = child_list_[k];
     const auto& cc = calls[static_cast<std::size_t>(ch)];
     std::uint64_t seg = cc.start_ns >= prev_end ? cc.start_ns - prev_end : 0;
     if (carry != 0) {
@@ -331,11 +358,15 @@ ScenarioResult ReplayEngine::run(const Scenario& scenario) const {
   span = span > unattributed ? span - unattributed : 0;
   result.replayed_span_ns = span;
 
-  for (auto& o : result.switchless) {
-    const std::uint64_t pool = static_cast<std::uint64_t>(o.workers) * span;
-    o.wasted_worker_ns = pool > o.busy_ns ? pool - o.busy_ns : 0;
-  }
+  for (auto& o : result.switchless) set_wasted_worker_ns(o, span);
   return result;
+}
+
+std::size_t ReplayEngine::pool_size(std::size_t scenarios) const noexcept {
+  const std::size_t workers = config_.threads != 0
+                                  ? config_.threads
+                                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::min(workers, scenarios);
 }
 
 std::vector<ScenarioResult> ReplayEngine::run_all(
@@ -343,11 +374,7 @@ std::vector<ScenarioResult> ReplayEngine::run_all(
   std::vector<ScenarioResult> out(scenarios.size());
   if (scenarios.empty()) return out;
 
-  std::size_t workers = config_.threads != 0
-                            ? config_.threads
-                            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  workers = std::min(workers, scenarios.size());
-
+  const std::size_t workers = pool_size(scenarios.size());
   if (workers <= 1) {
     for (std::size_t i = 0; i < scenarios.size(); ++i) out[i] = run(scenarios[i]);
     return out;
@@ -409,15 +436,41 @@ SweepResult ReplayEngine::sweep_switchless(const CallKey& site, std::size_t min_
   min_workers = std::max<std::size_t>(1, min_workers);
   max_workers = std::max(min_workers, max_workers);
 
-  std::vector<Scenario> scenarios;
-  scenarios.reserve(max_workers - min_workers + 1);
-  for (std::size_t w = min_workers; w <= max_workers; ++w) {
-    Scenario s;
-    s.name = "switchless " + sweep.site_name + " x" + std::to_string(w);
-    s.switchless.push_back(SwitchlessSpec{site, w});
-    scenarios.push_back(std::move(s));
+  const auto name = [&](std::size_t w) {
+    return "switchless " + sweep.site_name + " x" + std::to_string(w);
+  };
+  const std::size_t count = max_workers - min_workers + 1;
+  sweep.points.reserve(count);
+
+  // Replay one parallel round of counts at a time until a count has no
+  // fallbacks.  Each larger count then serves exactly the same calls (the
+  // extra workers only ever add idle slots), so its deltas, span, `served`
+  // and `busy_ns` match and only `workers` and the idle time differ.
+  const std::size_t round = pool_size(count);
+  bool saturated = false;
+  while (!saturated && sweep.points.size() < count) {
+    std::vector<Scenario> scenarios;
+    const std::size_t next = min_workers + sweep.points.size();
+    for (std::size_t w = next; w < next + round && w <= max_workers; ++w) {
+      Scenario s;
+      s.name = name(w);
+      s.switchless.push_back(SwitchlessSpec{site, w});
+      scenarios.push_back(std::move(s));
+    }
+    for (auto& point : run_all(scenarios)) {
+      if (saturated) break;
+      saturated = point.switchless.front().fallbacks == 0;
+      sweep.points.push_back(std::move(point));
+    }
   }
-  sweep.points = run_all(scenarios);
+  while (sweep.points.size() < count) {
+    ScenarioResult point = sweep.points.back();
+    const std::size_t w = min_workers + sweep.points.size();
+    point.name = name(w);
+    point.switchless.front().workers = w;
+    set_wasted_worker_ns(point.switchless.front(), point.replayed_span_ns);
+    sweep.points.push_back(std::move(point));
+  }
 
   // Smallest worker count attaining the minimum span (strict integer
   // compare, so the choice is deterministic).

@@ -51,6 +51,8 @@ struct ReplayConfig {
   std::size_t threads = 0;
 };
 
+/// Replays one trace.  Every call's parent must be kNoParent or the index of
+/// another call, which loading a trace checks.
 class ReplayEngine {
  public:
   explicit ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config = {});
@@ -67,7 +69,10 @@ class ReplayEngine {
   [[nodiscard]] std::vector<ScenarioResult> run_all(
       const std::vector<Scenario>& scenarios) const;
 
-  /// Switchless worker-count sweep over [min_workers, max_workers].
+  /// Switchless worker-count sweep over [min_workers, max_workers].  Counts
+  /// are replayed in rounds of run_all() until one has no fallbacks; every
+  /// larger count serves the same calls, so its point is derived from that
+  /// one instead of replayed.
   [[nodiscard]] SweepResult sweep_switchless(const tracedb::CallKey& site,
                                              std::size_t min_workers = 1,
                                              std::size_t max_workers = 8) const;
@@ -103,11 +108,17 @@ class ReplayEngine {
   std::uint64_t retime_call(tracedb::CallIndex idx, std::uint64_t new_start,
                             const std::vector<std::int64_t>& delta, Retimed& out) const;
 
+  /// Threads run_all() uses for `scenarios` scenarios.
+  [[nodiscard]] std::size_t pool_size(std::size_t scenarios) const noexcept;
+
   const tracedb::TraceDatabase& db_;
   ReplayConfig config_;
 
-  /// Direct children (nested calls) of each call, in start order.
-  std::vector<std::vector<tracedb::CallIndex>> children_;
+  /// Direct children (nested calls) of each call, in start order, in
+  /// compressed sparse row form: the children of call i are
+  /// child_list_[child_begin_[i] .. child_begin_[i + 1]).
+  std::vector<std::size_t> child_begin_;
+  std::vector<tracedb::CallIndex> child_list_;
   /// Top-level call sequences, one per recorded thread, in start order.
   std::vector<std::vector<tracedb::CallIndex>> top_level_;
   /// Indirect parents (Figure 4), for the merge pass.

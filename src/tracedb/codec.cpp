@@ -124,6 +124,15 @@ void read_calls(SpanReader& r, std::uint64_t n, std::vector<CallRecord>& out,
   }
 }
 
+void check_parents(std::span<const CallRecord> calls, const std::string& prefix) {
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    const CallIndex parent = calls[i].parent;
+    if (parent == kNoParent || (parent >= 0 && static_cast<std::size_t>(parent) < i)) continue;
+    throw std::runtime_error(prefix + ": call " + std::to_string(i) + " has parent " +
+                             std::to_string(parent) + ", not an earlier call");
+  }
+}
+
 void write_aexs(BufWriter& w, std::span<const AexRecord> rows) {
   for (const auto& a : rows) {
     w.u32(a.thread_id);

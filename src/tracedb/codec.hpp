@@ -121,6 +121,10 @@ void read_calls(SpanReader& r, std::uint64_t n, std::vector<CallRecord>& out,
                 CallIndex rebase);
 void read_aexs(SpanReader& r, std::uint64_t n, std::vector<AexRecord>& out, CallIndex rebase);
 void read_paging(SpanReader& r, std::uint64_t n, std::vector<PagingRecord>& out);
+/// Throws std::runtime_error ("<prefix>: ...") unless every call's parent
+/// is kNoParent or an earlier row.  Run on a whole decoded call table: the
+/// store rebases parents per write batch, not per chunk.
+void check_parents(std::span<const CallRecord> calls, const std::string& prefix);
 void read_syncs(SpanReader& r, std::uint64_t n, std::vector<SyncRecord>& out);
 
 void write_enclaves(BufWriter& w, std::span<const EnclaveRecord> rows);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <tuple>
+#include <unordered_map>
 
 namespace tracedb {
 
@@ -96,21 +96,42 @@ std::pair<std::size_t, std::size_t> paging_counts(const TraceDatabase& db, Encla
 
 std::vector<CallIndex> indirect_parents(const TraceDatabase& db) {
   const auto& calls = db.calls();
-  std::vector<CallIndex> indirect(calls.size(), kNoParent);
+  const std::size_t n = calls.size();
+  std::vector<CallIndex> indirect(n, kNoParent);
 
   // Calls are stored in start order; per thread this order is preserved, and
   // same-thread calls of the same nesting level never overlap — so a single
-  // forward scan with a (thread, type, direct parent) -> last-seen map
-  // implements the Figure 4 rules.
-  using Key = std::tuple<ThreadId, CallType, CallIndex>;
-  std::map<Key, CallIndex> last_seen;
+  // forward scan with a (thread, type, direct parent) -> last-seen table
+  // implements the Figure 4 rules.  An ecall or ocall on its parent's thread
+  // has a dense slot per (parent, type); every other key (top-level calls,
+  // cross-thread parents, unknown types) is hashed.
+  std::vector<CallIndex> last_child(2 * n, kNoParent);
+  struct Key {
+    ThreadId thread;
+    CallType type;
+    CallIndex parent;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      const auto mixed = (static_cast<std::uint64_t>(k.parent) * 0x9E3779B97F4A7C15ull) ^
+                         (static_cast<std::uint64_t>(k.thread) << 8) ^
+                         static_cast<std::uint64_t>(k.type);
+      return static_cast<std::size_t>(mixed ^ (mixed >> 29));
+    }
+  };
+  std::unordered_map<Key, CallIndex, KeyHash> last_seen;
 
-  for (std::size_t i = 0; i < calls.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     const auto& c = calls[i];
-    const Key key{c.thread_id, c.type, c.parent};
-    const auto it = last_seen.find(key);
-    if (it != last_seen.end()) indirect[i] = it->second;
-    last_seen[key] = static_cast<CallIndex>(i);
+    const auto type = static_cast<std::size_t>(c.type);
+    const bool dense = c.parent >= 0 && static_cast<std::size_t>(c.parent) < n && type < 2 &&
+                       calls[static_cast<std::size_t>(c.parent)].thread_id == c.thread_id;
+    CallIndex& last =
+        dense ? last_child[2 * static_cast<std::size_t>(c.parent) + type]
+              : last_seen.try_emplace(Key{c.thread_id, c.type, c.parent}, kNoParent).first->second;
+    indirect[i] = last;
+    last = static_cast<CallIndex>(i);
   }
   return indirect;
 }

@@ -85,6 +85,7 @@ TraceDatabase TraceDatabase::load(const std::string& path) {
 
   TraceDatabase db;
   codec::read_calls(r, r.u64(), db.calls_, 0);
+  codec::check_parents(db.calls_, "tracedb: trace file " + path);
   codec::read_aexs(r, r.u64(), db.aexs_, 0);
   codec::read_paging(r, r.u64(), db.paging_);
   codec::read_syncs(r, r.u64(), db.syncs_);

@@ -151,6 +151,7 @@ TraceDatabase StoreReader::load(unsigned mask) {
       decode_chunk(m.data() + s.offset + entry.offset, entry.length, entry, db);
       io_.bytes_read += entry.length;
     }
+    codec::check_parents(db.calls(), "store: events section " + s.file);
   }
   return db;
 }

@@ -566,6 +566,8 @@ TEST(ReplayLocks, AnalyzerFindingsAndPredictionsOnMixedTrace) {
 
 TEST(ReplayDeterminism, ResultsAreByteIdenticalAtAnyReplayThreadCount) {
   const TraceDatabase db = record_demo(3, 120);
+  const TraceDatabase faults = scattered_faults_db();
+  const TraceDatabase busy = overlapping_db();
   const auto key = demo_ecall_key(db);
   auto scenarios = [&] {
     std::vector<Scenario> list;
@@ -585,14 +587,28 @@ TEST(ReplayDeterminism, ResultsAreByteIdenticalAtAnyReplayThreadCount) {
     list.push_back(cp);
     return list;
   }();
+  std::vector<Scenario> epc_scenarios;
+  for (const std::size_t pages : {4u, 24u, 64u}) {
+    Scenario s;
+    s.name = "epc " + std::to_string(pages);
+    s.epc_pages = pages;
+    epc_scenarios.push_back(s);
+  }
 
+  // Sweeps replay in rounds as wide as the thread pool, so each thread
+  // count stops at a different round boundary.
   std::string first;
-  for (const std::size_t threads : {1u, 2u, 7u}) {
+  for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
     ReplayConfig rcfg;
     rcfg.threads = threads;
     ReplayEngine engine(db, rcfg);
+    ReplayEngine faults_engine(faults, rcfg);
+    ReplayEngine busy_engine(busy, rcfg);
     const std::string json =
-        replay::render_whatif_json(engine.validate(), engine.run_all(scenarios));
+        replay::render_whatif_json(engine.validate(), engine.run_all(scenarios)) +
+        replay::render_whatif_json(faults_engine.validate(), faults_engine.run_all(epc_scenarios)) +
+        fingerprint(engine.sweep_switchless(key, 1, 8)) +
+        fingerprint(busy_engine.sweep_switchless(CallKey{1, CallType::kEcall, 0}, 1, 8));
     if (first.empty()) {
       first = json;
     } else {

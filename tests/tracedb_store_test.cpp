@@ -590,6 +590,32 @@ TEST(TraceStore, MissingSectionFileIsRejected) {
   EXPECT_NE(what.find("cannot open"), std::string::npos) << what;
 }
 
+TEST(TraceStore, CallParentsThatAreNotEarlierCallsAreRejected) {
+  // Out of range, self and forward parents, in the last of several chunks:
+  // the check runs on the whole decoded table.
+  for (const tracedb::CallIndex parent : {1'000'000'000ll, 4ll, 5ll}) {
+    TraceDatabase db;
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      CallRecord c;
+      c.type = CallType::kEcall;
+      c.thread_id = 1;
+      c.enclave_id = 1;
+      c.start_ns = 100 * i;
+      c.end_ns = 100 * i + 50;
+      if (i == 4) c.parent = parent;
+      db.add_call(c);
+    }
+    StoreDir store("store_parent.store");
+    tracedb::store::pack(db, store.path, {.chunk_calls = 2});
+    const std::string what = expect_store_error(store.path, tracedb::store::kAllSections);
+    EXPECT_NE(what.find("call 4 has parent " + std::to_string(parent)), std::string::npos)
+        << what;
+    // Summary sections do not decode calls, so they still open.
+    tracedb::store::StoreReader reader(store.path);
+    EXPECT_NO_THROW((void)reader.load(tracedb::store::kSummarySections));
+  }
+}
+
 // --- compaction --------------------------------------------------------------
 
 TEST(TraceStore, CompactMergesSummariesAndRebasesEventChunks) {

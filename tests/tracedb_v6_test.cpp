@@ -1,7 +1,8 @@
 // The flat trace format (SGXPTRC6): every table round-trips byte-identically,
 // only the current magic loads, and corrupt payloads (bad alert or rule
 // kind, malformed window interval, dangling window reference, implausible
-// row counts, truncation) are rejected with a typed error instead of being
+// row counts, truncation, a call parent that is not an earlier call) are
+// rejected with a typed error instead of being
 // half-loaded or allocating without bound.  The fixtures are assembled by
 // hand, independently of the row codec, so they also lock the byte layout.
 #include <gtest/gtest.h>
@@ -63,7 +64,7 @@ std::string load_error(const std::string& bytes) {
   return what;
 }
 
-bool mentions(const std::string& what, const char* needle) {
+bool mentions(const std::string& what, const std::string& needle) {
   return what.find(needle) != std::string::npos;
 }
 
@@ -525,6 +526,40 @@ TEST(FormatV6, RejectsOversizedCountsBeforeReserving) {
                                                  << ": " << what;
     }
   }
+}
+
+/// Four flat top-level ecalls; call 2 then gets `parent`.
+TraceDatabase four_calls_with_parent(tracedb::CallIndex parent) {
+  TraceDatabase db;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    CallRecord c;
+    c.type = CallType::kEcall;
+    c.thread_id = 1;
+    c.enclave_id = 1;
+    c.start_ns = 100 * i;
+    c.end_ns = 100 * i + 50;
+    if (i == 2) c.parent = parent;
+    db.add_call(c);
+  }
+  return db;
+}
+
+TEST(FormatV6, RejectsCallParentsThatAreNotEarlierCalls) {
+  // Out of range, self, forward and a negative index other than kNoParent:
+  // each would send consumers that index by parent out of bounds or into
+  // unbounded recursion.
+  for (const tracedb::CallIndex parent : {1'000'000'000ll, 2ll, 3ll, -7ll}) {
+    const std::string path = temp_path("parent.bin");
+    four_calls_with_parent(parent).save(path);
+    const std::string what = load_error(slurp(path));
+    std::filesystem::remove(path);
+    EXPECT_TRUE(mentions(what, "call 2 has parent " + std::to_string(parent)))
+        << parent << ": " << what;
+  }
+  const std::string path = temp_path("earlier.bin");
+  four_calls_with_parent(1).save(path);
+  EXPECT_EQ(load_error(slurp(path)), "");
+  std::filesystem::remove(path);
 }
 
 TEST(FormatV6, RejectsTruncatedFiles) {

@@ -86,6 +86,9 @@
 
 namespace {
 
+/// The rankings `fleet top --by` accepts.
+constexpr std::string_view kRankings = "p99|transitions|paging";
+
 /// Everything a command line can set.  `parse_args` fills in only the
 /// positionals and flags the verb's row names; the rest keep these defaults.
 struct Options {
@@ -129,7 +132,7 @@ struct Options {
   std::uint64_t idle_exit_ms = 0;      // 0 = run forever
   std::string fleet_socket;
   std::string fleet_host = "localhost";
-  std::string rank_by = "p99";         // p99 | transitions | paging
+  std::string rank_by = "p99";         // one of kRankings
   std::size_t top_n = 10;
   bool corpus = false;
   std::string model_path;              // --model (order check), --order-model (monitor, stress)
@@ -207,11 +210,11 @@ int to_stdout(const std::string& text) {
   return 0;
 }
 
-/// Splits `text` at single spaces.
-std::vector<std::string_view> words(std::string_view text) {
+/// Splits `text` at each `separator`.
+std::vector<std::string_view> words(std::string_view text, char separator = ' ') {
   std::vector<std::string_view> out;
   while (!text.empty()) {
-    const auto end = text.find(' ');
+    const auto end = text.find(separator);
     out.push_back(text.substr(0, end));
     text = end == std::string_view::npos ? std::string_view() : text.substr(end + 1);
   }
@@ -239,6 +242,19 @@ std::function<bool(const char*)> on(bool& field) {
   return [&field](const char*) {
     field = true;
     return true;
+  };
+}
+
+/// A text flag whose value must be one of the '|'-separated `choices`.
+std::function<bool(const char*)> one_of(std::string& field, std::string_view choices) {
+  return [&field, choices](const char* v) {
+    for (const auto choice : words(choices, '|')) {
+      if (choice == v) {
+        field = v;
+        return true;
+      }
+    }
+    return false;
   };
 }
 
@@ -304,7 +320,7 @@ std::vector<Flag> flag_table(Options& o) {
       {"--idle-exit-ms", "N", "exit after N idle ms (0 = never)", number(o.idle_exit_ms)},
       {"--prom-out", "FILE", "atomic Prometheus snapshot per checkpoint", text(o.prom_out_path)},
       {"--self-stat-ms", "N", "a status JSON line on stderr every N ms", number(o.self_stat_ms)},
-      {"--by", "M", "rank by p99, transitions or paging (p99)", text(o.rank_by)},
+      {"--by", kRankings, "fleet ranking (default p99)", one_of(o.rank_by, kRankings)},
       {"--n", "N", "rows to return (default 10)", number(o.top_n)},
       {"--corpus", "", "the built-in 3-producer stress corpus", on(o.corpus)},
       {"--model", "FILE", "spec to check (default: embedded rules)", text(o.model_path)},
@@ -1887,8 +1903,9 @@ const Verb* parse_args(int argc, char** argv, Options& opts) {
       value = argv[++i];
     }
     if (!flag->set(value)) {
-      std::fprintf(stderr, "error: bad value '%s' for %s (want a non-negative number)\n", value,
-                   arg.c_str());
+      const bool choice = flag->value.find('|') != std::string_view::npos;
+      std::fprintf(stderr, "error: bad value '%s' for %s (want %s)\n", value, arg.c_str(),
+                   choice ? std::string(flag->value).c_str() : "a non-negative number");
       return nullptr;
     }
     opts.given.insert(flag->name);
