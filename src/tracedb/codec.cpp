@@ -106,7 +106,7 @@ void write_calls(BufWriter& w, std::span<const CallRecord> rows) {
 }
 
 void read_calls(SpanReader& r, std::uint64_t n, std::vector<CallRecord>& out,
-                CallIndex rebase) {
+                CallIndex rebase, bool check_parents) {
   reserve_rows(r, n, kCallRowBytes, "call", out);
   for (std::uint64_t i = 0; i < n; ++i) {
     CallRecord c;
@@ -117,19 +117,15 @@ void read_calls(SpanReader& r, std::uint64_t n, std::vector<CallRecord>& out,
     c.call_id = r.u32();
     c.parent = r.i64();
     if (c.parent >= 0) c.parent += rebase;
+    if (check_parents && c.parent != kNoParent &&
+        (c.parent < 0 || static_cast<std::size_t>(c.parent) >= out.size())) {
+      r.fail("call " + std::to_string(out.size()) + " has parent " + std::to_string(c.parent) +
+             ", not an earlier call");
+    }
     c.start_ns = r.u64();
     c.end_ns = r.u64();
     c.aex_count = r.u32();
     out.push_back(c);
-  }
-}
-
-void check_parents(std::span<const CallRecord> calls, const std::string& prefix) {
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    const CallIndex parent = calls[i].parent;
-    if (parent == kNoParent || (parent >= 0 && static_cast<std::size_t>(parent) < i)) continue;
-    throw std::runtime_error(prefix + ": call " + std::to_string(i) + " has parent " +
-                             std::to_string(parent) + ", not an earlier call");
   }
 }
 

@@ -117,14 +117,14 @@ void write_calls(BufWriter& w, std::span<const CallRecord> rows);
 void write_aexs(BufWriter& w, std::span<const AexRecord> rows);
 void write_paging(BufWriter& w, std::span<const PagingRecord> rows);
 void write_syncs(BufWriter& w, std::span<const SyncRecord> rows);
+/// With `check_parents`, `out` must receive the whole call table in row
+/// order: a call whose parent (after rebasing) is neither kNoParent nor an
+/// earlier row is rejected.  The store rebases per write batch, not per
+/// chunk, so the bound is the row's index in `out`, not in its chunk.
 void read_calls(SpanReader& r, std::uint64_t n, std::vector<CallRecord>& out,
-                CallIndex rebase);
+                CallIndex rebase, bool check_parents);
 void read_aexs(SpanReader& r, std::uint64_t n, std::vector<AexRecord>& out, CallIndex rebase);
 void read_paging(SpanReader& r, std::uint64_t n, std::vector<PagingRecord>& out);
-/// Throws std::runtime_error ("<prefix>: ...") unless every call's parent
-/// is kNoParent or an earlier row.  Run on a whole decoded call table: the
-/// store rebases parents per write batch, not per chunk.
-void check_parents(std::span<const CallRecord> calls, const std::string& prefix);
 void read_syncs(SpanReader& r, std::uint64_t n, std::vector<SyncRecord>& out);
 
 void write_enclaves(BufWriter& w, std::span<const EnclaveRecord> rows);

@@ -84,8 +84,7 @@ TraceDatabase TraceDatabase::load(const std::string& path) {
   if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) r.fail("bad magic");
 
   TraceDatabase db;
-  codec::read_calls(r, r.u64(), db.calls_, 0);
-  codec::check_parents(db.calls_, "tracedb: trace file " + path);
+  codec::read_calls(r, r.u64(), db.calls_, 0, /*check_parents=*/true);
   codec::read_aexs(r, r.u64(), db.aexs_, 0);
   codec::read_paging(r, r.u64(), db.paging_);
   codec::read_syncs(r, r.u64(), db.syncs_);

@@ -303,7 +303,7 @@ std::string encode_chunk(std::span<const CallRecord> calls, std::span<const AexR
 }
 
 void decode_chunk(const char* data, std::size_t size, const ChunkDirEntry& entry,
-                  TraceDatabase& db) {
+                  TraceDatabase& db, bool whole_table) {
   if (size < 4) {
     throw std::runtime_error("store: truncated event chunk");
   }
@@ -329,7 +329,7 @@ void decode_chunk(const char* data, std::size_t size, const ChunkDirEntry& entry
     throw std::runtime_error("store: event chunk row counts disagree with directory");
   }
   const auto rebase = static_cast<CallIndex>(entry.call_rebase);
-  codec::read_calls(r, n_calls, RawTables::calls(db), rebase);
+  codec::read_calls(r, n_calls, RawTables::calls(db), rebase, whole_table);
   codec::read_aexs(r, n_aexs, RawTables::aexs(db), rebase);
   codec::read_paging(r, n_paging, RawTables::paging(db));
   codec::read_syncs(r, n_syncs, RawTables::syncs(db));

@@ -176,8 +176,10 @@ void decode_alerts(codec::SpanReader& r, TraceDatabase& db);
 
 /// Verifies `entry.crc` over the chunk bytes and appends the rows to `db`,
 /// shifting CallIndex references by `entry.call_rebase` — the complete
-/// shift; the number of calls already in `db` is not added.
+/// shift; the number of calls already in `db` is not added.  Set
+/// `whole_table` when every chunk is decoded in directory order: call
+/// parents are then checked against the rows before them.
 void decode_chunk(const char* data, std::size_t size, const ChunkDirEntry& entry,
-                  TraceDatabase& db);
+                  TraceDatabase& db, bool whole_table);
 
 }  // namespace tracedb::store

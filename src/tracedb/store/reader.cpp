@@ -148,10 +148,10 @@ TraceDatabase StoreReader::load(unsigned mask) {
     const codec::MappedFile& m = map_section(s);
     reserve_events(db, chunks_, [](const ChunkDirEntry&) { return true; });
     for (const auto& entry : chunks_) {
-      decode_chunk(m.data() + s.offset + entry.offset, entry.length, entry, db);
+      decode_chunk(m.data() + s.offset + entry.offset, entry.length, entry, db,
+                   /*whole_table=*/true);
       io_.bytes_read += entry.length;
     }
-    codec::check_parents(db.calls(), "store: events section " + s.file);
   }
   return db;
 }
@@ -172,7 +172,8 @@ void StoreReader::load_events_overlapping(TraceDatabase& db, Nanoseconds from_ns
   reserve_events(db, chunks_, selected);
   for (const auto& entry : chunks_) {
     if (!selected(entry)) continue;
-    decode_chunk(m.data() + s.offset + entry.offset, entry.length, entry, db);
+    decode_chunk(m.data() + s.offset + entry.offset, entry.length, entry, db,
+                 /*whole_table=*/false);
     io_.bytes_read += entry.length;
   }
 }

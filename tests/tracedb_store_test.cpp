@@ -591,8 +591,8 @@ TEST(TraceStore, MissingSectionFileIsRejected) {
 }
 
 TEST(TraceStore, CallParentsThatAreNotEarlierCallsAreRejected) {
-  // Out of range, self and forward parents, in the last of several chunks:
-  // the check runs on the whole decoded table.
+  // Out of range, self and forward parents, in the third of three chunks:
+  // the bound is the call's index in the whole table, not in its chunk.
   for (const tracedb::CallIndex parent : {1'000'000'000ll, 4ll, 5ll}) {
     TraceDatabase db;
     for (std::uint64_t i = 0; i < 6; ++i) {
