@@ -339,9 +339,8 @@ TEST(ReplaySweep, PicksTheSmallestWorkerCountAtPeakSpeedup) {
 }
 
 // --- behaviour locks ------------------------------------------------------------
-// Exact values captured from the map-based EPC LRU, the vector-per-call
-// replay index and the replay-every-count sweep.  Faster passes must give
-// the same numbers.
+// Exact results of the replay passes on fixed traces.  A faster pass must
+// reproduce them.
 
 /// Every field of one scenario result, on one line.
 std::string fingerprint(const replay::ScenarioResult& r) {
@@ -485,19 +484,21 @@ TEST(ReplayLocks, EpcPassOnScatteredFaults) {
 
 TEST(ReplayLocks, SweepPointsWithAndWithoutLowCountFallbacks) {
   const TraceDatabase busy = overlapping_db();
-  const auto contended = ReplayEngine(busy).sweep_switchless(CallKey{1, CallType::kEcall, 0}, 1, 6);
-  EXPECT_EQ(fingerprint(contended), 
+  const auto contended =
+      ReplayEngine(busy).sweep_switchless(CallKey{1, CallType::kEcall, 0}, 1, 6);
+  EXPECT_EQ(fingerprint(contended),
             "switchless ecall_hot x1|198000|198000|10|0|0|1:0:0:ecall_hot:1:10:20:84150:113850\n"
             "switchless ecall_hot x2|198000|198000|20|0|0|1:0:0:ecall_hot:2:20:10:168300:227700\n"
             "switchless ecall_hot x3|198000|162150|30|0|0|1:0:0:ecall_hot:3:30:0:252450:234000\n"
             "switchless ecall_hot x4|198000|162150|30|0|0|1:0:0:ecall_hot:4:30:0:252450:396150\n"
             "switchless ecall_hot x5|198000|162150|30|0|0|1:0:0:ecall_hot:5:30:0:252450:558300\n"
             "switchless ecall_hot x6|198000|162150|30|0|0|1:0:0:ecall_hot:6:30:0:252450:720450\n"
-            "best 3 1.2210915818686401") << fingerprint(contended);
+            "best 3 1.2210915818686401")
+      << fingerprint(contended);
 
   const TraceDatabase serial = record_demo(1, 60);
   const auto idle = ReplayEngine(serial).sweep_switchless(demo_ecall_key(serial), 1, 5);
-  EXPECT_EQ(fingerprint(idle), 
+  EXPECT_EQ(fingerprint(idle),
             "switchless ecall_with_ocall x1|671257|456157|60|0|0|1:0:0:ecall_with_ocall:1:60:0:"
             "415860:40297\n"
             "switchless ecall_with_ocall x2|671257|456157|60|0|0|1:0:0:ecall_with_ocall:2:60:0:"
@@ -508,7 +509,8 @@ TEST(ReplayLocks, SweepPointsWithAndWithoutLowCountFallbacks) {
             "415860:1408768\n"
             "switchless ecall_with_ocall x5|671257|456157|60|0|0|1:0:0:ecall_with_ocall:5:60:0:"
             "415860:1864925\n"
-            "best 1 1.4715481731070663") << fingerprint(idle);
+            "best 1 1.4715481731070663")
+      << fingerprint(idle);
 }
 
 /// Records `cycles` 4-step cycles of the `mixed` stressor on one thread
@@ -529,7 +531,7 @@ TraceDatabase record_mixed(std::size_t cycles) {
   return db;
 }
 
-/// FNV-1a of everything the analyser reports about findings and predictions.
+/// Everything the analyser reports about findings and predictions.
 std::string findings_fingerprint(const perf::AnalysisReport& report) {
   std::string out;
   char buf[256];
@@ -606,7 +608,8 @@ TEST(ReplayDeterminism, ResultsAreByteIdenticalAtAnyReplayThreadCount) {
     ReplayEngine busy_engine(busy, rcfg);
     const std::string json =
         replay::render_whatif_json(engine.validate(), engine.run_all(scenarios)) +
-        replay::render_whatif_json(faults_engine.validate(), faults_engine.run_all(epc_scenarios)) +
+        replay::render_whatif_json(faults_engine.validate(),
+                                   faults_engine.run_all(epc_scenarios)) +
         fingerprint(engine.sweep_switchless(key, 1, 8)) +
         fingerprint(busy_engine.sweep_switchless(CallKey{1, CallType::kEcall, 0}, 1, 8));
     if (first.empty()) {
