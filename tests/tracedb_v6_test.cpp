@@ -2,9 +2,9 @@
 // only the current magic loads, and corrupt payloads (bad alert or rule
 // kind, malformed window interval, dangling window reference, implausible
 // row counts, truncation, a call parent that is not an earlier call) are
-// rejected with a typed error instead of being
-// half-loaded or allocating without bound.  The fixtures are assembled by
-// hand, independently of the row codec, so they also lock the byte layout.
+// rejected with a typed error instead of being half-loaded or allocating
+// without bound.  The fixtures are assembled by hand, independently of the
+// row codec, so they also lock the byte layout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
