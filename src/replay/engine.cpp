@@ -232,6 +232,8 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
     // trace has).  Every touch queues (tick, page); an entry goes stale when
     // its page is touched again or evicted, so the first entry still
     // matching its page's tick is the least recently used resident page.
+    // An entry leaves the queue only when an eviction pops it, so the queue
+    // is O(page-ins), the size of paging_call_.
     struct Lru {
       std::unordered_map<std::uint64_t, std::uint64_t> tick_of;  // resident page -> last tick
       std::deque<std::pair<std::uint64_t, std::uint64_t>> order;  // (tick, page), oldest first
@@ -362,19 +364,16 @@ ScenarioResult ReplayEngine::run(const Scenario& scenario) const {
   return result;
 }
 
-std::size_t ReplayEngine::pool_size(std::size_t scenarios) const noexcept {
-  const std::size_t workers = config_.threads != 0
-                                  ? config_.threads
-                                  : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  return std::min(workers, scenarios);
-}
-
 std::vector<ScenarioResult> ReplayEngine::run_all(
     const std::vector<Scenario>& scenarios) const {
   std::vector<ScenarioResult> out(scenarios.size());
   if (scenarios.empty()) return out;
 
-  const std::size_t workers = pool_size(scenarios.size());
+  std::size_t workers = config_.threads != 0
+                            ? config_.threads
+                            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  workers = std::min(workers, scenarios.size());
+
   if (workers <= 1) {
     for (std::size_t i = 0; i < scenarios.size(); ++i) out[i] = run(scenarios[i]);
     return out;
@@ -442,26 +441,16 @@ SweepResult ReplayEngine::sweep_switchless(const CallKey& site, std::size_t min_
   const std::size_t count = max_workers - min_workers + 1;
   sweep.points.reserve(count);
 
-  // Replay one parallel round of counts at a time until a count has no
-  // fallbacks.  Each larger count then serves exactly the same calls (the
-  // extra workers only ever add idle slots), so its deltas, span, `served`
-  // and `busy_ns` match and only `workers` and the idle time differ.
-  const std::size_t round = pool_size(count);
-  bool saturated = false;
-  while (!saturated && sweep.points.size() < count) {
-    std::vector<Scenario> scenarios;
-    const std::size_t next = min_workers + sweep.points.size();
-    for (std::size_t w = next; w < next + round && w <= max_workers; ++w) {
-      Scenario s;
-      s.name = name(w);
-      s.switchless.push_back(SwitchlessSpec{site, w});
-      scenarios.push_back(std::move(s));
-    }
-    for (auto& point : run_all(scenarios)) {
-      if (saturated) break;
-      saturated = point.switchless.front().fallbacks == 0;
-      sweep.points.push_back(std::move(point));
-    }
+  // Replay counts in order until one has no fallbacks.  Each larger count
+  // then serves exactly the same calls (the extra workers only ever add idle
+  // slots), so its deltas, span, `served` and `busy_ns` match and only
+  // `workers` and the idle time differ.
+  for (std::size_t w = min_workers; w <= max_workers; ++w) {
+    Scenario s;
+    s.name = name(w);
+    s.switchless.push_back(SwitchlessSpec{site, w});
+    sweep.points.push_back(run(s));
+    if (sweep.points.back().switchless.front().fallbacks == 0) break;
   }
   while (sweep.points.size() < count) {
     ScenarioResult point = sweep.points.back();

@@ -52,7 +52,7 @@ struct ReplayConfig {
 };
 
 /// Replays one trace.  Every call's parent must be kNoParent or the index of
-/// another call, which loading a trace checks.
+/// an earlier call, which loading a trace checks.
 class ReplayEngine {
  public:
   explicit ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config = {});
@@ -70,7 +70,7 @@ class ReplayEngine {
       const std::vector<Scenario>& scenarios) const;
 
   /// Switchless worker-count sweep over [min_workers, max_workers].  Counts
-  /// are replayed in rounds of run_all() until one has no fallbacks; every
+  /// are replayed one at a time, in order, until one has no fallbacks; every
   /// larger count serves the same calls, so its point is derived from that
   /// one instead of replayed.
   [[nodiscard]] SweepResult sweep_switchless(const tracedb::CallKey& site,
@@ -107,9 +107,6 @@ class ReplayEngine {
   /// Re-times one call tree rooted at `idx`, returning the new end time.
   std::uint64_t retime_call(tracedb::CallIndex idx, std::uint64_t new_start,
                             const std::vector<std::int64_t>& delta, Retimed& out) const;
-
-  /// Threads run_all() uses for `scenarios` scenarios.
-  [[nodiscard]] std::size_t pool_size(std::size_t scenarios) const noexcept;
 
   const tracedb::TraceDatabase& db_;
   ReplayConfig config_;
