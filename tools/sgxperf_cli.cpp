@@ -223,12 +223,13 @@ std::vector<std::string_view> words(std::string_view text, char separator = ' ')
 
 /// One command-line flag.  A switch has no `value`; any other flag takes the
 /// next argument, which `value` names in the usage text and `set` stores
-/// (false: not a non-negative number that fits the field).
+/// (false: not what `want` describes).
 struct Flag {
   std::string_view name;
   std::string_view value;
   std::string_view help;
   std::function<bool(const char* text)> set;
+  std::string_view want = "a non-negative number";
 };
 
 std::function<bool(const char*)> text(std::string& field) {
@@ -320,7 +321,7 @@ std::vector<Flag> flag_table(Options& o) {
       {"--idle-exit-ms", "N", "exit after N idle ms (0 = never)", number(o.idle_exit_ms)},
       {"--prom-out", "FILE", "atomic Prometheus snapshot per checkpoint", text(o.prom_out_path)},
       {"--self-stat-ms", "N", "a status JSON line on stderr every N ms", number(o.self_stat_ms)},
-      {"--by", kRankings, "fleet ranking (default p99)", one_of(o.rank_by, kRankings)},
+      {"--by", kRankings, "fleet ranking (default p99)", one_of(o.rank_by, kRankings), kRankings},
       {"--n", "N", "rows to return (default 10)", number(o.top_n)},
       {"--corpus", "", "the built-in 3-producer stress corpus", on(o.corpus)},
       {"--model", "FILE", "spec to check (default: embedded rules)", text(o.model_path)},
@@ -1903,9 +1904,8 @@ const Verb* parse_args(int argc, char** argv, Options& opts) {
       value = argv[++i];
     }
     if (!flag->set(value)) {
-      const bool choice = flag->value.find('|') != std::string_view::npos;
       std::fprintf(stderr, "error: bad value '%s' for %s (want %s)\n", value, arg.c_str(),
-                   choice ? std::string(flag->value).c_str() : "a non-negative number");
+                   std::string(flag->want).c_str());
       return nullptr;
     }
     opts.given.insert(flag->name);
