@@ -597,8 +597,8 @@ TEST(ReplayDeterminism, ResultsAreByteIdenticalAtAnyReplayThreadCount) {
     epc_scenarios.push_back(s);
   }
 
-  // Sweeps replay in rounds as wide as the thread pool, so each thread
-  // count stops at a different round boundary.
+  // The EPC scenarios go through run_all's pool; the sweeps stop early at
+  // their first count with no fallbacks (the busy one falls back below it).
   std::string first;
   for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
     ReplayConfig rcfg;
