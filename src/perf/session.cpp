@@ -7,6 +7,7 @@
 #include "sgxsim/runtime.hpp"
 #include "support/json.hpp"
 #include "support/strutil.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace perf {
 
@@ -34,6 +35,93 @@ void JsonLinesSink::on_alert(const tracedb::AlertRecord& alert, bool resolved,
   if (out_ == nullptr) return;
   const std::string line = alert_json(alert, resolved, site_name);
   std::fprintf(out_, "%s\n", line.c_str());
+}
+
+void TopSink::on_window(const tracedb::WindowRecord& window,
+                        const std::vector<SessionWindowSite>& sites) {
+  if (windowed_) sites_.clear();
+  for (const auto& s : sites) {
+    Site& site = sites_[tracedb::CallKey{s.row.enclave_id, s.row.type, s.row.call_id}];
+    site.name = s.name;
+    site.calls += s.row.calls;
+    site.aexs += s.row.aex_count;
+    site.latency.merge(s.delta);
+  }
+  calls_ += window.calls;
+  aexs_ += window.aexs;
+  paging_ += window.page_ins + window.page_outs;
+  dropped_ = window.stream_dropped;
+  if (window.window_index == 0) first_ns_ = window.start_ns;
+  last_ns_ = window.end_ns;
+}
+
+void TopSink::on_finish(std::uint64_t end_ns) {
+  // The windows are aligned to the period; the span starts at the first
+  // recorded timestamp instead (an enclave's creation, normally).
+  std::uint64_t first = end_ns;
+  for (const auto& e : trace_.enclaves()) first = std::min<std::uint64_t>(first, e.created_ns);
+  for (const auto& c : trace_.calls()) first = std::min<std::uint64_t>(first, c.start_ns);
+  for (const auto& a : trace_.aexs()) first = std::min<std::uint64_t>(first, a.timestamp_ns);
+  for (const auto& p : trace_.paging()) first = std::min<std::uint64_t>(first, p.timestamp_ns);
+  first_ns_ = first;
+}
+
+std::string TopSink::render_frame() {
+  ++frame_;
+
+  // Rates over the virtual time that elapsed since the previous frame (the
+  // clock the events carry — wall-clock rates would measure the host, not
+  // the enclave).
+  const std::uint64_t span_ns = last_ns_ > prev_ns_ ? last_ns_ - prev_ns_ : 0;
+  auto rate = [&](std::uint64_t delta) {
+    return span_ns == 0 ? 0.0 : static_cast<double>(delta) * 1e9 / static_cast<double>(span_ns);
+  };
+  const double calls_per_s = rate(calls_ - prev_calls_);
+  const double aex_per_s = rate(aexs_ - prev_aexs_);
+  prev_calls_ = calls_;
+  prev_aexs_ = aexs_;
+  prev_ns_ = last_ns_;
+
+  const std::int64_t epc_pages =
+      telemetry::metrics().gauge("sgxsim.epc_resident", "pages").value();
+
+  std::string out;
+  out += support::format(
+      "sgxperf top — frame %llu  vtime %.3fms  calls %llu  aex %llu  paging %llu  "
+      "epc %lld pages  stream-dropped %llu\n",
+      static_cast<unsigned long long>(frame_),
+      last_ns_ > first_ns_ ? static_cast<double>(last_ns_ - first_ns_) / 1e6 : 0.0,
+      static_cast<unsigned long long>(calls_), static_cast<unsigned long long>(aexs_),
+      static_cast<unsigned long long>(paging_), static_cast<long long>(epc_pages),
+      static_cast<unsigned long long>(dropped_));
+  out += support::format("  rates (virtual): %.0f calls/s  %.0f aex/s\n", calls_per_s,
+                         aex_per_s);
+  if (windowed_) {
+    out += support::format("  window: %.3fms (tumbling, virtual time)\n",
+                           static_cast<double>(window_ns_) / 1e6);
+  }
+  out += support::format("  %-32s %10s %10s %10s %10s %10s %8s\n", "call", "count",
+                         "p50[us]", "p90[us]", "p99[us]", "p99.9[us]", "aex");
+
+  // Busiest sites first; ties broken by key so frames are deterministic.
+  std::vector<std::pair<tracedb::CallKey, const Site*>> rows;
+  rows.reserve(sites_.size());
+  for (const auto& [key, site] : sites_) rows.emplace_back(key, &site);
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    if (a.second->calls != b.second->calls) return a.second->calls > b.second->calls;
+    return a.first < b.first;
+  });
+
+  for (const auto& [key, site] : rows) {
+    const auto us = [&](double q) {
+      return static_cast<double>(site->latency.value_at_percentile(q)) / 1000.0;
+    };
+    out += support::format("  %-32s %10llu %10.1f %10.1f %10.1f %10.1f %8llu\n",
+                           site->name.c_str(), static_cast<unsigned long long>(site->calls),
+                           us(50), us(90), us(99), us(99.9),
+                           static_cast<unsigned long long>(site->aexs));
+  }
+  return out;
 }
 
 MonitorSession::MonitorSession(Logger& logger, MonitorSessionConfig config)

@@ -21,7 +21,8 @@
 // its per-site HDR deltas (the mergeable currency a fleet aggregator
 // needs), and a final stats record carrying the loss counters (stream and
 // sealed-shard drops) so an aggregation service can flag lossy producers
-// per (host, enclave).
+// per (host, enclave).  `sgxperf top`'s dashboard is one more sink
+// (TopSink), drawn from those windows.
 //
 // Threading: single-consumer, like the OnlineAnalyzer it owns.  poll(),
 // pump(), finish() and persist() belong to one monitoring thread; the
@@ -33,12 +34,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "perf/logger.hpp"
 #include "perf/online.hpp"
+#include "telemetry/hdr_histogram.hpp"
 #include "telemetry/ledger.hpp"
 
 namespace sgxsim {
@@ -138,6 +141,65 @@ class JsonLinesSink : public MonitorSink {
 
  private:
   std::FILE* out_;
+};
+
+/// `sgxperf top`'s live dashboard as a sink: folds each closed window into
+/// per-site tables and renders plain-text frames (header with virtual-time
+/// rates, EPC residency and the drop count, then one row per site, busiest
+/// first).  Cumulative mode merges every window's per-site HDR delta into a
+/// running total — bucket-wise sums of the deltas are the cumulative
+/// distribution exactly; windowed mode shows only the last closed window, so
+/// its rows equal that window's persisted WindowSiteRecords.  Mid-run frames
+/// trail the stream by at most one window; once finish() has closed the last
+/// one, the frame covers every event.
+class TopSink : public MonitorSink {
+ public:
+  struct Site {
+    std::string name;
+    std::uint64_t calls = 0;
+    std::uint64_t aexs = 0;
+    telemetry::HdrSnapshot latency;
+  };
+
+  /// `trace` is the logger's database: once it is merged (the logger
+  /// detached before finish()), it supplies the first recorded timestamp
+  /// that starts the header's virtual-time span.
+  TopSink(const tracedb::TraceDatabase& trace, bool windowed)
+      : trace_(trace), windowed_(windowed) {}
+
+  void on_session_start(const SessionInfo& info) override { window_ns_ = info.window_ns; }
+  void on_window(const tracedb::WindowRecord& window,
+                 const std::vector<SessionWindowSite>& sites) override;
+  void on_finish(std::uint64_t end_ns) override;  // the trace's first timestamp
+
+  /// One frame, no terminal escapes — the caller decides how to repaint.
+  /// Rates cover the virtual time since the previous frame.
+  [[nodiscard]] std::string render_frame();
+
+  [[nodiscard]] const std::map<tracedb::CallKey, Site>& sites() const noexcept { return sites_; }
+  [[nodiscard]] std::uint64_t total_calls() const noexcept { return calls_; }
+  [[nodiscard]] std::uint64_t total_aexs() const noexcept { return aexs_; }
+  [[nodiscard]] std::uint64_t total_paging() const noexcept { return paging_; }
+  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+
+ private:
+  const tracedb::TraceDatabase& trace_;
+  bool windowed_;
+  std::uint64_t window_ns_ = 0;
+  std::map<tracedb::CallKey, Site> sites_;
+  std::uint64_t calls_ = 0;
+  std::uint64_t aexs_ = 0;
+  std::uint64_t paging_ = 0;
+  std::uint64_t dropped_ = 0;
+  /// Virtual-time span of the frames: the first window's start until the
+  /// trace's first timestamp is known, and the last window's end.
+  std::uint64_t first_ns_ = 0;
+  std::uint64_t last_ns_ = 0;
+  /// Previous frame's totals, for the per-frame rate line.
+  std::uint64_t prev_calls_ = 0;
+  std::uint64_t prev_aexs_ = 0;
+  std::uint64_t prev_ns_ = 0;
+  std::uint64_t frame_ = 0;
 };
 
 /// One alert transition as a JSON line (no trailing newline) — shared by

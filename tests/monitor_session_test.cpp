@@ -6,9 +6,12 @@
 // persisted v5 tables match the analyser state, its loss counters are
 // visible mid-run, and — under lockstep stress scheduling — its entire
 // output is a pure function of the workload spec (byte-identical alert
-// streams across runs).
+// streams across runs).  `sgxperf top`'s TopSink is checked on the same
+// loop: its folded windows equal the logger's latency table and event
+// counts, and its windowed view equals the last persisted window.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -22,6 +25,7 @@
 #include "perf/session.hpp"
 #include "sgxsim/runtime.hpp"
 #include "stress/stressor.hpp"
+#include "tests/sim_helpers.hpp"
 
 namespace {
 
@@ -251,6 +255,156 @@ TEST(MonitorSession, PumpWithZeroIntervalRunsIdleOnTheCallingThread) {
                          }),
             0u);
   EXPECT_EQ(idle_calls, 1);
+}
+
+constexpr const char* kSpinEdl = R"(
+  enclave {
+    trusted { public int ecall_spin(void); };
+    untrusted { void ocall_blip(void); };
+  };
+)";
+
+TEST(MonitorSession, TopSinkAggregatesSitesWhileAttached) {
+  sgxsim::Urts urts;
+  tracedb::TraceDatabase db;
+  perf::Logger logger(db);
+  logger.attach(urts);
+  perf::MonitorSession session(logger);
+  ASSERT_TRUE(session.ok());
+  auto top = std::make_shared<perf::TopSink>(db, /*windowed=*/false);
+  session.add_sink(top);
+
+  sgxsim::EnclaveConfig config;
+  config.tcs_count = 3;
+  const auto eid = test_helpers::make_enclave(urts, kSpinEdl, std::move(config));
+  urts.enclave(eid).register_ecall("ecall_spin", [](sgxsim::TrustedContext& ctx, void*) {
+    ctx.work(1'000);
+    return ctx.ocall(0, nullptr);
+  });
+  sgxsim::OcallTable table = sgxsim::make_ocall_table({&test_helpers::empty_ocall});
+  std::thread other([&] {
+    for (int i = 0; i < 30; ++i) urts.sgx_ecall(eid, 0, &table, nullptr);
+  });
+  for (int i = 0; i < 30; ++i) urts.sgx_ecall(eid, 0, &table, nullptr);
+  other.join();
+
+  // The logger is still attached: the stream alone carries every call.
+  session.poll();
+  session.finish();
+  EXPECT_EQ(top->total_calls(), 120u);  // 60 ecalls + 60 ocalls
+  EXPECT_EQ(top->dropped(), 0u);
+  ASSERT_EQ(top->sites().size(), 2u);
+  for (const auto& [key, site] : top->sites()) {
+    EXPECT_EQ(site.calls, 60u);
+    EXPECT_EQ(site.latency.count(), 60u);
+    EXPECT_GT(site.latency.value_at_percentile(50), 0u);
+  }
+
+  const std::string frame = top->render_frame();
+  EXPECT_NE(frame.find("sgxperf top — frame 1"), std::string::npos);
+  EXPECT_NE(frame.find("ecall_spin"), std::string::npos);
+  EXPECT_NE(frame.find("ocall_blip"), std::string::npos);
+  EXPECT_NE(frame.find("p99.9[us]"), std::string::npos);
+
+  logger.detach();
+}
+
+/// What a TopSink showed after a sealed lockstep `mixed` stress run — a
+/// 4 MiB EPC makes it page, and AEX tracing puts every AEX in the trace.
+struct TopRun {
+  std::shared_ptr<perf::TopSink> top;
+  std::vector<tracedb::WindowRecord> windows;
+  std::vector<tracedb::WindowSiteRecord> window_sites;
+};
+
+TopRun run_top_over_stress(tracedb::TraceDatabase& db, bool windowed) {
+  const auto stressor = stress::make_stressor("mixed");
+  if (stressor == nullptr) throw std::runtime_error("unknown stressor");
+  sgxsim::Urts urts(sgxsim::CostModel::preset(sgxsim::PatchLevel::kUnpatched),
+                    4 * 1024 * 1024 / sgxsim::kPageSize);
+  perf::LoggerConfig lcfg;
+  lcfg.trace_aex = true;
+  perf::Logger logger(db, lcfg);
+  logger.attach(urts);
+
+  perf::MonitorSessionConfig config;
+  config.subscription_capacity = 1 << 18;
+  config.online.window_ns = 1'000'000;
+  perf::MonitorSession session(logger, urts, config);
+  if (!session.ok()) throw std::runtime_error("no subscriber slot");
+  TopRun out;
+  out.top = std::make_shared<perf::TopSink>(db, windowed);
+  session.add_sink(out.top);
+
+  stress::StressConfig scfg;
+  scfg.threads = 2;
+  scfg.duration_ns = 20'000'000;
+  scfg.seed = 7;
+  stress::run_stressor(*stressor, urts, scfg);
+  session.poll();
+  logger.detach();
+  session.finish();
+  out.windows = session.analyzer().windows();
+  out.window_sites = session.analyzer().window_sites();
+  return out;
+}
+
+TEST(MonitorSession, TopSinkFoldsWindowsIntoTheLoggersLatencyTable) {
+  tracedb::TraceDatabase db;
+  const TopRun run = run_top_over_stress(db, /*windowed=*/false);
+  const perf::TopSink& top = *run.top;
+  ASSERT_EQ(top.dropped(), 0u);
+  ASSERT_GT(db.aexs().size(), 0u);
+  ASSERT_GT(db.paging().size(), 0u);
+  EXPECT_EQ(top.total_calls(), db.calls().size());
+  EXPECT_EQ(top.total_aexs(), db.aexs().size());
+  EXPECT_EQ(top.total_paging(), db.paging().size());
+
+  ASSERT_EQ(top.sites().size(), db.latencies().size());
+  for (const auto& [key, site] : top.sites()) {
+    const auto* rec = db.find_latency(key.enclave_id, key.type, key.call_id);
+    ASSERT_NE(rec, nullptr) << site.name;
+    telemetry::HdrSnapshot from_table;
+    for (const auto& [idx, n] : rec->buckets) from_table.add_bucket(idx, n);
+    from_table.set_exact_sum(rec->sum_ns);
+    EXPECT_EQ(site.calls, rec->count) << site.name;
+    EXPECT_EQ(site.latency.count(), rec->count) << site.name;
+    EXPECT_EQ(site.latency.sum(), rec->sum_ns) << site.name;
+    for (const double q : {50.0, 90.0, 99.0, 99.9}) {
+      EXPECT_EQ(site.latency.value_at_percentile(q), from_table.value_at_percentile(q))
+          << site.name << " q=" << q;
+    }
+  }
+}
+
+TEST(MonitorSession, WindowedTopSinkShowsTheLastWindow) {
+  tracedb::TraceDatabase db;
+  const TopRun run = run_top_over_stress(db, /*windowed=*/true);
+  ASSERT_FALSE(run.windows.empty());
+  const std::uint32_t last = run.windows.back().window_index;
+  std::vector<tracedb::WindowSiteRecord> rows;
+  for (const auto& r : run.window_sites) {
+    if (r.window_index == last) rows.push_back(r);
+  }
+  ASSERT_FALSE(rows.empty());
+
+  const auto& sites = run.top->sites();
+  ASSERT_EQ(sites.size(), rows.size());
+  for (const auto& r : rows) {
+    const auto it = sites.find(tracedb::CallKey{r.enclave_id, r.type, r.call_id});
+    ASSERT_NE(it, sites.end());
+    EXPECT_EQ(it->second.calls, r.calls);
+    EXPECT_EQ(it->second.aexs, r.aex_count);
+    EXPECT_EQ(it->second.latency.value_at_percentile(50), r.p50_ns);
+    EXPECT_EQ(it->second.latency.value_at_percentile(99), r.p99_ns);
+  }
+  // The frame prints those rows under its four header lines, and its
+  // header totals still cover the whole run.
+  const std::string frame = run.top->render_frame();
+  EXPECT_EQ(static_cast<std::size_t>(std::count(frame.begin(), frame.end(), '\n')),
+            4 + rows.size());
+  EXPECT_NE(frame.find("window: 1.000ms"), std::string::npos);
+  EXPECT_EQ(run.top->total_calls(), db.calls().size());
 }
 
 TEST(MonitorSession, AlertJsonCarriesSchemaVersionFirst) {

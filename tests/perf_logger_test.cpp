@@ -1,9 +1,11 @@
 // Event logger tests: sgx_ecall shadowing, ocall table rewriting with
 // generated stubs, direct parents, sync classification, AEX counting and
-// tracing, paging capture, and the Table 2 overhead calibration.
+// tracing, paging capture, the Table 2 overhead calibration, and the live
+// latency histograms against the persisted latency table.
 #include <gtest/gtest.h>
 
 #include "perf/logger.hpp"
+#include "telemetry/hdr_histogram.hpp"
 #include "tests/sim_helpers.hpp"
 
 namespace {
@@ -352,6 +354,59 @@ TEST_F(LoggerTest, EnclaveCreatedBeforeAttachIsRegisteredLazily) {
   EXPECT_EQ(db.calls().size(), 1u);
   EXPECT_EQ(db.name_of(eid, CallType::kEcall, 0), "ecall_work");
   EXPECT_FALSE(db.enclaves().empty());
+}
+
+TEST(LoggerHistogram, LatencySnapshotMatchesPersistedTable) {
+  Urts urts;
+  tracedb::TraceDatabase db;
+  perf::Logger logger(db);
+  logger.attach(urts);
+
+  const EnclaveId eid = make_enclave(urts, kEdl);
+  urts.enclave(eid).register_ecall("ecall_work", [](TrustedContext& ctx, void*) {
+    ctx.work(2'500);
+    return SgxStatus::kSuccess;
+  });
+  OcallTable table = make_ocall_table({&empty_ocall, &empty_ocall});
+  for (int i = 0; i < 40; ++i) urts.sgx_ecall(eid, 0, &table, nullptr);
+
+  // Live snapshot while attached.
+  const auto live = logger.latency_snapshot(eid, CallType::kEcall, 0);
+  EXPECT_EQ(live.count(), 40u);
+  logger.detach();
+
+  // After detach the same distribution is in the trace's latency table.
+  const auto* rec = db.find_latency(eid, CallType::kEcall, 0);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->count, 40u);
+  telemetry::HdrSnapshot from_table;
+  for (const auto& [idx, n] : rec->buckets) from_table.add_bucket(idx, n);
+  from_table.set_exact_sum(rec->sum_ns);
+  for (const double q : {50.0, 90.0, 99.0, 99.9}) {
+    EXPECT_EQ(from_table.value_at_percentile(q), live.value_at_percentile(q)) << "q=" << q;
+  }
+  EXPECT_EQ(from_table.sum(), live.sum());
+}
+
+TEST(LoggerHistogram, HistogramsCanBeDisabled) {
+  Urts urts;
+  tracedb::TraceDatabase db;
+  perf::LoggerConfig config;
+  config.latency_histograms = false;
+  perf::Logger logger(db, config);
+  logger.attach(urts);
+
+  const EnclaveId eid = make_enclave(urts, kEdl);
+  urts.enclave(eid).register_ecall("ecall_work", [](TrustedContext& ctx, void*) {
+    ctx.work(100);
+    return SgxStatus::kSuccess;
+  });
+  OcallTable table = make_ocall_table({&empty_ocall, &empty_ocall});
+  for (int i = 0; i < 5; ++i) urts.sgx_ecall(eid, 0, &table, nullptr);
+  EXPECT_EQ(logger.latency_snapshot(eid, CallType::kEcall, 0).count(), 0u);
+  logger.detach();
+  EXPECT_EQ(db.find_latency(eid, CallType::kEcall, 0), nullptr);
+  EXPECT_EQ(db.calls().size(), 5u);  // the trace itself is unaffected
 }
 
 }  // namespace

@@ -15,14 +15,15 @@
 // concurrent recording path.
 //
 // `top` is the third workflow: neither record-then-analyse nor post-mortem,
-// but live.  It attaches the logger to a running workload, subscribes to the
-// lock-free event stream and repaints calls/s, per-site latency percentiles,
-// AEX rate and EPC residency while the workload is still in flight.
+// but live.  It attaches the logger to a running workload and repaints
+// calls/s, per-site latency percentiles, AEX rate and EPC residency while the
+// workload is still in flight, from the closed windows of a monitor session
+// (perf::TopSink on perf/session.hpp's loop).
 //
-// `monitor` is `top`'s daemon sibling: instead of rendering frames it feeds
-// the stream into the online analyser (perf/online.hpp), emits every alert
-// transition as a JSON line on stderr the moment the predicate flips, and
-// persists the windowed time-series + alert history into the trace.  On a
+// `monitor` is `top`'s daemon sibling on the same session loop: instead of
+// rendering frames it emits every alert transition of the online analyser
+// (perf/online.hpp) as a JSON line on stderr the moment the predicate flips,
+// and persists the windowed time-series + alert history into the trace.  On a
 // quiesced run its end-of-run verdicts equal `sgxperf report`'s findings.
 //
 // `serve` is the fleet half: a daemon that ingests binary alert/window
@@ -64,7 +65,6 @@
 #include "perf/analyzer.hpp"
 #include "perf/calltree.hpp"
 #include "perf/compare.hpp"
-#include "perf/live.hpp"
 #include "perf/logger.hpp"
 #include "perf/online.hpp"
 #include "perf/session.hpp"
@@ -293,7 +293,7 @@ std::vector<Flag> flag_table(Options& o) {
       {"--workload", "W", "demo, kv (minikv) or db (minidb)", text(o.workload)},
       {"--frames", "N", "frames to render before exiting (default 5)", number(o.frames)},
       {"--interval-ms", "N", "poll/repaint interval, wall ms (default 100)", number(o.interval_ms)},
-      {"--window", "NS", "window, virtual ns (top: none; monitor: 1ms)", number(o.window_ns)},
+      {"--window", "NS", "window, virtual ns (top: cumulative; monitor: 1ms)", number(o.window_ns)},
       {"--alert-log", "FILE", "also append alert JSON lines to FILE", text(o.alert_log_path)},
       {"--fleet", "PATH", "also stream wire frames to this ingest socket", text(o.fleet_socket)},
       {"--fleet-host", "H", "producer host for --fleet (default localhost)", text(o.fleet_host)},
@@ -461,7 +461,7 @@ void run_named_workload(sgxsim::Urts& urts, const Options& opts) {
   }
 }
 
-/// Session settings shared by `monitor` and `doctor --workload`.
+/// Session settings shared by `top`, `monitor` and `doctor --workload`.
 perf::MonitorSessionConfig live_session_config(const Options& opts, std::string name) {
   perf::MonitorSessionConfig scfg;
   scfg.identity = {opts.fleet_host, opts.workload};
@@ -471,10 +471,10 @@ perf::MonitorSessionConfig live_session_config(const Options& opts, std::string 
   return scfg;
 }
 
-/// The live half of `monitor` and `doctor --workload`: the selected workload
-/// runs on a worker thread while `session` pumps the stream on this one
-/// (`idle` runs here after each empty-poll wait), then the run is sealed —
-/// the logger detaches (shards merged) and the session finishes.
+/// The live half of `top`, `monitor` and `doctor --workload`: the selected
+/// workload runs on a worker thread while `session` pumps the stream on this
+/// one (`idle` runs here after each empty-poll wait), then the run is sealed
+/// — the logger detaches (shards merged) and the session finishes.
 void run_live(sgxsim::Urts& urts, perf::Logger& logger, perf::MonitorSession& session,
               const Options& opts, const std::function<void()>& idle = {}) {
   std::atomic<bool> done{false};
@@ -488,10 +488,11 @@ void run_live(sgxsim::Urts& urts, perf::Logger& logger, perf::MonitorSession& se
   session.finish();  // resolves stale alerts, emits stats/bye to the sinks
 }
 
-/// `sgxperf top`: attach the logger to a live workload, subscribe to the
-/// event stream and repaint aggregate statistics while it runs.  The logger
-/// is never detached between frames — everything shown comes through the
-/// lock-free streaming subscription, not the merged trace.
+/// `sgxperf top`: attach the logger to a live workload and repaint aggregate
+/// statistics while it runs.  The frames come from a perf::TopSink on the
+/// same session loop `monitor` runs: the logger is never detached between
+/// frames, and everything shown comes through the streaming subscription's
+/// closed windows, not the merged trace.
 int run_top(const Options& opts, Trace&) {
   if (opts.frames == 0) {
     std::fputs("error: --frames must be > 0\n", stderr);
@@ -503,43 +504,36 @@ int run_top(const Options& opts, Trace&) {
   tracedb::TraceDatabase db;
   perf::Logger logger(db);
   logger.attach(urts);
-  perf::LiveMonitor monitor(logger);
-  if (!monitor.ok()) {
+  perf::MonitorSession session(logger, urts, live_session_config(opts, "top"));
+  if (!session.ok()) {
     std::fputs("error: no free streaming subscriber slot\n", stderr);
     return 1;
   }
-  monitor.set_window_ns(opts.window_ns);
-
-  std::atomic<bool> done{false};
-  std::thread worker([&] {
-    run_named_workload(urts, opts);
-    done.store(true, std::memory_order_release);
-  });
+  auto top = std::make_shared<perf::TopSink>(db, opts.window_ns > 0);
+  session.add_sink(top);
 
   // Repaint in place on a terminal; emit sequential frames when piped.
   const bool tty = isatty(fileno(stdout)) != 0;
-  for (std::size_t frame = 0; frame + 1 < opts.frames; ++frame) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(opts.interval_ms));
-    const std::string text = monitor.render_frame();
+  const auto draw = [&] {
     if (tty) std::fputs("\x1b[2J\x1b[H", stdout);
-    std::fputs(text.c_str(), stdout);
+    std::fputs(top->render_frame().c_str(), stdout);
+  };
+  // pump() waits --interval-ms before each idle call: one frame per wait
+  // while the workload runs, keeping the last of --frames for the end.
+  std::size_t drawn = 0;
+  run_live(urts, logger, session, opts, [&] {
+    if (drawn + 1 >= opts.frames) return;
+    draw();
     if (!tty) std::fputs("\n", stdout);
     std::fflush(stdout);
-    if (done.load(std::memory_order_acquire)) break;
-  }
-  worker.join();
+    ++drawn;
+  });
+  draw();  // the final frame: the session is sealed, every window is in
 
-  // Final frame after the workload finished: drains whatever is still queued.
-  const std::string text = monitor.render_frame();
-  if (tty) std::fputs("\x1b[2J\x1b[H", stdout);
-  std::fputs(text.c_str(), stdout);
-
-  logger.detach();
   std::printf("\nworkload '%s' finished: %llu calls observed live, %llu dropped by the "
               "subscriber (trace recorded %zu calls)\n",
-              opts.workload.c_str(),
-              static_cast<unsigned long long>(monitor.total_calls()),
-              static_cast<unsigned long long>(monitor.dropped()), db.calls().size());
+              opts.workload.c_str(), static_cast<unsigned long long>(top->total_calls()),
+              static_cast<unsigned long long>(top->dropped()), db.calls().size());
   return 0;
 }
 
