@@ -1,8 +1,9 @@
 // What-if replay engine: identity-replay validation on recorded workloads
 // (demo, minikv, minidb), scenario passes (switchless, eliminate, merge,
 // cost-profile swap, EPC resize), byte-identical results at any replay
-// parallelism, analyser-attached speedup predictions, and a golden-file
-// check of the `whatif --json` document.
+// parallelism, analyser-attached speedup predictions, and golden-file
+// checks of the `whatif --json` document and of a scenario matrix over the
+// lockstep stress traces (tests/golden/replay_matrix.txt).
 //
 // Compile with -DREPLAY_GOLDEN_GEN to get a standalone generator that prints
 // the golden JSON to stdout (same handcrafted database, same scenarios).
@@ -10,8 +11,11 @@
 #include <gtest/gtest.h>
 #endif
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -562,6 +566,122 @@ TEST(ReplayLocks, AnalyzerFindingsAndPredictionsOnMixedTrace) {
   ASSERT_EQ(db.calls().size(), 10500u);
   const std::string fp = findings_fingerprint(perf::Analyzer(db).analyze());
   EXPECT_EQ(fnv1a(fp), 1066608448786348715ull) << fp;
+}
+
+/// Records `stressor` with `threads` lockstep workers for 20 ms of virtual
+/// time (seed 7) on a 4 MiB EPC, so the vm and mixed sweeps page.
+TraceDatabase record_stress(const std::string& stressor_name, std::size_t threads) {
+  Urts urts(CostModel::preset(PatchLevel::kUnpatched), /*epc_pages=*/1024);
+  const auto stressor = stress::make_stressor(stressor_name);
+  stress::StressConfig config;
+  config.threads = threads;
+  config.duration_ns = 20'000'000;
+  config.seed = 7;
+  TraceDatabase db;
+  perf::Logger logger(db);
+  logger.attach(urts);
+  stress::run_stressor(*stressor, urts, config);
+  logger.detach();
+  return db;
+}
+
+/// The replay matrix of one trace: per call site, eliminate, merge, merge
+/// with each indirect-parent site and switchless at 1-3 workers; then every
+/// patch level, four EPC sizes and one scenario combining every pass.
+std::vector<Scenario> matrix_scenarios(const TraceDatabase& db) {
+  const auto& calls = db.calls();
+  const auto indirect = tracedb::indirect_parents(db);
+  const auto key_of = [](const tracedb::CallRecord& c) {
+    return CallKey{c.enclave_id, c.type, c.call_id};
+  };
+  const auto name = [&](const CallKey& k) { return db.name_of(k.enclave_id, k.type, k.call_id); };
+  std::vector<Scenario> out;
+  std::optional<CallKey> first_ecall;
+  std::optional<CallKey> first_ocall;
+  for (const auto& [key, instances] : tracedb::group_calls(db)) {
+    auto& first = key.type == CallType::kEcall ? first_ecall : first_ocall;
+    if (!first) first = key;
+    out.emplace_back().name = "eliminate " + name(key);
+    out.back().eliminate.push_back({key});
+    out.emplace_back().name = "merge " + name(key);
+    out.back().merge.push_back({key, std::nullopt});
+    std::set<CallKey> partners;
+    for (const auto i : instances) {
+      const auto ip = indirect[static_cast<std::size_t>(i)];
+      if (ip != tracedb::kNoParent) partners.insert(key_of(calls[static_cast<std::size_t>(ip)]));
+    }
+    for (const auto& p : partners) {
+      out.emplace_back().name = "merge " + name(key) + " into " + name(p);
+      out.back().merge.push_back({key, p});
+    }
+    for (std::size_t w = 1; w <= 3; ++w) {
+      out.emplace_back().name = "switchless " + name(key) + " x" + std::to_string(w);
+      out.back().switchless.push_back({key, w});
+    }
+  }
+  for (const auto level :
+       {PatchLevel::kUnpatched, PatchLevel::kSpectre, PatchLevel::kSpectreL1tf}) {
+    out.emplace_back().name = std::string("cost-profile ") + sgxsim::to_string(level);
+    out.back().cost_profile = level;
+  }
+  for (const std::size_t pages : {1u, 64u, 2048u, 100000u}) {
+    out.emplace_back().name = "epc " + std::to_string(pages);
+    out.back().epc_pages = pages;
+  }
+  Scenario combined;
+  combined.name = "combined";
+  if (first_ecall) combined.switchless.push_back({*first_ecall, 2});
+  if (first_ocall) {
+    combined.eliminate.push_back({*first_ocall});
+    combined.merge.push_back({*first_ocall, std::nullopt});
+  }
+  combined.cost_profile = PatchLevel::kSpectre;
+  combined.epc_pages = 64;
+  out.push_back(combined);
+  return out;
+}
+
+/// One line per matrix scenario of every lockstep stress trace: the result
+/// fields and the last end of the materialized trace.
+std::string replay_matrix() {
+  std::string out;
+  char buf[256];
+  for (const char* stressor : {"mixed", "sync", "ocall-storm", "cpu", "vm", "order"}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      const TraceDatabase db = record_stress(stressor, threads);
+      const ReplayEngine engine(db);
+      const auto v = engine.validate();
+      std::snprintf(buf, sizeof buf, "%s/%zu calls %zu paging %zu validate %llu %llu %llu %.17g %.17g\n",
+                    stressor, threads, db.calls().size(), db.paging().size(),
+                    static_cast<unsigned long long>(v.recorded_span_ns),
+                    static_cast<unsigned long long>(v.replayed_span_ns),
+                    static_cast<unsigned long long>(v.ecalls_below_floor), v.span_error,
+                    v.floor_error);
+      out += buf;
+      for (const auto& s : matrix_scenarios(db)) {
+        std::uint64_t last_end = 0;
+        for (const auto& c : engine.materialize(s).calls()) last_end = std::max(last_end, c.end_ns);
+        std::snprintf(buf, sizeof buf, "%s/%zu ", stressor, threads);
+        out += buf + fingerprint(engine.run(s)) + " end " + std::to_string(last_end) + "\n";
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ReplayLocks, ScenarioMatrixOnStressTracesMatchesGoldenFile) {
+  const std::string golden_path = std::string(GOLDEN_DIR) + "/replay_matrix.txt";
+  std::ifstream in(golden_path, std::ios::binary);
+  const std::string expected{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+  const std::string got = replay_matrix();
+  if (got != expected) {
+    // Leave the actual matrix next to the test for a line diff.
+    std::ofstream("replay_matrix.actual.txt", std::ios::binary) << got;
+  }
+  ASSERT_FALSE(expected.empty()) << "missing golden file: " << golden_path;
+  EXPECT_EQ(got, expected) << "replay matrix drifted from " << golden_path
+                           << "; the actual matrix is in replay_matrix.actual.txt";
 }
 
 // --- determinism --------------------------------------------------------------
