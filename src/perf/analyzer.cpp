@@ -121,14 +121,16 @@ AnalysisReport Analyzer::analyze() const {
   AnalysisReport report;
   report.dropped_events = db_.dropped_events();
   report.stream_dropped = db_.stream_dropped();
+  const Sites sites = tracedb::group_calls(db_);
+  const IndirectParents indirect = tracedb::indirect_parents(db_);
   compute_overviews(report);
-  compute_stats(report);
+  compute_stats(report, sites);
   detect_tail_latency(report);
-  detect_call_patterns(report);
+  detect_call_patterns(report, indirect);
   detect_paging(report);
   detect_orderliness(report);
-  analyze_security(report);
-  if (config_.predict_speedups) annotate_predictions(report);
+  analyze_security(report, sites);
+  if (config_.predict_speedups) annotate_predictions(report, sites, indirect);
 
   std::stable_sort(report.findings.begin(), report.findings.end(),
                    [](const Finding& a, const Finding& b) { return a.severity > b.severity; });
@@ -136,13 +138,14 @@ AnalysisReport Analyzer::analyze() const {
 }
 
 // --- what-if predictions (replay engine) -------------------------------------
-void Analyzer::annotate_predictions(AnalysisReport& report) const {
+void Analyzer::annotate_predictions(AnalysisReport& report, const Sites& sites,
+                                    const IndirectParents& indirect) const {
   if (report.findings.empty()) return;
 
   replay::ReplayConfig replay_config;
   replay_config.recorded_cost = config_.replay_cost;
   replay_config.threads = config_.replay_threads;
-  const replay::ReplayEngine engine(db_, replay_config);
+  const replay::ReplayEngine engine(db_, replay_config, {&sites, &indirect});
   if (engine.recorded_span_ns() == 0) return;
 
   const auto site_name = [&](const CallKey& k) {
@@ -259,10 +262,9 @@ void Analyzer::compute_overviews(AnalysisReport& report) const {
   }
 }
 
-void Analyzer::compute_stats(AnalysisReport& report) const {
-  const auto groups = tracedb::group_calls(db_);
+void Analyzer::compute_stats(AnalysisReport& report, const Sites& sites) const {
   const auto& calls = db_.calls();
-  for (const auto& [key, instances] : groups) {
+  for (const auto& [key, instances] : sites) {
     CallStats cs;
     cs.key = key;
     cs.name = db_.name_of(key.enclave_id, key.type, key.call_id);
@@ -304,7 +306,7 @@ void Analyzer::compute_stats(AnalysisReport& report) const {
   for (const auto& lat : db_.latencies()) {
     if (lat.count == 0) continue;
     const tracedb::CallKey key{lat.enclave_id, lat.type, lat.call_id};
-    if (groups.find(key) != groups.end()) continue;  // raw calls covered it
+    if (sites.contains(key)) continue;  // raw calls covered it
     CallStats cs;
     cs.key = key;
     cs.name = db_.name_of(key.enclave_id, key.type, key.call_id);
@@ -447,9 +449,9 @@ std::size_t detector_rank(AlertKind k) {
 
 }  // namespace
 
-void Analyzer::detect_call_patterns(AnalysisReport& report) const {
+void Analyzer::detect_call_patterns(AnalysisReport& report,
+                                    const IndirectParents& indirect) const {
   const auto& calls = db_.calls();
-  const auto indirect = tracedb::indirect_parents(db_);
   const auto key_of = [](const CallRecord& c) { return CallKey{c.enclave_id, c.type, c.call_id}; };
   std::map<CallKey, SiteCounters> sites;
   for (std::size_t i = 0; i < calls.size(); ++i) {
@@ -527,12 +529,11 @@ void Analyzer::detect_orderliness(AnalysisReport& report) const {
 }
 
 // --- interface security (§3.6, §4.3.2) ----------------------------------------------
-void Analyzer::analyze_security(AnalysisReport& report) const {
-  const auto groups = tracedb::group_calls(db_);
+void Analyzer::analyze_security(AnalysisReport& report, const Sites& sites) const {
   const auto& calls = db_.calls();
 
   // 1. Private-ecall candidates: every instance was issued during an ocall.
-  for (const auto& [key, instances] : groups) {
+  for (const auto& [key, instances] : sites) {
     if (key.type != CallType::kEcall || instances.empty()) continue;
     bool all_nested = true;
     std::set<std::string> parent_ocalls;

@@ -7,7 +7,6 @@
 #include "sgxsim/runtime.hpp"
 #include "support/json.hpp"
 #include "support/strutil.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace perf {
 
@@ -51,6 +50,7 @@ void TopSink::on_window(const tracedb::WindowRecord& window,
   aexs_ += window.aexs;
   paging_ += window.page_ins + window.page_outs;
   dropped_ = window.stream_dropped;
+  if (epc_ != nullptr) epc_peak_ = std::max<std::uint64_t>(epc_peak_, epc_->peak_resident_pages());
   if (window.window_index == 0) first_ns_ = window.start_ns;
   last_ns_ = window.end_ns;
 }
@@ -82,17 +82,14 @@ std::string TopSink::render_frame() {
   prev_aexs_ = aexs_;
   prev_ns_ = last_ns_;
 
-  const std::int64_t epc_pages =
-      telemetry::metrics().gauge("sgxsim.epc_resident", "pages").value();
-
   std::string out;
   out += support::format(
       "sgxperf top — frame %llu  vtime %.3fms  calls %llu  aex %llu  paging %llu  "
-      "epc %lld pages  stream-dropped %llu\n",
+      "epc peak %llu pages  stream-dropped %llu\n",
       static_cast<unsigned long long>(frame_),
       last_ns_ > first_ns_ ? static_cast<double>(last_ns_ - first_ns_) / 1e6 : 0.0,
       static_cast<unsigned long long>(calls_), static_cast<unsigned long long>(aexs_),
-      static_cast<unsigned long long>(paging_), static_cast<long long>(epc_pages),
+      static_cast<unsigned long long>(paging_), static_cast<unsigned long long>(epc_peak_),
       static_cast<unsigned long long>(dropped_));
   out += support::format("  rates (virtual): %.0f calls/s  %.0f aex/s\n", calls_per_s,
                          aex_per_s);

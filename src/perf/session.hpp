@@ -45,6 +45,7 @@
 #include "telemetry/ledger.hpp"
 
 namespace sgxsim {
+class Driver;
 class Urts;
 }
 
@@ -145,7 +146,7 @@ class JsonLinesSink : public MonitorSink {
 
 /// `sgxperf top`'s live dashboard as a sink: folds each closed window into
 /// per-site tables and renders plain-text frames (header with virtual-time
-/// rates, EPC residency and the drop count, then one row per site, busiest
+/// rates, peak EPC residency and the drop count, then one row per site, busiest
 /// first).  Cumulative mode merges every window's per-site HDR delta into a
 /// running total — bucket-wise sums of the deltas are the cumulative
 /// distribution exactly; windowed mode shows only the last closed window, so
@@ -163,9 +164,12 @@ class TopSink : public MonitorSink {
 
   /// `trace` is the logger's database: once it is merged (the logger
   /// detached before finish()), it supplies the first recorded timestamp
-  /// that starts the header's virtual-time span.
-  TopSink(const tracedb::TraceDatabase& trace, bool windowed)
-      : trace_(trace), windowed_(windowed) {}
+  /// that starts the header's virtual-time span.  `epc` is the watched
+  /// machine's EPC driver, sampled for its peak residency at every closed
+  /// window (null: the header shows 0).
+  TopSink(const tracedb::TraceDatabase& trace, bool windowed,
+          const sgxsim::Driver* epc = nullptr)
+      : trace_(trace), windowed_(windowed), epc_(epc) {}
 
   void on_session_start(const SessionInfo& info) override { window_ns_ = info.window_ns; }
   void on_window(const tracedb::WindowRecord& window,
@@ -181,10 +185,16 @@ class TopSink : public MonitorSink {
   [[nodiscard]] std::uint64_t total_aexs() const noexcept { return aexs_; }
   [[nodiscard]] std::uint64_t total_paging() const noexcept { return paging_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
+  [[nodiscard]] std::uint64_t epc_peak_pages() const noexcept { return epc_peak_; }
 
  private:
   const tracedb::TraceDatabase& trace_;
   bool windowed_;
+  const sgxsim::Driver* epc_;
+  /// Peak EPC residency seen at a closed window.  A peak, not the current
+  /// value: a workload that destroys its enclave before the run ends would
+  /// otherwise show 0 pages in the final frame.
+  std::uint64_t epc_peak_ = 0;
   std::uint64_t window_ns_ = 0;
   std::map<tracedb::CallKey, Site> sites_;
   std::uint64_t calls_ = 0;

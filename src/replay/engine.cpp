@@ -5,6 +5,8 @@
 #include <deque>
 #include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <unordered_map>
 
@@ -41,60 +43,107 @@ std::uint64_t clamp_add(std::uint64_t u, std::int64_t d) noexcept {
 
 }  // namespace
 
-ReplayEngine::ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config)
-    : db_(db), config_(config) {
+ReplayEngine::ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config,
+                           TraceIndexes indexes)
+    : db_(db), config_(config), sites_(indexes.sites), indirect_(indexes.indirect) {
   const auto& calls = db_.calls();
   const std::size_t n = calls.size();
 
-  // Children lists (a counting sort over `parent`) and per-thread top-level
-  // sequences.  Trace order is start order (merged traces are globally
-  // time-sorted), so filling in index order keeps every sequence
-  // start-ordered.  child_begin_[p] first holds the end of p's range; the
-  // backwards fill walks it down to the start.
-  child_begin_.assign(n + 1, 0);
-  for (const auto& c : calls) {
-    if (c.parent != kNoParent) ++child_begin_[static_cast<std::size_t>(c.parent)];
-  }
-  for (std::size_t p = 1; p <= n; ++p) child_begin_[p] += child_begin_[p - 1];
-  child_list_.resize(child_begin_[n]);
-  for (std::size_t i = n; i-- > 0;) {
-    if (calls[i].parent == kNoParent) continue;
-    child_list_[--child_begin_[static_cast<std::size_t>(calls[i].parent)]] =
-        static_cast<CallIndex>(i);
-  }
-
-  std::map<tracedb::ThreadId, std::size_t> thread_slot;
+  // Self times, one forward pass: trace order is start order (merged traces
+  // are globally time-sorted), so each call meets its children in start
+  // order, and end[p] tracks the latest end among p's children seen so far
+  // (p's start before the first).  Parents must precede their children.
+  self_ns_.assign(n, 0);
+  std::vector<std::uint64_t> end(n);
   std::uint64_t min_start = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t max_end = 0;
+  bool start_ordered = true;
   for (std::size_t i = 0; i < n; ++i) {
     const auto& c = calls[i];
+    start_ordered = start_ordered && (i == 0 || c.start_ns >= calls[i - 1].start_ns);
     min_start = std::min(min_start, c.start_ns);
     max_end = std::max(max_end, c.end_ns);
-    if (c.parent == kNoParent) {
-      const auto [it, inserted] = thread_slot.emplace(c.thread_id, top_level_.size());
-      if (inserted) top_level_.emplace_back();
-      top_level_[it->second].push_back(static_cast<CallIndex>(i));
+    end[i] = c.start_ns;
+    if (c.parent == kNoParent) continue;
+    if (c.parent < 0 || static_cast<std::size_t>(c.parent) >= i) {
+      throw std::invalid_argument("replay: call " + std::to_string(i) + " has parent " +
+                                  std::to_string(c.parent) + ", not an earlier call");
     }
+    const auto p = static_cast<std::size_t>(c.parent);
+    if (c.start_ns > end[p]) self_ns_[p] += c.start_ns - end[p];
+    end[p] = std::max(end[p], c.end_ns);
   }
-  if (!calls.empty()) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (calls[i].end_ns > end[i]) self_ns_[i] += calls[i].end_ns - end[i];
+  }
+  if (n > 0) {
     recorded_start_ = min_start;
     recorded_span_ = max_end - min_start;
   }
 
-  indirect_ = tracedb::indirect_parents(db_);
+  // Identity durations, children before parents (end[] is reused), then each
+  // thread's top-level sequence: the first call keeps its recorded start and
+  // every later one follows the previous end after the recorded gap.
+  for (std::size_t i = 0; i < n; ++i) end[i] = self_ns_[i];
+  for (std::size_t i = n; i-- > 0;) {
+    if (calls[i].parent != kNoParent) end[static_cast<std::size_t>(calls[i].parent)] += end[i];
+  }
+  struct Tail {
+    std::uint64_t identity_end = 0;
+    std::uint64_t recorded_end = 0;
+  };
+  std::map<tracedb::ThreadId, Tail> tails;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& c = calls[i];
+    if (c.parent != kNoParent) continue;
+    const auto [it, first] = tails.try_emplace(c.thread_id);
+    Tail& t = it->second;
+    const std::uint64_t start =
+        first ? c.start_ns
+              : t.identity_end + (c.start_ns >= t.recorded_end ? c.start_ns - t.recorded_end : 0);
+    t.identity_end = start + end[i];
+    t.recorded_end = c.end_ns;
+  }
+  std::uint64_t identity_end = 0;
+  for (const auto& [thread, t] : tails) {
+    sequences_.push_back(Sequence{thread, t.identity_end});
+    identity_end = std::max(identity_end, t.identity_end);
+  }
+  identity_span_ = identity_end > recorded_start_ ? identity_end - recorded_start_ : 0;
+  end = {};
+
+  if (sites_ == nullptr) {
+    own_sites_ = tracedb::group_calls(db_);
+    sites_ = &own_sites_;
+  }
+  if (indirect_ == nullptr) {
+    own_indirect_ = tracedb::indirect_parents(db_);
+    indirect_ = &own_indirect_;
+  }
 
   // Paging attribution: the innermost recorded call of the same enclave whose
   // window contains the fault timestamp.  Paging records carry no thread id,
   // so "innermost" means latest-starting containing call across all threads.
   const auto& paging = db_.paging();
   paging_call_.assign(paging.size(), kNoParent);
-  std::vector<std::uint64_t> starts;
-  starts.reserve(calls.size());
-  for (const auto& c : calls) starts.push_back(c.start_ns);
+  const auto start_before = [](std::uint64_t t, const CallRecord& c) { return t < c.start_ns; };
+  std::size_t after = 0;  // calls[after] is the first call starting after the previous fault
+  std::uint64_t prev_ts = 0;
   for (std::size_t p = 0; p < paging.size(); ++p) {
     const auto& pr = paging[p];
-    auto i = static_cast<std::size_t>(
-        std::upper_bound(starts.begin(), starts.end(), pr.timestamp_ns) - starts.begin());
+    if (pr.direction == tracedb::PageDirection::kPageIn) ++page_ins_;
+    // Faults come in time order, so the first call starting after this one
+    // is found by walking on from the previous fault's.  A fault out of
+    // order, or calls out of start order, fall back to a binary search.
+    if (start_ordered && pr.timestamp_ns >= prev_ts) {
+      while (after < n && calls[after].start_ns <= pr.timestamp_ns) ++after;
+    } else {
+      after = static_cast<std::size_t>(
+          std::upper_bound(calls.begin(), calls.end(), pr.timestamp_ns, start_before) -
+          calls.begin());
+    }
+    prev_ts = pr.timestamp_ns;
+    auto i = after;
     // Bounded backwards scan; containing calls nest, so the first hit (the
     // latest start at or before the fault) is the innermost.
     for (std::size_t scanned = 0; i > 0 && scanned < 4096; ++scanned) {
@@ -109,22 +158,35 @@ ReplayEngine::ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config
   }
 }
 
-std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
-                                         std::vector<std::int64_t>& delta,
+const tracedb::CallInstances& ReplayEngine::instances_of(const CallKey& site) const {
+  static const tracedb::CallInstances kNone;
+  const auto it = sites_->find(site);
+  return it != sites_->end() ? it->second : kNone;
+}
+
+std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario, Deltas& deltas,
                                          ScenarioResult& result) const {
   const auto& calls = db_.calls();
   const CostModel& old_cost = config_.recorded_cost;
   std::uint64_t unattributed_saved = 0;
 
+  // Consecutive deltas on one call (an ocall storm's parent) share an entry.
+  const auto add = [&deltas](CallIndex idx, std::int64_t d) {
+    if (!deltas.empty() && deltas.back().first == idx) {
+      deltas.back().second += d;
+    } else {
+      deltas.emplace_back(idx, d);
+    }
+  };
   // Ocall transition costs live in the *parent ecall's* self time (§4.1.2:
   // ocall timestamps exclude the transitions around the untrusted stub), so
-  // ocall-site savings are written onto the direct parent when there is one.
-  const auto remove_ocall_transition = [&](CallIndex idx) {
-    const auto& c = calls[static_cast<std::size_t>(idx)];
-    const CallIndex target = c.parent != kNoParent ? c.parent : idx;
-    delta[static_cast<std::size_t>(target)] -=
-        static_cast<std::int64_t>(old_cost.full_ocall_ns());
+  // ocall-site deltas are written onto the direct parent when there is one.
+  const auto add_ocall_delta = [&](CallIndex idx, std::int64_t d) {
+    const CallIndex parent = calls[static_cast<std::size_t>(idx)].parent;
+    add(parent != kNoParent ? parent : idx, d);
   };
+  const auto full_ecall = static_cast<std::int64_t>(old_cost.full_ecall_ns());
+  const auto full_ocall = static_cast<std::int64_t>(old_cost.full_ocall_ns());
 
   // --- switchless conversion (worker occupancy included) --------------------
   for (const auto& spec : scenario.switchless) {
@@ -137,12 +199,10 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
       result.switchless.push_back(std::move(outcome));
       continue;
     }
-    const auto gain = static_cast<std::int64_t>(old_cost.switchless_call_ns) -
-                      static_cast<std::int64_t>(old_cost.full_ecall_ns());
+    const auto gain = static_cast<std::int64_t>(old_cost.switchless_call_ns) - full_ecall;
     std::vector<std::uint64_t> busy_until(outcome.workers, 0);
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      const auto& c = calls[i];
-      if (key_of(c) != spec.site) continue;
+    for (const CallIndex i : instances_of(spec.site)) {
+      const auto& c = calls[static_cast<std::size_t>(i)];
       // Earliest-available worker; ties resolve to the lowest index.
       std::size_t w = 0;
       for (std::size_t j = 1; j < busy_until.size(); ++j) {
@@ -152,7 +212,7 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
         ++outcome.fallbacks;  // all workers busy: full transition stays
         continue;
       }
-      delta[i] += gain;
+      add(i, gain);
       const std::uint64_t serve =
           std::max(clamp_add(c.duration(), gain), old_cost.switchless_call_ns);
       busy_until[w] = c.start_ns + serve;
@@ -165,15 +225,13 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
 
   // --- eliminate transitions (move caller in / out) --------------------------
   for (const auto& spec : scenario.eliminate) {
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      const auto& c = calls[i];
-      if (key_of(c) != spec.site) continue;
+    for (const CallIndex i : instances_of(spec.site)) {
+      const auto& c = calls[static_cast<std::size_t>(i)];
       if (c.type == CallType::kEcall) {
-        delta[i] -= static_cast<std::int64_t>(old_cost.full_ecall_ns()) +
-                    static_cast<std::int64_t>(c.aex_count) *
-                        static_cast<std::int64_t>(old_cost.aex_ns);
+        add(i, -(full_ecall +
+                 static_cast<std::int64_t>(c.aex_count) * static_cast<std::int64_t>(old_cost.aex_ns)));
       } else {
-        remove_ocall_transition(static_cast<CallIndex>(i));
+        add_ocall_delta(i, -full_ocall);
       }
       ++result.transitions_removed;
     }
@@ -181,19 +239,17 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
 
   // --- Eq.3 batch / merge into the indirect parent ---------------------------
   for (const auto& spec : scenario.merge) {
-    for (std::size_t i = 0; i < calls.size(); ++i) {
-      const auto& c = calls[i];
-      if (key_of(c) != spec.site) continue;
-      const CallIndex ip = indirect_[i];
+    for (const CallIndex i : instances_of(spec.site)) {
+      const CallIndex ip = (*indirect_)[static_cast<std::size_t>(i)];
       if (ip == kNoParent) continue;  // first of its run keeps its transition
       if (spec.partner &&
           key_of(calls[static_cast<std::size_t>(ip)]) != *spec.partner) {
         continue;
       }
-      if (c.type == CallType::kEcall) {
-        delta[i] -= static_cast<std::int64_t>(old_cost.full_ecall_ns());
+      if (calls[static_cast<std::size_t>(i)].type == CallType::kEcall) {
+        add(i, -full_ecall);
       } else {
-        remove_ocall_transition(static_cast<CallIndex>(i));
+        add_ocall_delta(i, -full_ocall);
       }
       ++result.transitions_removed;
     }
@@ -202,30 +258,25 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
   // --- transition-cost profile swap (§2.3.1) ---------------------------------
   if (scenario.cost_profile) {
     const CostModel new_cost = CostModel::preset(*scenario.cost_profile);
-    const auto d_ecall = static_cast<std::int64_t>(new_cost.full_ecall_ns()) -
-                         static_cast<std::int64_t>(old_cost.full_ecall_ns());
-    const auto d_ocall = static_cast<std::int64_t>(new_cost.full_ocall_ns()) -
-                         static_cast<std::int64_t>(old_cost.full_ocall_ns());
+    const auto d_ecall = static_cast<std::int64_t>(new_cost.full_ecall_ns()) - full_ecall;
+    const auto d_ocall = static_cast<std::int64_t>(new_cost.full_ocall_ns()) - full_ocall;
     const auto d_aex = static_cast<std::int64_t>(new_cost.aex_ns) -
                        static_cast<std::int64_t>(old_cost.aex_ns);
     for (std::size_t i = 0; i < calls.size(); ++i) {
       const auto& c = calls[i];
       if (c.type == CallType::kEcall) {
-        delta[i] += d_ecall + static_cast<std::int64_t>(c.aex_count) * d_aex;
+        add(static_cast<CallIndex>(i), d_ecall + static_cast<std::int64_t>(c.aex_count) * d_aex);
       } else {
-        const CallIndex target = c.parent != kNoParent ? c.parent : static_cast<CallIndex>(i);
-        delta[static_cast<std::size_t>(target)] += d_ocall;
+        add_ocall_delta(static_cast<CallIndex>(i), d_ocall);
       }
     }
   }
 
   // --- EPC resize: LRU over the recorded fault sequence ----------------------
-  const auto& paging = db_.paging();
-  for (const auto& pr : paging) {
-    if (pr.direction == tracedb::PageDirection::kPageIn) ++result.page_faults_before;
-  }
-  result.page_faults_after = result.page_faults_before;
+  result.page_faults_before = page_ins_;
+  result.page_faults_after = page_ins_;
   if (scenario.epc_pages) {
+    const auto& paging = db_.paging();
     const std::size_t capacity = std::max<std::size_t>(1, *scenario.epc_pages);
     const std::uint64_t saved_per_fault = old_cost.page_fault_ns + old_cost.page_in_ns;
     // Per-enclave LRU keyed by fault recency (the only recency signal the
@@ -251,8 +302,7 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
         it->second = tick;
         --result.page_faults_after;
         if (paging_call_[p] != kNoParent) {
-          delta[static_cast<std::size_t>(paging_call_[p])] -=
-              static_cast<std::int64_t>(saved_per_fault);
+          add(paging_call_[p], -static_cast<std::int64_t>(saved_per_fault));
         } else {
           unattributed_saved += saved_per_fault;
         }
@@ -274,77 +324,40 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario,
   return unattributed_saved;
 }
 
-std::uint64_t ReplayEngine::retime_call(CallIndex idx, std::uint64_t new_start,
-                                        const std::vector<std::int64_t>& delta,
-                                        Retimed& out) const {
+std::uint64_t ReplayEngine::span_under(Deltas& deltas) const {
   const auto& calls = db_.calls();
-  const auto& c = calls[static_cast<std::size_t>(idx)];
-  out.start_ns[static_cast<std::size_t>(idx)] = new_start;
-
-  // Walk the call's self-time segments (before / between / after its nested
-  // calls), absorbing the delta.  A negative delta carries across segments
-  // until absorbed; whatever the total self time cannot absorb is clamped.
-  std::uint64_t t = new_start;
-  std::int64_t carry = delta[static_cast<std::size_t>(idx)];
-  std::uint64_t prev_end = c.start_ns;
-  for (std::size_t k = child_begin_[static_cast<std::size_t>(idx)];
-       k < child_begin_[static_cast<std::size_t>(idx) + 1]; ++k) {
-    const CallIndex ch = child_list_[k];
-    const auto& cc = calls[static_cast<std::size_t>(ch)];
-    std::uint64_t seg = cc.start_ns >= prev_end ? cc.start_ns - prev_end : 0;
-    if (carry != 0) {
-      const std::int64_t adjusted = static_cast<std::int64_t>(seg) + carry;
-      if (adjusted < 0) {
-        carry = adjusted;
-        seg = 0;
-      } else {
-        seg = static_cast<std::uint64_t>(adjusted);
-        carry = 0;
-      }
+  if (calls.empty()) return 0;
+  // A call's self time absorbs its summed delta down to zero, and nothing
+  // else about it moves: its children keep their recorded gaps and its own
+  // start shifts with whatever ran before it.  So each thread's last end
+  // moves by the sum, over the calls under its top-level sequence, of
+  // max(-self, delta).  Passes write deltas mostly in index order.
+  const auto by_call = [](const auto& a, const auto& b) { return a.first < b.first; };
+  if (!std::is_sorted(deltas.begin(), deltas.end(), by_call)) {
+    std::sort(deltas.begin(), deltas.end(), by_call);
+  }
+  std::vector<std::int64_t> shift(sequences_.size(), 0);
+  for (std::size_t k = 0; k < deltas.size();) {
+    const CallIndex idx = deltas[k].first;
+    std::int64_t d = 0;
+    for (; k < deltas.size() && deltas[k].first == idx; ++k) d += deltas[k].second;
+    d = std::max(d, -static_cast<std::int64_t>(self_ns_[static_cast<std::size_t>(idx)]));
+    if (d == 0) continue;
+    CallIndex root = idx;
+    while (calls[static_cast<std::size_t>(root)].parent != kNoParent) {
+      root = calls[static_cast<std::size_t>(root)].parent;
     }
-    t += seg;
-    t = retime_call(ch, t, delta, out);
-    prev_end = std::max(prev_end, cc.end_ns);
+    const auto seq = std::lower_bound(
+        sequences_.begin(), sequences_.end(), calls[static_cast<std::size_t>(root)].thread_id,
+        [](const Sequence& s, tracedb::ThreadId t) { return s.thread < t; });
+    shift[static_cast<std::size_t>(seq - sequences_.begin())] += d;
   }
-  std::uint64_t tail = c.end_ns >= prev_end ? c.end_ns - prev_end : 0;
-  if (carry != 0) tail = clamp_add(tail, carry);
-  t += tail;
-  out.end_ns[static_cast<std::size_t>(idx)] = t;
-  return t;
-}
-
-ReplayEngine::Retimed ReplayEngine::retime(const std::vector<std::int64_t>& delta) const {
-  const auto& calls = db_.calls();
-  Retimed out;
-  out.start_ns.assign(calls.size(), 0);
-  out.end_ns.assign(calls.size(), 0);
-
-  for (const auto& seq : top_level_) {
-    std::uint64_t prev_new_end = 0;
-    std::uint64_t prev_rec_end = 0;
-    bool first = true;
-    for (const CallIndex idx : seq) {
-      const auto& c = calls[static_cast<std::size_t>(idx)];
-      std::uint64_t new_start;
-      if (first) {
-        new_start = c.start_ns;  // the recorded lead-in is not ours to move
-        first = false;
-      } else {
-        // Preserve the recorded think time between consecutive calls.
-        const std::uint64_t gap = c.start_ns >= prev_rec_end ? c.start_ns - prev_rec_end : 0;
-        new_start = prev_new_end + gap;
-      }
-      prev_new_end = retime_call(idx, new_start, delta, out);
-      prev_rec_end = c.end_ns;
-    }
+  std::uint64_t max_end = 0;
+  for (std::size_t s = 0; s < sequences_.size(); ++s) {
+    max_end = std::max(max_end,
+                       sequences_[s].identity_end_ns + static_cast<std::uint64_t>(shift[s]));
   }
-
-  if (!calls.empty()) {
-    std::uint64_t max_end = 0;
-    for (const auto e : out.end_ns) max_end = std::max(max_end, e);
-    out.span_ns = max_end > recorded_start_ ? max_end - recorded_start_ : 0;
-  }
-  return out;
+  return max_end > recorded_start_ ? max_end - recorded_start_ : 0;
 }
 
 ScenarioResult ReplayEngine::run(const Scenario& scenario) const {
@@ -352,15 +365,12 @@ ScenarioResult ReplayEngine::run(const Scenario& scenario) const {
   result.name = scenario.name;
   result.recorded_span_ns = recorded_span_;
 
-  std::vector<std::int64_t> delta(db_.calls().size(), 0);
-  const std::uint64_t unattributed = apply_passes(scenario, delta, result);
-  const Retimed rt = retime(delta);
+  Deltas deltas;
+  const std::uint64_t unattributed = apply_passes(scenario, deltas, result);
+  const std::uint64_t span = span_under(deltas);
+  result.replayed_span_ns = span > unattributed ? span - unattributed : 0;
 
-  std::uint64_t span = rt.span_ns;
-  span = span > unattributed ? span - unattributed : 0;
-  result.replayed_span_ns = span;
-
-  for (auto& o : result.switchless) set_wasted_worker_ns(o, span);
+  for (auto& o : result.switchless) set_wasted_worker_ns(o, result.replayed_span_ns);
   return result;
 }
 
@@ -398,9 +408,7 @@ ValidationResult ReplayEngine::validate() const {
   ValidationResult v;
   v.recorded_span_ns = recorded_span_;
 
-  Scenario identity;
-  identity.name = "identity";
-  v.replayed_span_ns = run(identity).replayed_span_ns;
+  v.replayed_span_ns = identity_span_;
   if (v.recorded_span_ns > 0) {
     const auto diff = v.replayed_span_ns > v.recorded_span_ns
                           ? v.replayed_span_ns - v.recorded_span_ns
@@ -475,22 +483,90 @@ SweepResult ReplayEngine::sweep_switchless(const CallKey& site, std::size_t min_
 }
 
 tracedb::TraceDatabase ReplayEngine::materialize(const Scenario& scenario) const {
+  const auto& calls = db_.calls();
+  const std::size_t n = calls.size();
   ScenarioResult result;
-  result.recorded_span_ns = recorded_span_;
-  std::vector<std::int64_t> delta(db_.calls().size(), 0);
-  (void)apply_passes(scenario, delta, result);
-  const Retimed rt = retime(delta);
+  Deltas deltas;
+  (void)apply_passes(scenario, deltas, result);
+  std::vector<std::int64_t> delta(n, 0);
+  for (const auto& [idx, d] : deltas) delta[static_cast<std::size_t>(idx)] += d;
+
+  // The re-timing walk needs each call's children in start order: a
+  // compressed sparse row index (a counting sort over `parent`; filling in
+  // index order keeps start order).  child_begin[p] first holds the end of
+  // p's range; the backwards fill walks it down to the start.
+  std::vector<std::size_t> child_begin(n + 1, 0);
+  for (const auto& c : calls) {
+    if (c.parent != kNoParent) ++child_begin[static_cast<std::size_t>(c.parent)];
+  }
+  for (std::size_t p = 1; p <= n; ++p) child_begin[p] += child_begin[p - 1];
+  std::vector<CallIndex> child_list(child_begin[n]);
+  for (std::size_t i = n; i-- > 0;) {
+    if (calls[i].parent == kNoParent) continue;
+    child_list[--child_begin[static_cast<std::size_t>(calls[i].parent)]] =
+        static_cast<CallIndex>(i);
+  }
 
   tracedb::TraceDatabase out;
   for (const auto& e : db_.enclaves()) out.add_enclave(e);
-  for (const auto& n : db_.call_names()) out.add_call_name(n);
-  const auto& calls = db_.calls();
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    CallRecord rec = calls[i];  // keeps type, ids, parent index, AEX count
-    rec.start_ns = rt.start_ns[i];
-    rec.end_ns = rt.end_ns[i];
-    out.add_call(rec);
+  for (const auto& name : db_.call_names()) out.add_call_name(name);
+  std::vector<CallRecord> retimed(calls);  // keeps type, ids, parent index, AEX count
+
+  // Re-times the call tree rooted at `idx` from `new_start`, returning its
+  // new end.  The call's self-time segments (before / between / after its
+  // children) absorb its delta: a negative delta carries across segments
+  // until absorbed, and whatever the total self time cannot absorb is
+  // clamped.
+  const auto retime_call = [&](const auto& self, std::size_t idx,
+                               std::uint64_t new_start) -> std::uint64_t {
+    const auto& c = calls[idx];
+    std::uint64_t t = new_start;
+    std::int64_t carry = delta[idx];
+    std::uint64_t prev_end = c.start_ns;
+    for (std::size_t k = child_begin[idx]; k < child_begin[idx + 1]; ++k) {
+      const auto ch = static_cast<std::size_t>(child_list[k]);
+      const auto& cc = calls[ch];
+      std::uint64_t seg = cc.start_ns >= prev_end ? cc.start_ns - prev_end : 0;
+      if (carry != 0) {
+        const std::int64_t adjusted = static_cast<std::int64_t>(seg) + carry;
+        if (adjusted < 0) {
+          carry = adjusted;
+          seg = 0;
+        } else {
+          seg = static_cast<std::uint64_t>(adjusted);
+          carry = 0;
+        }
+      }
+      t = self(self, ch, t + seg);
+      prev_end = std::max(prev_end, cc.end_ns);
+    }
+    std::uint64_t tail = c.end_ns >= prev_end ? c.end_ns - prev_end : 0;
+    if (carry != 0) tail = clamp_add(tail, carry);
+    retimed[idx].start_ns = new_start;
+    retimed[idx].end_ns = t + tail;
+    return t + tail;
+  };
+
+  // Each thread's top-level calls in order: the first keeps its recorded
+  // start (the lead-in is not ours to move), and each later one keeps the
+  // recorded think time after its predecessor.
+  struct Tail {
+    std::uint64_t new_end = 0;
+    std::uint64_t recorded_end = 0;
+  };
+  std::map<tracedb::ThreadId, Tail> tails;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& c = calls[i];
+    if (c.parent != kNoParent) continue;
+    const auto [it, first] = tails.try_emplace(c.thread_id);
+    Tail& tail = it->second;
+    const std::uint64_t start =
+        first ? c.start_ns
+              : tail.new_end + (c.start_ns >= tail.recorded_end ? c.start_ns - tail.recorded_end : 0);
+    tail.new_end = retime_call(retime_call, i, start);
+    tail.recorded_end = c.end_ns;
   }
+  for (const auto& rec : retimed) out.add_call(rec);
   return out;
 }
 

@@ -4,11 +4,18 @@
 // call is decomposed into *self time* segments (the stretches not covered by
 // nested calls — which for ecalls include the modeled transition overhead,
 // §4.1.2) and the recorded gaps between calls.  A transformation pass
-// expresses its effect as one signed time delta per call; the re-timing walk
-// then rebuilds every per-thread call tree, absorbing negative deltas into
-// the call's self-time segments (clamped at zero) and shifting everything
-// downstream, so the empty scenario reproduces the recorded timeline
-// *exactly* and any transformed scenario yields a predicted one.
+// expresses its effect as a signed time delta on the calls it touches.  A
+// call absorbs its delta into its self time, clamped at zero, and everything
+// downstream on its thread shifts, so the empty scenario reproduces the
+// recorded timeline *exactly* and any transformed scenario yields a
+// predicted one.
+//
+// Recorded gaps never move, so a call's replayed duration is its self time
+// plus its clamped delta plus its children's durations, and a thread's last
+// end moves by the sum of the clamped deltas of every call on it.  run()
+// therefore prices a scenario from the calls it touches alone; only
+// materialize(), which needs every call's new times, re-times the whole
+// trace with a walk of each thread's call trees.
 //
 // Approximations, by design:
 //  * Virtual time is one global clock shared by all recording threads, so a
@@ -30,6 +37,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "replay/scenario.hpp"
@@ -51,11 +60,24 @@ struct ReplayConfig {
   std::size_t threads = 0;
 };
 
+/// Indexes over the replayed trace that a caller may already hold (the
+/// analyser builds both).  The engine builds whichever is null; a supplied
+/// one must describe the same trace and outlive the engine.
+struct TraceIndexes {
+  /// tracedb::group_calls(db): every site's calls, in trace order.
+  const std::map<tracedb::CallKey, tracedb::CallInstances>* sites = nullptr;
+  /// tracedb::indirect_parents(db).
+  const std::vector<tracedb::CallIndex>* indirect = nullptr;
+};
+
 /// Replays one trace.  Every call's parent must be kNoParent or the index of
-/// an earlier call, which loading a trace checks.
+/// an earlier call; the constructor throws std::invalid_argument otherwise.
 class ReplayEngine {
  public:
-  explicit ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config = {});
+  explicit ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config = {},
+                        TraceIndexes indexes = {});
+  ReplayEngine(const ReplayEngine&) = delete;  // may point into itself
+  ReplayEngine& operator=(const ReplayEngine&) = delete;
 
   /// Replays the empty scenario and checks the recorded trace against the
   /// cost model (see ValidationResult).
@@ -89,41 +111,52 @@ class ReplayEngine {
   [[nodiscard]] const ReplayConfig& config() const noexcept { return config_; }
 
  private:
-  struct Retimed {
-    std::vector<std::uint64_t> start_ns;
-    std::vector<std::uint64_t> end_ns;
-    std::uint64_t span_ns = 0;
+  /// (call, time delta) pairs a scenario's passes write, in any order and
+  /// possibly several per call.
+  using Deltas = std::vector<std::pair<tracedb::CallIndex, std::int64_t>>;
+
+  /// One recorded thread's top-level call sequence.
+  struct Sequence {
+    tracedb::ThreadId thread = 0;
+    /// Where the identity replay ends the sequence's last call.
+    std::uint64_t identity_end_ns = 0;
   };
 
-  /// Applies every pass of `scenario`, filling per-call deltas and the
-  /// result's counters.  Returns the span reduction that could not be
+  /// Applies every pass of `scenario`, appending per-call deltas and filling
+  /// the result's counters.  Returns the span reduction that could not be
   /// attributed to any call (EPC savings outside all calls).
-  std::uint64_t apply_passes(const Scenario& scenario, std::vector<std::int64_t>& delta,
+  std::uint64_t apply_passes(const Scenario& scenario, Deltas& deltas,
                              ScenarioResult& result) const;
 
-  /// Rebuilds every thread's call timeline under the given deltas.
-  [[nodiscard]] Retimed retime(const std::vector<std::int64_t>& delta) const;
+  /// The recorded calls of `site`, in trace order (empty if none).
+  [[nodiscard]] const tracedb::CallInstances& instances_of(const tracedb::CallKey& site) const;
 
-  /// Re-times one call tree rooted at `idx`, returning the new end time.
-  std::uint64_t retime_call(tracedb::CallIndex idx, std::uint64_t new_start,
-                            const std::vector<std::int64_t>& delta, Retimed& out) const;
+  /// Replayed span under `deltas`, from the touched calls alone.
+  [[nodiscard]] std::uint64_t span_under(Deltas& deltas) const;
 
   const tracedb::TraceDatabase& db_;
   ReplayConfig config_;
 
-  /// Direct children (nested calls) of each call, in start order, in
-  /// compressed sparse row form: the children of call i are
-  /// child_list_[child_begin_[i] .. child_begin_[i + 1]).
-  std::vector<std::size_t> child_begin_;
-  std::vector<tracedb::CallIndex> child_list_;
-  /// Top-level call sequences, one per recorded thread, in start order.
-  std::vector<std::vector<tracedb::CallIndex>> top_level_;
-  /// Indirect parents (Figure 4), for the merge pass.
-  std::vector<tracedb::CallIndex> indirect_;
+  /// Indexes the engine built itself when the caller supplied none.
+  std::map<tracedb::CallKey, tracedb::CallInstances> own_sites_;
+  std::vector<tracedb::CallIndex> own_indirect_;
+  /// Site index and indirect parents (Figure 4, for the merge pass): the
+  /// caller's or the engine's own.
+  const std::map<tracedb::CallKey, tracedb::CallInstances>* sites_ = nullptr;
+  const std::vector<tracedb::CallIndex>* indirect_ = nullptr;
+
+  /// Self time of each call: its recorded duration not covered by its
+  /// children, i.e. the gaps before, between and after them.
+  std::vector<std::uint64_t> self_ns_;
+  /// Top-level sequences, sorted by thread id.
+  std::vector<Sequence> sequences_;
   /// For each paging record: the innermost containing call, or kNoParent.
   std::vector<tracedb::CallIndex> paging_call_;
+  std::uint64_t page_ins_ = 0;
   std::uint64_t recorded_span_ = 0;
   std::uint64_t recorded_start_ = 0;
+  /// The empty scenario's replayed span.
+  std::uint64_t identity_span_ = 0;
 };
 
 }  // namespace replay

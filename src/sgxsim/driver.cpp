@@ -1,5 +1,6 @@
 #include "sgxsim/driver.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "telemetry/metrics.hpp"
@@ -77,6 +78,7 @@ void Driver::add_page(EnclaveId enclave, std::uint64_t page) {
   if (resident_.size() >= epc_pages_) evict_one();
   lru_.push_front(key);
   resident_.emplace(key, lru_.begin());
+  peak_resident_ = std::max(peak_resident_, resident_.size());
   driver_metrics().epc_resident.add(1);
 }
 
@@ -113,6 +115,7 @@ bool Driver::ensure_resident(EnclaveId enclave, std::uint64_t page) {
   const auto now = clock_.advance(cost_.page_in_ns);
   lru_.push_front(key);
   resident_.emplace(key, lru_.begin());
+  peak_resident_ = std::max(peak_resident_, resident_.size());
   m.epc_resident.add(1);
   if (hook_) hook_(enclave, page, PageDirection::kIn, now);
   return true;
@@ -126,6 +129,11 @@ bool Driver::is_resident(EnclaveId enclave, std::uint64_t page) const {
 std::size_t Driver::resident_pages() const {
   std::lock_guard lock(mu_);
   return resident_.size();
+}
+
+std::size_t Driver::peak_resident_pages() const {
+  std::lock_guard lock(mu_);
+  return peak_resident_;
 }
 
 }  // namespace sgxsim

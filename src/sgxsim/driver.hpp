@@ -61,6 +61,8 @@ class Driver {
 
   [[nodiscard]] std::size_t epc_pages() const noexcept { return epc_pages_; }
   [[nodiscard]] std::size_t resident_pages() const;
+  /// The most pages this driver has held resident at once.
+  [[nodiscard]] std::size_t peak_resident_pages() const;
   [[nodiscard]] std::uint64_t page_in_count() const noexcept { return page_ins_; }
   [[nodiscard]] std::uint64_t page_out_count() const noexcept { return page_outs_; }
 
@@ -90,6 +92,7 @@ class Driver {
   std::unordered_map<PageKey, std::list<PageKey>::iterator, PageKeyHash> resident_;
   std::uint64_t page_ins_ = 0;
   std::uint64_t page_outs_ = 0;
+  std::size_t peak_resident_ = 0;
   PageHook hook_;
 };
 

@@ -315,6 +315,7 @@ struct TopRun {
   std::shared_ptr<perf::TopSink> top;
   std::vector<tracedb::WindowRecord> windows;
   std::vector<tracedb::WindowSiteRecord> window_sites;
+  std::size_t epc_capacity = 0;
 };
 
 TopRun run_top_over_stress(tracedb::TraceDatabase& db, bool windowed) {
@@ -333,7 +334,7 @@ TopRun run_top_over_stress(tracedb::TraceDatabase& db, bool windowed) {
   perf::MonitorSession session(logger, urts, config);
   if (!session.ok()) throw std::runtime_error("no subscriber slot");
   TopRun out;
-  out.top = std::make_shared<perf::TopSink>(db, windowed);
+  out.top = std::make_shared<perf::TopSink>(db, windowed, &urts.driver());
   session.add_sink(out.top);
 
   stress::StressConfig scfg;
@@ -346,6 +347,7 @@ TopRun run_top_over_stress(tracedb::TraceDatabase& db, bool windowed) {
   session.finish();
   out.windows = session.analyzer().windows();
   out.window_sites = session.analyzer().window_sites();
+  out.epc_capacity = urts.driver().epc_pages();
   return out;
 }
 
@@ -359,6 +361,8 @@ TEST(MonitorSession, TopSinkFoldsWindowsIntoTheLoggersLatencyTable) {
   EXPECT_EQ(top.total_calls(), db.calls().size());
   EXPECT_EQ(top.total_aexs(), db.aexs().size());
   EXPECT_EQ(top.total_paging(), db.paging().size());
+  // The run pages, so at some closed window the EPC was full.
+  EXPECT_EQ(top.epc_peak_pages(), run.epc_capacity);
 
   ASSERT_EQ(top.sites().size(), db.latencies().size());
   for (const auto& [key, site] : top.sites()) {

@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -659,8 +661,9 @@ std::string replay_matrix() {
                     v.floor_error);
       out += buf;
       for (const auto& s : matrix_scenarios(db)) {
+        const TraceDatabase after = engine.materialize(s);
         std::uint64_t last_end = 0;
-        for (const auto& c : engine.materialize(s).calls()) last_end = std::max(last_end, c.end_ns);
+        for (const auto& c : after.calls()) last_end = std::max(last_end, c.end_ns);
         std::snprintf(buf, sizeof buf, "%s/%zu ", stressor, threads);
         out += buf + fingerprint(engine.run(s)) + " end " + std::to_string(last_end) + "\n";
       }
@@ -682,6 +685,140 @@ TEST(ReplayLocks, ScenarioMatrixOnStressTracesMatchesGoldenFile) {
   ASSERT_FALSE(expected.empty()) << "missing golden file: " << golden_path;
   EXPECT_EQ(got, expected) << "replay matrix drifted from " << golden_path
                            << "; the actual matrix is in replay_matrix.actual.txt";
+}
+
+// --- closed-form span vs the re-timing walk -----------------------------------
+// run() prices a scenario from the calls it touches; materialize() re-times
+// every call.  Without an EPC pass (whose savings outside every call only
+// run() sees) the two must agree on the span to the nanosecond.
+
+/// materialize()'s last end minus the recorded start.
+std::uint64_t materialized_span(const ReplayEngine& engine, const TraceDatabase& db,
+                                const Scenario& s) {
+  std::uint64_t first = std::numeric_limits<std::uint64_t>::max();
+  for (const auto& c : db.calls()) first = std::min(first, c.start_ns);
+  const TraceDatabase after = engine.materialize(s);
+  std::uint64_t last = 0;
+  for (const auto& c : after.calls()) last = std::max(last, c.end_ns);
+  return last > first ? last - first : 0;
+}
+
+/// One ecall per thread on two threads.  Thread 1's ecall has 2 us of self
+/// time around three nested 1 us ocalls, so eliminating the ocall site
+/// (3 x 3,808 ns credited to the parent) clamps at its self time; a
+/// top-level ocall on thread 2 takes its own credit.
+TraceDatabase thin_parent_db() {
+  TraceDatabase db;
+  db.add_call_name({1, CallType::kEcall, 0, "ecall_thin"});
+  db.add_call_name({1, CallType::kOcall, 0, "ocall_io"});
+  tracedb::CallRecord e;
+  e.type = CallType::kEcall;
+  e.thread_id = 1;
+  e.enclave_id = 1;
+  e.start_ns = 1'000;
+  e.end_ns = 6'000;
+  const auto parent = db.add_call(e);
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    tracedb::CallRecord o = e;
+    o.type = CallType::kOcall;
+    o.parent = parent;
+    o.start_ns = 1'500 + k * 1'500;
+    o.end_ns = o.start_ns + 1'000;
+    db.add_call(o);
+  }
+  tracedb::CallRecord top_ocall = e;
+  top_ocall.type = CallType::kOcall;
+  top_ocall.thread_id = 2;
+  top_ocall.start_ns = 2'000;
+  top_ocall.end_ns = 9'000;
+  db.add_call(top_ocall);
+  tracedb::CallRecord later = e;  // thread 1 again, after a 4 us think time
+  later.start_ns = 10'000;
+  later.end_ns = 20'000;
+  db.add_call(later);
+  return db;
+}
+
+TEST(ReplayProperty, SpanMatchesWalkWhenDeltasExceedSelfTime) {
+  const TraceDatabase db = thin_parent_db();
+  const ReplayEngine engine(db);
+  const CallKey ecall{1, CallType::kEcall, 0};
+  const CallKey ocall{1, CallType::kOcall, 0};
+  std::vector<Scenario> scenarios(4);
+  scenarios[0].eliminate.push_back({ocall});
+  scenarios[1].eliminate.push_back({ecall});
+  scenarios[2].eliminate = {{ecall}, {ocall}};
+  scenarios[3].merge.push_back({ocall, std::nullopt});
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto r = engine.run(scenarios[i]);
+    EXPECT_LT(r.replayed_span_ns, r.recorded_span_ns);
+    EXPECT_EQ(r.replayed_span_ns, materialized_span(engine, db, scenarios[i]));
+  }
+  // The thin ecall's 2 us of self time absorb only 2 us of the 11.4 us
+  // credited to it, and thread 1 sets the span: its second ecall ends 2 us
+  // early.
+  EXPECT_EQ(engine.run(scenarios[0]).replayed_span_ns, 19'000u - 2'000u);
+}
+
+TEST(ReplayProperty, SpanMatchesWalkUnderCostProfileSwap) {
+  // Every call is touched, and with a slower profile every delta is positive.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const TraceDatabase db = record_stress("mixed", threads);
+    const ReplayEngine engine(db);
+    for (const auto level : {PatchLevel::kSpectre, PatchLevel::kSpectreL1tf}) {
+      Scenario s;
+      s.cost_profile = level;
+      const auto r = engine.run(s);
+      EXPECT_GT(r.replayed_span_ns, r.recorded_span_ns);
+      EXPECT_EQ(r.replayed_span_ns, materialized_span(engine, db, s));
+    }
+  }
+}
+
+TEST(ReplayProperty, SpanMatchesWalkOnFourThreadTrace) {
+  const TraceDatabase db = record_stress("ocall-storm", 4);
+  const auto sites = tracedb::group_calls(db);
+  const auto indirect = tracedb::indirect_parents(db);
+  const ReplayEngine engine(db);
+  // The analyser hands the engine its own indexes; results must not change.
+  const ReplayEngine shared(db, {}, {&sites, &indirect});
+  std::size_t checked = 0;
+  for (const auto& [key, instances] : sites) {
+    Scenario el;
+    el.eliminate.push_back({key});
+    Scenario merge;
+    merge.merge.push_back({key, std::nullopt});
+    Scenario sw;
+    sw.switchless.push_back({key, 2});
+    Scenario all;
+    all.eliminate.push_back({key});
+    all.switchless.push_back({key, 1});
+    all.cost_profile = PatchLevel::kSpectre;
+    for (const Scenario* s : {&el, &merge, &sw, &all}) {
+      const auto r = engine.run(*s);
+      EXPECT_EQ(r.replayed_span_ns, materialized_span(engine, db, *s));
+      EXPECT_EQ(fingerprint(shared.run(*s)), fingerprint(r));
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 8u);
+}
+
+TEST(ReplayEngineInput, RejectsParentsThatAreNotEarlierCalls) {
+  for (const tracedb::CallIndex bad : {tracedb::CallIndex{1}, tracedb::CallIndex{2},
+                                       tracedb::CallIndex{99}, tracedb::CallIndex{-7}}) {
+    TraceDatabase db;
+    tracedb::CallRecord c;
+    c.end_ns = 10;
+    db.add_call(c);
+    c.parent = bad;  // call 1: itself, a later call, out of range, negative
+    db.add_call(c);
+    c.parent = tracedb::kNoParent;
+    db.add_call(c);
+    EXPECT_THROW(ReplayEngine{db}, std::invalid_argument) << bad;
+  }
 }
 
 // --- determinism --------------------------------------------------------------
