@@ -50,7 +50,7 @@ void TopSink::on_window(const tracedb::WindowRecord& window,
   aexs_ += window.aexs;
   paging_ += window.page_ins + window.page_outs;
   dropped_ = window.stream_dropped;
-  if (epc_ != nullptr) epc_peak_ = std::max<std::uint64_t>(epc_peak_, epc_->peak_resident_pages());
+  epc_peak_ = std::max<std::uint64_t>(epc_peak_, epc_.peak_resident_pages());
   if (window.window_index == 0) first_ns_ = window.start_ns;
   last_ns_ = window.end_ns;
 }

@@ -166,10 +166,9 @@ class TopSink : public MonitorSink {
   /// detached before finish()), it supplies the first recorded timestamp
   /// that starts the header's virtual-time span.  `epc` is the watched
   /// machine's EPC driver, sampled for its peak residency at every closed
-  /// window (null: the header shows 0).
-  TopSink(const tracedb::TraceDatabase& trace, bool windowed,
-          const sgxsim::Driver* epc = nullptr)
-      : trace_(trace), windowed_(windowed), epc_(epc) {}
+  /// window.
+  TopSink(const tracedb::TraceDatabase& trace, const sgxsim::Driver& epc, bool windowed)
+      : trace_(trace), epc_(epc), windowed_(windowed) {}
 
   void on_session_start(const SessionInfo& info) override { window_ns_ = info.window_ns; }
   void on_window(const tracedb::WindowRecord& window,
@@ -189,8 +188,8 @@ class TopSink : public MonitorSink {
 
  private:
   const tracedb::TraceDatabase& trace_;
+  const sgxsim::Driver& epc_;
   bool windowed_;
-  const sgxsim::Driver* epc_;
   /// Peak EPC residency seen at a closed window.  A peak, not the current
   /// value: a workload that destroys its enclave before the run ends would
   /// otherwise show 0 pages in the final frame.

@@ -98,9 +98,8 @@ ReplayEngine::ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config
     if (c.parent != kNoParent) continue;
     const auto [it, first] = tails.try_emplace(c.thread_id);
     Tail& t = it->second;
-    const std::uint64_t start =
-        first ? c.start_ns
-              : t.identity_end + (c.start_ns >= t.recorded_end ? c.start_ns - t.recorded_end : 0);
+    const std::uint64_t gap = c.start_ns >= t.recorded_end ? c.start_ns - t.recorded_end : 0;
+    const std::uint64_t start = first ? c.start_ns : t.identity_end + gap;
     t.identity_end = start + end[i];
     t.recorded_end = c.end_ns;
   }
@@ -228,8 +227,9 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario, Deltas& delta
     for (const CallIndex i : instances_of(spec.site)) {
       const auto& c = calls[static_cast<std::size_t>(i)];
       if (c.type == CallType::kEcall) {
-        add(i, -(full_ecall +
-                 static_cast<std::int64_t>(c.aex_count) * static_cast<std::int64_t>(old_cost.aex_ns)));
+        const auto aex_ns = static_cast<std::int64_t>(c.aex_count) *
+                            static_cast<std::int64_t>(old_cost.aex_ns);
+        add(i, -(full_ecall + aex_ns));
       } else {
         add_ocall_delta(i, -full_ocall);
       }
@@ -560,9 +560,8 @@ tracedb::TraceDatabase ReplayEngine::materialize(const Scenario& scenario) const
     if (c.parent != kNoParent) continue;
     const auto [it, first] = tails.try_emplace(c.thread_id);
     Tail& tail = it->second;
-    const std::uint64_t start =
-        first ? c.start_ns
-              : tail.new_end + (c.start_ns >= tail.recorded_end ? c.start_ns - tail.recorded_end : 0);
+    const std::uint64_t gap = c.start_ns >= tail.recorded_end ? c.start_ns - tail.recorded_end : 0;
+    const std::uint64_t start = first ? c.start_ns : tail.new_end + gap;
     tail.new_end = retime_call(retime_call, i, start);
     tail.recorded_end = c.end_ns;
   }

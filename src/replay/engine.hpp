@@ -12,7 +12,8 @@
 //
 // Recorded gaps never move, so a call's replayed duration is its self time
 // plus its clamped delta plus its children's durations, and a thread's last
-// end moves by the sum of the clamped deltas of every call on it.  run()
+// end moves by the sum of the clamped deltas of every call under its
+// top-level calls.  run()
 // therefore prices a scenario from the calls it touches alone; only
 // materialize(), which needs every call's new times, re-times the whole
 // trace with a walk of each thread's call trees.

@@ -271,7 +271,7 @@ TEST(MonitorSession, TopSinkAggregatesSitesWhileAttached) {
   logger.attach(urts);
   perf::MonitorSession session(logger);
   ASSERT_TRUE(session.ok());
-  auto top = std::make_shared<perf::TopSink>(db, /*windowed=*/false);
+  auto top = std::make_shared<perf::TopSink>(db, urts.driver(), /*windowed=*/false);
   session.add_sink(top);
 
   sgxsim::EnclaveConfig config;
@@ -334,7 +334,7 @@ TopRun run_top_over_stress(tracedb::TraceDatabase& db, bool windowed) {
   perf::MonitorSession session(logger, urts, config);
   if (!session.ok()) throw std::runtime_error("no subscriber slot");
   TopRun out;
-  out.top = std::make_shared<perf::TopSink>(db, windowed, &urts.driver());
+  out.top = std::make_shared<perf::TopSink>(db, urts.driver(), windowed);
   session.add_sink(out.top);
 
   stress::StressConfig scfg;

@@ -653,8 +653,9 @@ std::string replay_matrix() {
       const TraceDatabase db = record_stress(stressor, threads);
       const ReplayEngine engine(db);
       const auto v = engine.validate();
-      std::snprintf(buf, sizeof buf, "%s/%zu calls %zu paging %zu validate %llu %llu %llu %.17g %.17g\n",
-                    stressor, threads, db.calls().size(), db.paging().size(),
+      std::snprintf(buf, sizeof buf,
+                    "%s/%zu calls %zu paging %zu validate %llu %llu %llu %.17g %.17g\n", stressor,
+                    threads, db.calls().size(), db.paging().size(),
                     static_cast<unsigned long long>(v.recorded_span_ns),
                     static_cast<unsigned long long>(v.replayed_span_ns),
                     static_cast<unsigned long long>(v.ecalls_below_floor), v.span_error,

@@ -509,7 +509,7 @@ int run_top(const Options& opts, Trace&) {
     std::fputs("error: no free streaming subscriber slot\n", stderr);
     return 1;
   }
-  auto top = std::make_shared<perf::TopSink>(db, opts.window_ns > 0, &urts.driver());
+  auto top = std::make_shared<perf::TopSink>(db, urts.driver(), opts.window_ns > 0);
   session.add_sink(top);
 
   // Repaint in place on a terminal; emit sequential frames when piped.
