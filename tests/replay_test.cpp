@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -570,9 +571,14 @@ TEST(ReplayLocks, AnalyzerFindingsAndPredictionsOnMixedTrace) {
   EXPECT_EQ(fnv1a(fp), 1066608448786348715ull) << fp;
 }
 
+/// Each enclave's EDL, keyed by enclave id.
+using Interfaces = std::map<tracedb::EnclaveId, edl::InterfaceSpec>;
+
 /// Records `stressor` with `threads` lockstep workers for 20 ms of virtual
-/// time (seed 7) on a 4 MiB EPC, so the vm and mixed sweeps page.
-TraceDatabase record_stress(const std::string& stressor_name, std::size_t threads) {
+/// time (seed 7) on a 4 MiB EPC, so the vm and mixed sweeps page.  When
+/// `interfaces` is given, it receives every enclave's EDL as created.
+TraceDatabase record_stress(const std::string& stressor_name, std::size_t threads,
+                            Interfaces* interfaces = nullptr) {
   Urts urts(CostModel::preset(PatchLevel::kUnpatched), /*epc_pages=*/1024);
   const auto stressor = stress::make_stressor(stressor_name);
   stress::StressConfig config;
@@ -582,7 +588,11 @@ TraceDatabase record_stress(const std::string& stressor_name, std::size_t thread
   TraceDatabase db;
   perf::Logger logger(db);
   logger.attach(urts);
-  stress::run_stressor(*stressor, urts, config);
+  stressor->prepare(urts, config);
+  if (interfaces != nullptr) {
+    for (const auto eid : urts.enclave_ids()) (*interfaces)[eid] = urts.enclave(eid).interface();
+  }
+  stress::run_stressor(*stressor, urts, config, /*already_prepared=*/true);
   logger.detach();
   return db;
 }
@@ -686,6 +696,97 @@ TEST(ReplayLocks, ScenarioMatrixOnStressTracesMatchesGoldenFile) {
   ASSERT_FALSE(expected.empty()) << "missing golden file: " << golden_path;
   EXPECT_EQ(got, expected) << "replay matrix drifted from " << golden_path
                            << "; the actual matrix is in replay_matrix.actual.txt";
+}
+
+/// Every field of an analysis report: overviews, per-site statistics and
+/// findings with their recommendations.
+std::string analysis_dump(const perf::AnalysisReport& r) {
+  std::string out;
+  char buf[512];
+  const auto key = [&buf](const CallKey& k) {
+    std::snprintf(buf, sizeof buf, "%llu:%d:%u", static_cast<unsigned long long>(k.enclave_id),
+                  static_cast<int>(k.type), k.call_id);
+    return std::string(buf);
+  };
+  std::snprintf(buf, sizeof buf, "dropped %llu stream_dropped %llu\n",
+                static_cast<unsigned long long>(r.dropped_events),
+                static_cast<unsigned long long>(r.stream_dropped));
+  out += buf;
+  for (const auto& ov : r.overviews) {
+    std::snprintf(buf, sizeof buf,
+                  "overview %llu defined %zu %zu called %zu %zu instances %zu %zu "
+                  "below %.17g %.17g paging %zu %zu ",
+                  static_cast<unsigned long long>(ov.enclave_id), ov.ecalls_defined,
+                  ov.ocalls_defined, ov.ecalls_called, ov.ocalls_called, ov.ecall_instances,
+                  ov.ocall_instances, ov.ecalls_below_10us, ov.ocalls_below_10us, ov.page_ins,
+                  ov.page_outs);
+    out += buf + ov.name + "\n";
+  }
+  for (const auto& cs : r.stats) {
+    const auto& d = cs.duration_ns;
+    out += "stats " + key(cs.key) + " " + cs.name;
+    std::snprintf(buf, sizeof buf,
+                  " count %zu mean %.17g median %.17g stddev %.17g min %.17g max %.17g "
+                  "p90 %.17g p95 %.17g p99 %.17g sum %.17g aex %llu below %.17g "
+                  "hdr %llu %llu %llu %llu\n",
+                  d.count, d.mean, d.median, d.stddev, d.min, d.max, d.p90, d.p95, d.p99, d.sum,
+                  static_cast<unsigned long long>(cs.aex_total), cs.fraction_below_10us,
+                  static_cast<unsigned long long>(cs.p50_ns),
+                  static_cast<unsigned long long>(cs.p90_ns),
+                  static_cast<unsigned long long>(cs.p99_ns),
+                  static_cast<unsigned long long>(cs.p999_ns));
+    out += buf;
+  }
+  for (const auto& f : r.findings) {
+    out += std::string("finding ") + perf::to_string(f.kind) + " " + key(f.subject) + " " +
+           f.subject_name + " partner " + (f.partner ? key(*f.partner) : std::string("-")) +
+           " " + f.partner_name;
+    std::snprintf(buf, sizeof buf, " severity %.17g ", f.severity);
+    out += buf + f.detail + "\n";
+    for (const auto& rec : f.recommendations) {
+      std::snprintf(buf, sizeof buf, "  rec %s speedup %.17g workers %zu ",
+                    perf::to_string(rec.action), rec.predicted_speedup, rec.best_workers);
+      out += buf + rec.scenario + "\n";
+    }
+  }
+  return out;
+}
+
+/// The analyser's report on every lockstep stress trace, with predictions,
+/// once without an EDL and once with each enclave's own interface.
+std::string analyzer_matrix() {
+  std::string out;
+  char buf[256];
+  for (const char* stressor :
+       {"mixed", "sync", "ocall-storm", "cpu", "vm", "order", "order-clean"}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      Interfaces interfaces;
+      const TraceDatabase db = record_stress(stressor, threads, &interfaces);
+      std::snprintf(buf, sizeof buf, "== %s/%zu calls %zu paging %zu enclaves %zu\n", stressor,
+                    threads, db.calls().size(), db.paging().size(), interfaces.size());
+      out += buf;
+      out += "-- no edl\n" + analysis_dump(perf::Analyzer(db).analyze());
+      perf::Analyzer with_edl(db);
+      for (const auto& [eid, spec] : interfaces) with_edl.set_interface(eid, spec);
+      out += "-- edl\n" + analysis_dump(with_edl.analyze());
+    }
+  }
+  return out;
+}
+
+TEST(ReplayLocks, AnalyzerMatrixOnStressTracesMatchesGoldenFile) {
+  const std::string golden_path = std::string(GOLDEN_DIR) + "/analyzer_matrix.txt";
+  std::ifstream in(golden_path, std::ios::binary);
+  const std::string expected{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+  const std::string got = analyzer_matrix();
+  if (got != expected) {
+    // Leave the actual matrix next to the test for a line diff.
+    std::ofstream("analyzer_matrix.actual.txt", std::ios::binary) << got;
+  }
+  ASSERT_FALSE(expected.empty()) << "missing golden file: " << golden_path;
+  EXPECT_EQ(got, expected) << "analyser matrix drifted from " << golden_path
+                           << "; the actual matrix is in analyzer_matrix.actual.txt";
 }
 
 // --- closed-form span vs the re-timing walk -----------------------------------
