@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
               base_report.throughput_ops_per_s);
 
   // --- 2. validate the replay against the recording ----------------------------
-  replay::ReplayEngine engine(baseline);
+  const tracedb::TraceIndex index = tracedb::index_trace(baseline);
+  replay::ReplayEngine engine(baseline, index);
   const auto validation = engine.validate();
   std::fputs(replay::render_validation(validation).c_str(), stdout);
   if (!validation.within(0.01)) {

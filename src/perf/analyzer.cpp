@@ -117,20 +117,33 @@ void Analyzer::set_interface(tracedb::EnclaveId enclave, sgxsim::edl::InterfaceS
   interfaces_[enclave] = std::move(spec);
 }
 
+/// What the walk of the site index leaves for the passes after it.
+struct Analyzer::SiteWalk {
+  /// Eq. 1-3 and SSC findings by detector rank, each in site-key order.
+  std::array<std::vector<Finding>, 4> by_detector;
+  /// Security check 1: ecall sites whose every instance ran during an ocall.
+  std::vector<Finding> private_ecalls;
+  /// Names of each enclave's nested ecall sites, by the key of the call that
+  /// hosted them (security checks 2a and 2b).
+  std::map<tracedb::EnclaveId, std::map<CallKey, std::set<std::string>>> nested;
+};
+
 AnalysisReport Analyzer::analyze() const {
   AnalysisReport report;
   report.dropped_events = db_.dropped_events();
   report.stream_dropped = db_.stream_dropped();
-  const Sites sites = tracedb::group_calls(db_);
-  const IndirectParents indirect = tracedb::indirect_parents(db_);
-  compute_overviews(report);
-  compute_stats(report, sites);
+  const tracedb::TraceIndex index = tracedb::index_trace(db_);
+  SiteWalk walk = walk_sites(report, index);
+  // Findings go out tail, Eq. 1-3 and SSC, paging, orderliness, security;
+  // the stable sort below keeps that order among equal severities.
   detect_tail_latency(report);
-  detect_call_patterns(report, indirect);
+  for (auto& findings : walk.by_detector) {
+    for (auto& f : findings) report.findings.push_back(std::move(f));
+  }
   detect_paging(report);
   detect_orderliness(report);
-  analyze_security(report, sites);
-  if (config_.predict_speedups) annotate_predictions(report, sites, indirect);
+  analyze_security(report, walk);
+  if (config_.predict_speedups) annotate_predictions(report, index);
 
   std::stable_sort(report.findings.begin(), report.findings.end(),
                    [](const Finding& a, const Finding& b) { return a.severity > b.severity; });
@@ -138,14 +151,14 @@ AnalysisReport Analyzer::analyze() const {
 }
 
 // --- what-if predictions (replay engine) -------------------------------------
-void Analyzer::annotate_predictions(AnalysisReport& report, const Sites& sites,
-                                    const IndirectParents& indirect) const {
+void Analyzer::annotate_predictions(AnalysisReport& report,
+                                    const tracedb::TraceIndex& index) const {
   if (report.findings.empty()) return;
 
   replay::ReplayConfig replay_config;
   replay_config.recorded_cost = config_.replay_cost;
   replay_config.threads = config_.replay_threads;
-  const replay::ReplayEngine engine(db_, replay_config, {&sites, &indirect});
+  const replay::ReplayEngine engine(db_, index, replay_config);
   if (engine.recorded_span_ns() == 0) return;
 
   const auto site_name = [&](const CallKey& k) {
@@ -229,103 +242,6 @@ void Analyzer::annotate_predictions(AnalysisReport& report, const Sites& sites,
                      std::to_string(sweep.best_workers);
     report.findings[fi].recommendations.push_back(std::move(entry));
   }
-}
-
-void Analyzer::compute_overviews(AnalysisReport& report) const {
-  std::set<tracedb::EnclaveId> ids;
-  for (const auto& e : db_.enclaves()) ids.insert(e.enclave_id);
-  for (const auto& c : db_.calls()) ids.insert(c.enclave_id);
-
-  for (const auto id : ids) {
-    EnclaveOverview ov;
-    ov.enclave_id = id;
-    for (const auto& e : db_.enclaves()) {
-      if (e.enclave_id == id) ov.name = e.name;
-    }
-    const auto spec = interfaces_.find(id);
-    if (spec != interfaces_.end()) {
-      ov.ecalls_defined = spec->second.ecalls.size();
-      ov.ocalls_defined = spec->second.ocalls.size();
-    }
-    ov.ecalls_called = tracedb::distinct_calls(db_, id, CallType::kEcall);
-    ov.ocalls_called = tracedb::distinct_calls(db_, id, CallType::kOcall);
-    ov.ecall_instances = tracedb::total_calls(db_, id, CallType::kEcall);
-    ov.ocall_instances = tracedb::total_calls(db_, id, CallType::kOcall);
-    ov.ecalls_below_10us = tracedb::fraction_shorter_than(
-        db_, id, CallType::kEcall, config_.short_call_ns, config_.ecall_transition_ns);
-    ov.ocalls_below_10us =
-        tracedb::fraction_shorter_than(db_, id, CallType::kOcall, config_.short_call_ns);
-    const auto [ins, outs] = tracedb::paging_counts(db_, id);
-    ov.page_ins = ins;
-    ov.page_outs = outs;
-    report.overviews.push_back(std::move(ov));
-  }
-}
-
-void Analyzer::compute_stats(AnalysisReport& report, const Sites& sites) const {
-  const auto& calls = db_.calls();
-  for (const auto& [key, instances] : sites) {
-    CallStats cs;
-    cs.key = key;
-    cs.name = db_.name_of(key.enclave_id, key.type, key.call_id);
-    std::vector<std::uint64_t> durations;
-    durations.reserve(instances.size());
-    std::size_t below = 0;
-    for (const auto idx : instances) {
-      const auto& c = calls[static_cast<std::size_t>(idx)];
-      durations.push_back(c.duration());
-      cs.aex_total += c.aex_count;
-      if (adjusted_ns(c.type, c.duration(), config_) < config_.short_call_ns) ++below;
-    }
-    cs.duration_ns = support::summarize(durations);
-    cs.fraction_below_10us =
-        instances.empty() ? 0.0 : static_cast<double>(below) / static_cast<double>(instances.size());
-
-    // Percentiles: prefer the recorder's v4 latency table (covers events a
-    // truncated call table may have lost); reconstruct with the same HDR
-    // geometry otherwise, so quantization is identical either way.
-    telemetry::HdrSnapshot snap;
-    if (const tracedb::LatencyRecord* lat =
-            db_.find_latency(key.enclave_id, key.type, key.call_id);
-        lat != nullptr && lat->count > 0) {
-      for (const auto& [idx, n] : lat->buckets) snap.add_bucket(idx, n);
-      snap.set_exact_sum(lat->sum_ns);
-    } else {
-      for (const auto d : durations) snap.record(d);
-    }
-    cs.p50_ns = snap.value_at_percentile(50);
-    cs.p90_ns = snap.value_at_percentile(90);
-    cs.p99_ns = snap.value_at_percentile(99);
-    cs.p999_ns = snap.value_at_percentile(99.9);
-    report.stats.push_back(std::move(cs));
-  }
-  // Sites present only in the latency table still get a stats row: a fleet
-  // checkpoint (sgxperf serve) persists cumulative HDR histograms without
-  // raw call instances, and the histogram carries count, sum and
-  // percentiles on its own.
-  for (const auto& lat : db_.latencies()) {
-    if (lat.count == 0) continue;
-    const tracedb::CallKey key{lat.enclave_id, lat.type, lat.call_id};
-    if (sites.contains(key)) continue;  // raw calls covered it
-    CallStats cs;
-    cs.key = key;
-    cs.name = db_.name_of(key.enclave_id, key.type, key.call_id);
-    telemetry::HdrSnapshot snap;
-    for (const auto& [idx, n] : lat.buckets) snap.add_bucket(idx, n);
-    snap.set_exact_sum(lat.sum_ns);
-    cs.duration_ns.count = static_cast<std::size_t>(lat.count);
-    cs.duration_ns.mean = static_cast<double>(lat.sum_ns) / static_cast<double>(lat.count);
-    cs.p50_ns = snap.value_at_percentile(50);
-    cs.duration_ns.median = static_cast<double>(cs.p50_ns);
-    cs.p90_ns = snap.value_at_percentile(90);
-    cs.p99_ns = snap.value_at_percentile(99);
-    cs.p999_ns = snap.value_at_percentile(99.9);
-    report.stats.push_back(std::move(cs));
-  }
-  std::stable_sort(report.stats.begin(), report.stats.end(),
-                   [](const CallStats& a, const CallStats& b) {
-                     return a.duration_ns.count > b.duration_ns.count;
-                   });
 }
 
 // --- tail latency: the distribution problem means cannot show ---------------
@@ -447,46 +363,190 @@ std::size_t detector_rank(AlertKind k) {
   }
 }
 
-}  // namespace
-
-void Analyzer::detect_call_patterns(AnalysisReport& report,
-                                    const IndirectParents& indirect) const {
-  const auto& calls = db_.calls();
-  const auto key_of = [](const CallRecord& c) { return CallKey{c.enclave_id, c.type, c.call_id}; };
-  std::map<CallKey, SiteCounters> sites;
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    const CallRecord& c = calls[i];
-    SiteCounters& site = sites[key_of(c)];
-    site.add_call(c.type, c.duration(), c.kind, c.parent != kNoParent, config_);
-    if (c.parent != kNoParent) {
-      const CallRecord& p = calls[static_cast<std::size_t>(c.parent)];
-      site.add_parent_start(key_of(p), c.start_ns - p.start_ns);
-      site.add_parent_end(p.end_ns, c.end_ns);
-    }
-    if (indirect[i] != kNoParent) {
-      const CallRecord& p = calls[static_cast<std::size_t>(indirect[i])];
-      site.add_indirect_parent(key_of(p), p.end_ns, c.start_ns);
-    }
-  }
-
-  std::array<std::vector<Finding>, 4> by_detector;
-  std::vector<Verdict> verdicts;
-  for (const auto& [key, counters] : sites) {
-    evaluate(key, counters, config_, verdicts);
-    for (const Verdict& v : verdicts) {
-      by_detector[detector_rank(v.kind)].push_back(site_finding(db_, config_, key, counters, v));
-    }
-  }
-  for (auto& findings : by_detector) {
-    for (auto& f : findings) report.findings.push_back(std::move(f));
-  }
+/// Security check 1's finding: all `count` instances of ecall site `key` ran
+/// during one of the `hosts` calls.
+Finding private_ecall_finding(const tracedb::TraceDatabase& db, const CallKey& key,
+                              const std::string& name, std::size_t count,
+                              const std::set<CallKey>& hosts) {
+  std::set<std::string> host_names;
+  for (const auto& h : hosts) host_names.insert(db.name_of(h.enclave_id, h.type, h.call_id));
+  Finding f;
+  f.kind = FindingKind::kPrivateEcallCandidate;
+  f.subject = key;
+  f.subject_name = name;
+  f.recommendations = {Recommendation::kMakePrivate};
+  const std::vector<std::string> names(host_names.begin(), host_names.end());
+  f.detail = support::format(
+      "all %zu instances were issued during ocalls; allow it from: %s "
+      "(note: this recommendation is workload-dependent)",
+      count, support::join(names, ", ").c_str());
+  f.severity = 1.0;
+  return f;
 }
 
-// --- paging -----------------------------------------------------------------------
+/// The HDR histogram of a recorded latency row.
+telemetry::HdrSnapshot snapshot_of(const tracedb::LatencyRecord& lat) {
+  telemetry::HdrSnapshot snap;
+  for (const auto& [idx, n] : lat.buckets) snap.add_bucket(idx, n);
+  snap.set_exact_sum(lat.sum_ns);
+  return snap;
+}
+
+void set_percentiles(CallStats& cs, const telemetry::HdrSnapshot& snap) {
+  cs.p50_ns = snap.value_at_percentile(50);
+  cs.p90_ns = snap.value_at_percentile(90);
+  cs.p99_ns = snap.value_at_percentile(99);
+  cs.p999_ns = snap.value_at_percentile(99.9);
+}
+
+}  // namespace
+
+Analyzer::SiteWalk Analyzer::walk_sites(AnalysisReport& report,
+                                        const tracedb::TraceIndex& index) const {
+  const auto& calls = db_.calls();
+  const auto key_of = [](const CallRecord& c) { return CallKey{c.enclave_id, c.type, c.call_id}; };
+  // Per-enclave overview rows; instances below the short-call threshold are
+  // summed as integers (ecall, ocall) and divided once at the end.
+  struct Tally {
+    EnclaveOverview ov;
+    std::array<std::size_t, 2> below{};
+  };
+  std::map<tracedb::EnclaveId, Tally> enclaves;
+  for (const auto& e : db_.enclaves()) enclaves[e.enclave_id].ov.name = e.name;
+
+  SiteWalk walk;
+  std::vector<Verdict> verdicts;
+  for (const auto& [key, instances] : index.sites) {
+    CallStats cs;
+    cs.key = key;
+    cs.name = db_.name_of(key.enclave_id, key.type, key.call_id);
+    SiteCounters counters;
+    std::set<CallKey> hosts;  // direct parents of the site's nested ecalls
+    std::vector<std::uint64_t> durations;
+    durations.reserve(instances.size());
+    std::size_t below = 0;
+    for (const auto idx : instances) {
+      const auto i = static_cast<std::size_t>(idx);
+      const CallRecord& c = calls[i];
+      durations.push_back(c.duration());
+      cs.aex_total += c.aex_count;
+      if (adjusted_ns(c.type, c.duration(), config_) < config_.short_call_ns) ++below;
+      counters.add_call(c.type, c.duration(), c.kind, c.parent != kNoParent, config_);
+      if (c.parent != kNoParent) {
+        const CallRecord& p = calls[static_cast<std::size_t>(c.parent)];
+        counters.add_parent_start(key_of(p), c.start_ns - p.start_ns);
+        counters.add_parent_end(p.end_ns, c.end_ns);
+        if (key.type == CallType::kEcall) hosts.insert(key_of(p));
+      }
+      if (index.indirect[i] != kNoParent) {
+        const CallRecord& p = calls[static_cast<std::size_t>(index.indirect[i])];
+        counters.add_indirect_parent(key_of(p), p.end_ns, c.start_ns);
+      }
+    }
+
+    Tally& tally = enclaves[key.enclave_id];
+    if (key.type == CallType::kEcall) {
+      ++tally.ov.ecalls_called;
+      tally.ov.ecall_instances += instances.size();
+      tally.below[0] += below;
+    } else if (key.type == CallType::kOcall) {
+      ++tally.ov.ocalls_called;
+      tally.ov.ocall_instances += instances.size();
+      tally.below[1] += below;
+    }
+
+    evaluate(key, counters, config_, verdicts);
+    for (const Verdict& v : verdicts) {
+      walk.by_detector[detector_rank(v.kind)].push_back(
+          site_finding(db_, config_, key, counters, v));
+    }
+
+    if (!hosts.empty()) {
+      auto& nested = walk.nested[key.enclave_id];
+      for (const auto& host : hosts) nested[host].insert(cs.name);
+      // Skip if the EDL already declares it private.
+      const auto spec = interfaces_.find(key.enclave_id);
+      const bool declared_private = spec != interfaces_.end() &&
+                                    key.call_id < spec->second.ecalls.size() &&
+                                    !spec->second.ecalls[key.call_id].is_public;
+      if (counters.nested == instances.size() && !declared_private) {
+        walk.private_ecalls.push_back(
+            private_ecall_finding(db_, key, cs.name, instances.size(), hosts));
+      }
+    }
+
+    cs.duration_ns = support::summarize(durations);
+    cs.fraction_below_10us = static_cast<double>(below) / static_cast<double>(instances.size());
+    // Percentiles: prefer the recorder's v4 latency table (covers events a
+    // truncated call table may have lost); reconstruct with the same HDR
+    // geometry otherwise, so quantization is identical either way.
+    if (const tracedb::LatencyRecord* lat =
+            db_.find_latency(key.enclave_id, key.type, key.call_id);
+        lat != nullptr && lat->count > 0) {
+      set_percentiles(cs, snapshot_of(*lat));
+    } else {
+      telemetry::HdrSnapshot snap;
+      for (const auto d : durations) snap.record(d);
+      set_percentiles(cs, snap);
+    }
+    report.stats.push_back(std::move(cs));
+  }
+  // Sites present only in the latency table still get a stats row: a fleet
+  // checkpoint (sgxperf serve) persists cumulative HDR histograms without
+  // raw call instances, and the histogram carries count, sum and
+  // percentiles on its own.
+  for (const auto& lat : db_.latencies()) {
+    if (lat.count == 0) continue;
+    const tracedb::CallKey key{lat.enclave_id, lat.type, lat.call_id};
+    if (index.sites.contains(key)) continue;  // raw calls covered it
+    CallStats cs;
+    cs.key = key;
+    cs.name = db_.name_of(key.enclave_id, key.type, key.call_id);
+    cs.duration_ns.count = static_cast<std::size_t>(lat.count);
+    cs.duration_ns.mean = static_cast<double>(lat.sum_ns) / static_cast<double>(lat.count);
+    set_percentiles(cs, snapshot_of(lat));
+    cs.duration_ns.median = static_cast<double>(cs.p50_ns);
+    report.stats.push_back(std::move(cs));
+  }
+  std::stable_sort(report.stats.begin(), report.stats.end(),
+                   [](const CallStats& a, const CallStats& b) {
+                     return a.duration_ns.count > b.duration_ns.count;
+                   });
+
+  const auto fraction = [](std::size_t n, std::size_t total) {
+    return total == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(total);
+  };
+  for (auto& [id, tally] : enclaves) {
+    EnclaveOverview& ov = tally.ov;
+    ov.enclave_id = id;
+    if (const auto spec = interfaces_.find(id); spec != interfaces_.end()) {
+      ov.ecalls_defined = spec->second.ecalls.size();
+      ov.ocalls_defined = spec->second.ocalls.size();
+    }
+    ov.ecalls_below_10us = fraction(tally.below[0], ov.ecall_instances);
+    ov.ocalls_below_10us = fraction(tally.below[1], ov.ocall_instances);
+    report.overviews.push_back(std::move(ov));
+  }
+  return walk;
+}
+
+// --- paging: the overviews' page counts and the paging detector ------------------
 void Analyzer::detect_paging(AnalysisReport& report) const {
-  std::map<tracedb::EnclaveId, std::size_t> events;
-  for (const auto& p : db_.paging()) ++events[p.enclave_id];
-  for (const auto& [eid, count] : events) {
+  std::map<tracedb::EnclaveId, std::pair<std::size_t, std::size_t>> events;  // ins, outs
+  for (const auto& p : db_.paging()) {
+    auto& [ins, outs] = events[p.enclave_id];
+    ++(p.direction == tracedb::PageDirection::kPageIn ? ins : outs);
+  }
+  for (const auto& [eid, in_out] : events) {
+    // Overviews are in enclave-id order.
+    const auto ov = std::lower_bound(
+        report.overviews.begin(), report.overviews.end(), eid,
+        [](const EnclaveOverview& o, tracedb::EnclaveId id) { return o.enclave_id < id; });
+    if (ov != report.overviews.end() && ov->enclave_id == eid) {
+      ov->page_ins = in_out.first;
+      ov->page_outs = in_out.second;
+    }
+    const std::size_t count = in_out.first + in_out.second;
     if (!paging_fires(count, config_)) continue;
     Finding f;
     f.kind = FindingKind::kPaging;
@@ -529,61 +589,21 @@ void Analyzer::detect_orderliness(AnalysisReport& report) const {
 }
 
 // --- interface security (§3.6, §4.3.2) ----------------------------------------------
-void Analyzer::analyze_security(AnalysisReport& report, const Sites& sites) const {
-  const auto& calls = db_.calls();
-
-  // 1. Private-ecall candidates: every instance was issued during an ocall.
-  for (const auto& [key, instances] : sites) {
-    if (key.type != CallType::kEcall || instances.empty()) continue;
-    bool all_nested = true;
-    std::set<std::string> parent_ocalls;
-    for (const auto idx : instances) {
-      const auto& c = calls[static_cast<std::size_t>(idx)];
-      if (c.parent == kNoParent) {
-        all_nested = false;
-        break;
-      }
-      const auto& p = calls[static_cast<std::size_t>(c.parent)];
-      parent_ocalls.insert(db_.name_of(p.enclave_id, p.type, p.call_id));
-    }
-    if (!all_nested) continue;
-
-    // Skip if the EDL already declares it private.
-    const auto spec = interfaces_.find(key.enclave_id);
-    if (spec != interfaces_.end() && key.call_id < spec->second.ecalls.size() &&
-        !spec->second.ecalls[key.call_id].is_public) {
-      continue;
-    }
-
-    Finding f;
-    f.kind = FindingKind::kPrivateEcallCandidate;
-    f.subject = key;
-    f.subject_name = db_.name_of(key.enclave_id, key.type, key.call_id);
-    f.recommendations = {Recommendation::kMakePrivate};
-    std::string parents;
-    for (const auto& name : parent_ocalls) {
-      if (!parents.empty()) parents += ", ";
-      parents += name;
-    }
-    f.detail = support::format(
-        "all %zu instances were issued during ocalls; allow it from: %s "
-        "(note: this recommendation is workload-dependent)",
-        instances.size(), parents.c_str());
-    f.severity = 1.0;
-    report.findings.push_back(std::move(f));
-  }
+void Analyzer::analyze_security(AnalysisReport& report, SiteWalk& walk) const {
+  // 1. Private-ecall candidates: every instance was issued during an ocall
+  //    (found by the site walk).
+  for (auto& f : walk.private_ecalls) report.findings.push_back(std::move(f));
 
   // 2a. Without an EDL, "the analyser will state the smallest set of allowed
   //     ecalls" (§4.3.2): report, per ocall that hosted nested ecalls, the
   //     exact set observed — the minimal allow() list the developer needs.
   {
     std::map<CallKey, std::set<std::string>> observed_per_ocall;
-    for (const auto& c : calls) {
-      if (c.type != CallType::kEcall || c.parent == kNoParent) continue;
-      if (interfaces_.contains(c.enclave_id)) continue;  // EDL supplied: 2b handles it
-      const auto& p = calls[static_cast<std::size_t>(c.parent)];
-      observed_per_ocall[CallKey{p.enclave_id, p.type, p.call_id}].insert(
-          db_.name_of(c.enclave_id, CallType::kEcall, c.call_id));
+    for (const auto& [eid, by_host] : walk.nested) {
+      if (interfaces_.contains(eid)) continue;  // EDL supplied: 2b handles it
+      for (const auto& [host, names] : by_host) {
+        observed_per_ocall[host].insert(names.begin(), names.end());
+      }
     }
     for (const auto& [okey, ecall_names] : observed_per_ocall) {
       Finding f;
@@ -603,10 +623,10 @@ void Analyzer::analyze_security(AnalysisReport& report, const Sites& sites) cons
   for (const auto& [eid, spec] : interfaces_) {
     // Observed: which ecalls actually ran during each ocall.
     std::map<tracedb::CallId, std::set<std::string>> observed;  // ocall id -> ecall names
-    for (const auto& c : calls) {
-      if (c.type != CallType::kEcall || c.parent == kNoParent || c.enclave_id != eid) continue;
-      const auto& p = calls[static_cast<std::size_t>(c.parent)];
-      observed[p.call_id].insert(db_.name_of(c.enclave_id, CallType::kEcall, c.call_id));
+    if (const auto nested = walk.nested.find(eid); nested != walk.nested.end()) {
+      for (const auto& [host, names] : nested->second) {
+        observed[host.call_id].insert(names.begin(), names.end());
+      }
     }
     for (std::size_t oid = 0; oid < spec.ocalls.size(); ++oid) {
       const auto& o = spec.ocalls[oid];

@@ -219,17 +219,13 @@ class Analyzer {
   [[nodiscard]] AnalysisReport analyze() const;
 
  private:
-  void compute_overviews(AnalysisReport& report) const;
-  /// The trace's call sites (tracedb::group_calls) and indirect parents
-  /// (tracedb::indirect_parents), built once per analyze() and shared by
-  /// the statistics, the detectors and the replay engine.
-  using Sites = std::map<tracedb::CallKey, tracedb::CallInstances>;
-  using IndirectParents = std::vector<tracedb::CallIndex>;
-
-  void compute_stats(AnalysisReport& report, const Sites& sites) const;
-  /// Eq. 1-3 and SSC: folds the call table into per-site detector counters
-  /// (perf/detectors.hpp) and turns every verdict into a finding.
-  void detect_call_patterns(AnalysisReport& report, const IndirectParents& indirect) const;
+  struct SiteWalk;
+  /// The one walk over the site index: fills the stats rows and the
+  /// overviews' call counts, and returns the Eq. 1-3, SSC and private-ecall
+  /// findings and the nested-ecall record for the passes after it.
+  SiteWalk walk_sites(AnalysisReport& report, const tracedb::TraceIndex& index) const;
+  /// One pass over the paging table: the overviews' page counts and the
+  /// paging findings.
   void detect_paging(AnalysisReport& report) const;
   /// Validates the trace against the orderliness model embedded in its v6
   /// order-rules table (no-op when the trace carries none), turning each
@@ -237,15 +233,14 @@ class Analyzer {
   /// with the online checker's end-of-run alert set.
   void detect_orderliness(AnalysisReport& report) const;
   /// Flags call sites whose p99/p50 ratio betrays a tail (needs the
-  /// percentiles compute_stats() filled in, so runs after it).
+  /// percentiles walk_sites() filled in, so runs after it).
   void detect_tail_latency(AnalysisReport& report) const;
-  void analyze_security(AnalysisReport& report, const Sites& sites) const;
+  void analyze_security(AnalysisReport& report, SiteWalk& walk) const;
   /// Builds one what-if scenario per modelable recommendation, replays them
   /// (in parallel) and writes predicted speedups back onto the findings.
   /// Appends a kSwitchless recommendation to short-ecall findings, carrying
   /// the worker-sweep optimum.
-  void annotate_predictions(AnalysisReport& report, const Sites& sites,
-                            const IndirectParents& indirect) const;
+  void annotate_predictions(AnalysisReport& report, const tracedb::TraceIndex& index) const;
 
   const tracedb::TraceDatabase& db_;
   AnalyzerConfig config_;

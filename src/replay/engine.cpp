@@ -10,8 +10,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "tracedb/query.hpp"
-
 namespace replay {
 
 using sgxsim::CostModel;
@@ -43,11 +41,14 @@ std::uint64_t clamp_add(std::uint64_t u, std::int64_t d) noexcept {
 
 }  // namespace
 
-ReplayEngine::ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config,
-                           TraceIndexes indexes)
-    : db_(db), config_(config), sites_(indexes.sites), indirect_(indexes.indirect) {
+ReplayEngine::ReplayEngine(const tracedb::TraceDatabase& db, const tracedb::TraceIndex& index,
+                           ReplayConfig config)
+    : db_(db), config_(config), index_(index) {
   const auto& calls = db_.calls();
   const std::size_t n = calls.size();
+  if (index_.indirect.size() != n) {
+    throw std::invalid_argument("replay: the index describes another trace");
+  }
 
   // Self times, one forward pass: trace order is start order (merged traces
   // are globally time-sorted), so each call meets its children in start
@@ -111,15 +112,6 @@ ReplayEngine::ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config
   identity_span_ = identity_end > recorded_start_ ? identity_end - recorded_start_ : 0;
   end = {};
 
-  if (sites_ == nullptr) {
-    own_sites_ = tracedb::group_calls(db_);
-    sites_ = &own_sites_;
-  }
-  if (indirect_ == nullptr) {
-    own_indirect_ = tracedb::indirect_parents(db_);
-    indirect_ = &own_indirect_;
-  }
-
   // Paging attribution: the innermost recorded call of the same enclave whose
   // window contains the fault timestamp.  Paging records carry no thread id,
   // so "innermost" means latest-starting containing call across all threads.
@@ -159,8 +151,8 @@ ReplayEngine::ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config
 
 const tracedb::CallInstances& ReplayEngine::instances_of(const CallKey& site) const {
   static const tracedb::CallInstances kNone;
-  const auto it = sites_->find(site);
-  return it != sites_->end() ? it->second : kNone;
+  const auto it = index_.sites.find(site);
+  return it != index_.sites.end() ? it->second : kNone;
 }
 
 std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario, Deltas& deltas,
@@ -240,7 +232,7 @@ std::uint64_t ReplayEngine::apply_passes(const Scenario& scenario, Deltas& delta
   // --- Eq.3 batch / merge into the indirect parent ---------------------------
   for (const auto& spec : scenario.merge) {
     for (const CallIndex i : instances_of(spec.site)) {
-      const CallIndex ip = (*indirect_)[static_cast<std::size_t>(i)];
+      const CallIndex ip = index_.indirect[static_cast<std::size_t>(i)];
       if (ip == kNoParent) continue;  // first of its run keeps its transition
       if (spec.partner &&
           key_of(calls[static_cast<std::size_t>(ip)]) != *spec.partner) {

@@ -13,10 +13,15 @@
 // Recorded gaps never move, so a call's replayed duration is its self time
 // plus its clamped delta plus its children's durations, and a thread's last
 // end moves by the sum of the clamped deltas of every call under its
-// top-level calls.  run()
-// therefore prices a scenario from the calls it touches alone; only
-// materialize(), which needs every call's new times, re-times the whole
-// trace with a walk of each thread's call trees.
+// top-level calls.  run() therefore prices a scenario from the calls it
+// touches alone; only materialize(), which needs every call's new times,
+// re-times the whole trace with a walk of each thread's call trees.
+//
+// The engine never indexes the trace itself.  It reads the caller's
+// tracedb::TraceIndex: the site index to find the calls a per-site pass
+// touches, the indirect parents for the merge pass.  The analyser passes the
+// index it analysed with; every other caller builds one with
+// tracedb::index_trace.
 //
 // Approximations, by design:
 //  * Virtual time is one global clock shared by all recording threads, so a
@@ -38,7 +43,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -46,6 +50,7 @@
 #include "sgxsim/cost_model.hpp"
 #include "sgxsim/driver.hpp"
 #include "tracedb/database.hpp"
+#include "tracedb/query.hpp"
 
 namespace replay {
 
@@ -61,24 +66,16 @@ struct ReplayConfig {
   std::size_t threads = 0;
 };
 
-/// Indexes over the replayed trace that a caller may already hold (the
-/// analyser builds both).  The engine builds whichever is null; a supplied
-/// one must describe the same trace and outlive the engine.
-struct TraceIndexes {
-  /// tracedb::group_calls(db): every site's calls, in trace order.
-  const std::map<tracedb::CallKey, tracedb::CallInstances>* sites = nullptr;
-  /// tracedb::indirect_parents(db).
-  const std::vector<tracedb::CallIndex>* indirect = nullptr;
-};
-
 /// Replays one trace.  Every call's parent must be kNoParent or the index of
-/// an earlier call; the constructor throws std::invalid_argument otherwise.
+/// an earlier call, and `index` must be tracedb::index_trace(db); the
+/// constructor throws std::invalid_argument for a bad parent or an index
+/// with another call count.  The engine keeps references to `db` and
+/// `index` and must not outlive either.
 class ReplayEngine {
  public:
-  explicit ReplayEngine(const tracedb::TraceDatabase& db, ReplayConfig config = {},
-                        TraceIndexes indexes = {});
-  ReplayEngine(const ReplayEngine&) = delete;  // may point into itself
-  ReplayEngine& operator=(const ReplayEngine&) = delete;
+  ReplayEngine(const tracedb::TraceDatabase& db, const tracedb::TraceIndex& index,
+               ReplayConfig config = {});
+  ReplayEngine(const tracedb::TraceDatabase&, tracedb::TraceIndex&&, ReplayConfig = {}) = delete;
 
   /// Replays the empty scenario and checks the recorded trace against the
   /// cost model (see ValidationResult).
@@ -138,13 +135,8 @@ class ReplayEngine {
   const tracedb::TraceDatabase& db_;
   ReplayConfig config_;
 
-  /// Indexes the engine built itself when the caller supplied none.
-  std::map<tracedb::CallKey, tracedb::CallInstances> own_sites_;
-  std::vector<tracedb::CallIndex> own_indirect_;
-  /// Site index and indirect parents (Figure 4, for the merge pass): the
-  /// caller's or the engine's own.
-  const std::map<tracedb::CallKey, tracedb::CallInstances>* sites_ = nullptr;
-  const std::vector<tracedb::CallIndex>* indirect_ = nullptr;
+  /// Site index and indirect parents (Figure 4, for the merge pass).
+  const tracedb::TraceIndex& index_;
 
   /// Self time of each call: its recorded duration not covered by its
   /// children, i.e. the gaps before, between and after them.

@@ -1,7 +1,5 @@
 #include "tracedb/query.hpp"
 
-#include <algorithm>
-#include <set>
 #include <unordered_map>
 
 namespace tracedb {
@@ -35,63 +33,6 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> scatter_of(const TraceDatab
     }
   }
   return out;
-}
-
-std::vector<CallIndex> calls_in_range(const TraceDatabase& db, CallType type,
-                                      Nanoseconds from_ns, Nanoseconds to_ns) {
-  std::vector<CallIndex> out;
-  const auto& calls = db.calls();
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    const auto& c = calls[i];
-    if (c.type == type && c.start_ns >= from_ns && c.start_ns < to_ns) {
-      out.push_back(static_cast<CallIndex>(i));
-    }
-  }
-  return out;
-}
-
-std::size_t distinct_calls(const TraceDatabase& db, EnclaveId enclave, CallType type) {
-  std::set<CallId> ids;
-  for (const auto& c : db.calls()) {
-    if (c.enclave_id == enclave && c.type == type) ids.insert(c.call_id);
-  }
-  return ids.size();
-}
-
-std::size_t total_calls(const TraceDatabase& db, EnclaveId enclave, CallType type) {
-  std::size_t n = 0;
-  for (const auto& c : db.calls()) {
-    if (c.enclave_id == enclave && c.type == type) ++n;
-  }
-  return n;
-}
-
-double fraction_shorter_than(const TraceDatabase& db, EnclaveId enclave, CallType type,
-                             Nanoseconds threshold_ns, Nanoseconds subtract_ns) {
-  std::size_t total = 0;
-  std::size_t below = 0;
-  for (const auto& c : db.calls()) {
-    if (c.enclave_id != enclave || c.type != type) continue;
-    ++total;
-    const Nanoseconds raw = c.duration();
-    const Nanoseconds adjusted = raw > subtract_ns ? raw - subtract_ns : 0;
-    if (adjusted < threshold_ns) ++below;
-  }
-  return total == 0 ? 0.0 : static_cast<double>(below) / static_cast<double>(total);
-}
-
-std::pair<std::size_t, std::size_t> paging_counts(const TraceDatabase& db, EnclaveId enclave) {
-  std::size_t ins = 0;
-  std::size_t outs = 0;
-  for (const auto& p : db.paging()) {
-    if (p.enclave_id != enclave) continue;
-    if (p.direction == PageDirection::kPageIn) {
-      ++ins;
-    } else {
-      ++outs;
-    }
-  }
-  return {ins, outs};
 }
 
 std::vector<CallIndex> indirect_parents(const TraceDatabase& db) {
@@ -136,6 +77,10 @@ std::vector<CallIndex> indirect_parents(const TraceDatabase& db) {
   return indirect;
 }
 
+TraceIndex index_trace(const TraceDatabase& db) {
+  return TraceIndex{group_calls(db), indirect_parents(db)};
+}
+
 std::optional<CallKey> find_call_by_name(const TraceDatabase& db, EnclaveId enclave,
                                          const std::string& name) {
   for (const auto& rec : db.call_names()) {
@@ -151,35 +96,6 @@ std::optional<CallKey> find_call_by_name(const TraceDatabase& db, EnclaveId encl
     }
   }
   return std::nullopt;
-}
-
-std::vector<WindowSiteRecord> window_series_of(const TraceDatabase& db, const CallKey& key) {
-  std::vector<WindowSiteRecord> rows;
-  for (const auto& site : db.window_sites()) {
-    if (site.enclave_id == key.enclave_id && site.type == key.type &&
-        site.call_id == key.call_id) {
-      rows.push_back(site);
-    }
-  }
-  return rows;
-}
-
-std::vector<AlertRecord> active_alerts(const TraceDatabase& db) {
-  std::vector<AlertRecord> out;
-  for (const auto& a : db.alerts()) {
-    if (a.resolved_ns == 0) out.push_back(a);
-  }
-  return out;
-}
-
-std::vector<AlertRecord> alerts_at(const TraceDatabase& db, Nanoseconds at_ns) {
-  std::vector<AlertRecord> out;
-  for (const auto& a : db.alerts()) {
-    if (a.onset_ns <= at_ns && (a.resolved_ns == 0 || at_ns < a.resolved_ns)) {
-      out.push_back(a);
-    }
-  }
-  return out;
 }
 
 }  // namespace tracedb

@@ -1,8 +1,8 @@
 // Read-side query helpers over a TraceDatabase.
 //
-// These provide the "SQL views" the analyser and the report writers need:
-// per-call-id grouping, duration vectors, time-range filters and simple
-// aggregates.
+// These provide the "SQL views" the analyser, the replay engine and the
+// report writers need: per-call-id grouping, indirect parents and duration
+// vectors.
 #pragma once
 
 #include <cstdint>
@@ -38,50 +38,28 @@ using CallInstances = std::vector<CallIndex>;
 [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>> scatter_of(
     const TraceDatabase& db, const CallKey& key);
 
-/// Indices of calls of `type` that started within [from_ns, to_ns).
-[[nodiscard]] std::vector<CallIndex> calls_in_range(const TraceDatabase& db, CallType type,
-                                                    Nanoseconds from_ns, Nanoseconds to_ns);
-
-/// Number of distinct call ids of `type` observed for `enclave`.
-[[nodiscard]] std::size_t distinct_calls(const TraceDatabase& db, EnclaveId enclave,
-                                         CallType type);
-
-/// Total number of call instances of `type` for `enclave`.
-[[nodiscard]] std::size_t total_calls(const TraceDatabase& db, EnclaveId enclave, CallType type);
-
-/// Fraction of calls of `type` whose duration is below `threshold_ns`.
-/// For ecalls the caller should subtract the transition time first (§4.1.2);
-/// `subtract_ns` supports that.
-[[nodiscard]] double fraction_shorter_than(const TraceDatabase& db, EnclaveId enclave,
-                                           CallType type, Nanoseconds threshold_ns,
-                                           Nanoseconds subtract_ns = 0);
-
-/// Paging event counts for `enclave`: {page-ins, page-outs}.
-[[nodiscard]] std::pair<std::size_t, std::size_t> paging_counts(const TraceDatabase& db,
-                                                                EnclaveId enclave);
-
 /// Indirect parents per §4.3.2 / Figure 4: the indirect parent of call C is
 /// the most recent call of the *same type* as C, on the same thread, with
 /// the same direct parent, that completed before C started.
 /// indirect[i] is the indirect parent of db.calls()[i], or kNoParent.
 [[nodiscard]] std::vector<CallIndex> indirect_parents(const TraceDatabase& db);
 
+/// The trace's call-site index: what the analyser's walk, its security pass
+/// and the replay engine read instead of rescanning the call table.
+struct TraceIndex {
+  /// group_calls(db): every site's calls, in trace order.
+  std::map<CallKey, CallInstances> sites;
+  /// indirect_parents(db), one entry per call.
+  std::vector<CallIndex> indirect;
+};
+
+/// Builds the index of `db` (one pass over the call table per member).
+[[nodiscard]] TraceIndex index_trace(const TraceDatabase& db);
+
 /// Resolves a call site by its registered (or synthesized "ecall_<id>")
 /// name, searching both call types.  Returns std::nullopt when unknown.
 [[nodiscard]] std::optional<CallKey> find_call_by_name(const TraceDatabase& db,
                                                        EnclaveId enclave,
                                                        const std::string& name);
-
-/// Per-window rows of one call site from the v5 time-series table, in
-/// window order (the "when did this site regress" view).
-[[nodiscard]] std::vector<WindowSiteRecord> window_series_of(const TraceDatabase& db,
-                                                             const CallKey& key);
-
-/// Alerts whose condition still held when the trace ended (resolved_ns == 0).
-[[nodiscard]] std::vector<AlertRecord> active_alerts(const TraceDatabase& db);
-
-/// Alerts overlapping virtual-time instant `at_ns` (onset ≤ at < resolution,
-/// with unresolved alerts open-ended) — "what was wrong at time T".
-[[nodiscard]] std::vector<AlertRecord> alerts_at(const TraceDatabase& db, Nanoseconds at_ns);
 
 }  // namespace tracedb

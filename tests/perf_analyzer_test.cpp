@@ -435,6 +435,80 @@ TEST(Report, OverviewCountsAndText) {
   EXPECT_NE(text.find("findings"), std::string::npos);
 }
 
+TEST(Overview, EnclaveWithoutCallsGivesZeroRow) {
+  TraceDatabase db;
+  tracedb::EnclaveRecord enc;
+  enc.enclave_id = 4;
+  enc.name = "idle";
+  db.add_enclave(enc);
+  const auto report = Analyzer(db).analyze();
+  ASSERT_EQ(report.overviews.size(), 1u);
+  const EnclaveOverview& ov = report.overviews[0];
+  EXPECT_EQ(ov.enclave_id, 4u);
+  EXPECT_EQ(ov.name, "idle");
+  EXPECT_EQ(ov.ecalls_called + ov.ocalls_called, 0u);
+  EXPECT_EQ(ov.ecall_instances + ov.ocall_instances, 0u);
+  EXPECT_EQ(ov.ecalls_below_10us, 0.0);
+  EXPECT_EQ(ov.ocalls_below_10us, 0.0);
+  EXPECT_EQ(ov.page_ins + ov.page_outs, 0u);
+  EXPECT_TRUE(report.stats.empty());
+}
+
+TEST(Overview, EcallShorterThanTransitionClampsAndCountsAsShort) {
+  TraceDatabase db;
+  // 250 ns is below the 4,205 ns ecall transition: the adjusted duration
+  // clamps to 0 instead of wrapping.  The 30 us ecall stays long.
+  add(db, CallType::kEcall, 0, 100, 350);
+  add(db, CallType::kEcall, 1, 1'000, 31'000);
+  const auto report = Analyzer(db).analyze();
+  ASSERT_EQ(report.overviews.size(), 1u);
+  EXPECT_EQ(report.overviews[0].ecalls_called, 2u);
+  EXPECT_EQ(report.overviews[0].ecall_instances, 2u);
+  EXPECT_EQ(report.overviews[0].ecalls_below_10us, 0.5);
+  for (const auto& s : report.stats) {
+    EXPECT_EQ(s.fraction_below_10us, s.key.call_id == 0 ? 1.0 : 0.0) << s.name;
+  }
+}
+
+TEST(Overview, PagingSplitsPerEnclave) {
+  TraceDatabase db;
+  add(db, CallType::kEcall, 0, 0, 100'000, kNoParent, 1, /*eid=*/1);
+  add(db, CallType::kEcall, 0, 0, 100'000, kNoParent, 2, /*eid=*/2);
+  db.add_paging({1, 10, tracedb::PageDirection::kPageOut, 50});
+  db.add_paging({1, 10, tracedb::PageDirection::kPageIn, 60});
+  db.add_paging({2, 3, tracedb::PageDirection::kPageIn, 65});
+  db.add_paging({1, 11, tracedb::PageDirection::kPageIn, 70});
+  const auto report = Analyzer(db).analyze();
+  ASSERT_EQ(report.overviews.size(), 2u);
+  EXPECT_EQ(report.overviews[0].enclave_id, 1u);
+  EXPECT_EQ(report.overviews[0].page_ins, 2u);
+  EXPECT_EQ(report.overviews[0].page_outs, 1u);
+  EXPECT_EQ(report.overviews[1].enclave_id, 2u);
+  EXPECT_EQ(report.overviews[1].page_ins, 1u);
+  EXPECT_EQ(report.overviews[1].page_outs, 0u);
+}
+
+TEST(Overview, EdlGivesDefinedCounts) {
+  TraceDatabase db;
+  add(db, CallType::kEcall, 0, 0, 20'000);
+  const auto spec = sgxsim::edl::parse(R"(
+    enclave {
+      trusted { public void ecall_a(void); public void ecall_b(void); void ecall_c(void); };
+      untrusted { void ocall_x(void); };
+    };
+  )");
+  Analyzer without(db);
+  EXPECT_EQ(without.analyze().overviews[0].ecalls_defined, 0u);
+  Analyzer an(db);
+  an.set_interface(1, spec);
+  const auto report = an.analyze();
+  ASSERT_EQ(report.overviews.size(), 1u);
+  EXPECT_EQ(report.overviews[0].ecalls_defined, 3u);
+  EXPECT_EQ(report.overviews[0].ocalls_defined, 1u);
+  EXPECT_EQ(report.overviews[0].ecalls_called, 1u);
+  EXPECT_EQ(report.overviews[0].ocalls_called, 0u);
+}
+
 TEST(Report, FindingsSortedBySeverity) {
   TraceDatabase db;
   db.add_call_name({1, CallType::kOcall, 0, "ocall_small"});

@@ -110,7 +110,8 @@ std::vector<Scenario> golden_scenarios() {
 
 std::string golden_json() {
   const TraceDatabase db = golden_db();
-  ReplayEngine engine(db);
+  const auto index = tracedb::index_trace(db);
+  ReplayEngine engine(db, index);
   return replay::render_whatif_json(engine.validate(), engine.run_all(golden_scenarios()));
 }
 
@@ -179,7 +180,8 @@ CallKey demo_ecall_key(const TraceDatabase& db) {
 
 TEST(ReplayValidation, DemoWorkloadReplaysWithinTolerance) {
   const TraceDatabase db = record_demo(4, 200);
-  ReplayEngine engine(db);
+  const auto index = tracedb::index_trace(db);
+  ReplayEngine engine(db, index);
   const auto v = engine.validate();
   EXPECT_TRUE(v.within(0.01)) << "span error " << v.span_error;
   // The identity replay is exact by construction, not merely within 1%.
@@ -203,7 +205,8 @@ TEST(ReplayValidation, MinikvWorkloadReplaysWithinTolerance) {
   logger.detach();
   ASSERT_GT(db.calls().size(), 0u);
 
-  const auto v = ReplayEngine(db).validate();
+  const auto index = tracedb::index_trace(db);
+  const auto v = ReplayEngine(db, index).validate();
   EXPECT_TRUE(v.within(0.01)) << "span error " << v.span_error;
   EXPECT_EQ(v.replayed_span_ns, v.recorded_span_ns);
 }
@@ -230,7 +233,8 @@ TEST(ReplayValidation, MinidbWorkloadReplaysWithinTolerance) {
   logger.detach();
   ASSERT_GT(db.calls().size(), 0u);
 
-  const auto v = ReplayEngine(db).validate();
+  const auto index = tracedb::index_trace(db);
+  const auto v = ReplayEngine(db, index).validate();
   EXPECT_TRUE(v.within(0.01)) << "span error " << v.span_error;
   EXPECT_EQ(v.replayed_span_ns, v.recorded_span_ns);
 }
@@ -239,7 +243,8 @@ TEST(ReplayValidation, MinidbWorkloadReplaysWithinTolerance) {
 
 TEST(ReplayScenario, EmptyScenarioReproducesTheRecordedTimeline) {
   const TraceDatabase db = record_demo(2, 100);
-  ReplayEngine engine(db);
+  const auto index = tracedb::index_trace(db);
+  ReplayEngine engine(db, index);
   const auto r = engine.run(Scenario{});
   EXPECT_EQ(r.replayed_span_ns, r.recorded_span_ns);
   EXPECT_EQ(r.transitions_removed, 0u);
@@ -247,7 +252,8 @@ TEST(ReplayScenario, EmptyScenarioReproducesTheRecordedTimeline) {
 
 TEST(ReplayScenario, SwitchlessConversionRemovesTransitions) {
   const TraceDatabase db = record_demo(2, 100);
-  ReplayEngine engine(db);
+  const auto index = tracedb::index_trace(db);
+  ReplayEngine engine(db, index);
   Scenario s;
   s.name = "switchless";
   s.switchless.push_back({demo_ecall_key(db), 2});
@@ -263,7 +269,8 @@ TEST(ReplayScenario, SwitchlessConversionRemovesTransitions) {
 
 TEST(ReplayScenario, CostProfileSwapSlowsTheTraceDown) {
   const TraceDatabase db = record_demo(2, 100);
-  ReplayEngine engine(db);  // recorded under the unpatched profile
+  const auto index = tracedb::index_trace(db);
+  ReplayEngine engine(db, index);  // recorded under the unpatched profile
   Scenario s;
   s.name = "l1tf";
   s.cost_profile = PatchLevel::kSpectreL1tf;
@@ -313,7 +320,8 @@ TEST(ReplayScenario, EpcGrowthRemovesReplayedFaults) {
 
   ReplayConfig rcfg;
   rcfg.recorded_epc_pages = 192;
-  ReplayEngine engine(db, rcfg);
+  const auto index = tracedb::index_trace(db);
+  ReplayEngine engine(db, index, rcfg);
   Scenario grow;
   grow.name = "epc x4";
   grow.epc_pages = 192 * 4;
@@ -332,7 +340,8 @@ TEST(ReplayScenario, EpcGrowthRemovesReplayedFaults) {
 
 TEST(ReplaySweep, PicksTheSmallestWorkerCountAtPeakSpeedup) {
   const TraceDatabase db = record_demo(3, 80);
-  ReplayEngine engine(db);
+  const auto index = tracedb::index_trace(db);
+  ReplayEngine engine(db, index);
   const auto sweep = engine.sweep_switchless(demo_ecall_key(db), 1, 4);
   ASSERT_EQ(sweep.points.size(), 4u);
   EXPECT_GE(sweep.best_workers, 1u);
@@ -413,7 +422,8 @@ TEST(ReplayLocks, EpcPassAtEvictingAndRoomyCapacities) {
   const TraceDatabase db = record_epc_sweep();
   ReplayConfig rcfg;
   rcfg.recorded_epc_pages = 192;
-  ReplayEngine engine(db, rcfg);
+  const auto index = tracedb::index_trace(db);
+  ReplayEngine engine(db, index, rcfg);
   std::string got;
   for (const std::size_t pages : {96u, 192u, 256u, 768u}) {
     Scenario s;
@@ -469,7 +479,8 @@ TraceDatabase scattered_faults_db() {
 
 TEST(ReplayLocks, EpcPassOnScatteredFaults) {
   const TraceDatabase db = scattered_faults_db();
-  ReplayEngine engine(db);
+  const auto index = tracedb::index_trace(db);
+  ReplayEngine engine(db, index);
   std::string got;
   for (const std::size_t pages : {4u, 12u, 24u, 40u, 64u}) {
     Scenario s;
@@ -491,8 +502,9 @@ TEST(ReplayLocks, EpcPassOnScatteredFaults) {
 
 TEST(ReplayLocks, SweepPointsWithAndWithoutLowCountFallbacks) {
   const TraceDatabase busy = overlapping_db();
+  const auto busy_index = tracedb::index_trace(busy);
   const auto contended =
-      ReplayEngine(busy).sweep_switchless(CallKey{1, CallType::kEcall, 0}, 1, 6);
+      ReplayEngine(busy, busy_index).sweep_switchless(CallKey{1, CallType::kEcall, 0}, 1, 6);
   EXPECT_EQ(fingerprint(contended),
             "switchless ecall_hot x1|198000|198000|10|0|0|1:0:0:ecall_hot:1:10:20:84150:113850\n"
             "switchless ecall_hot x2|198000|198000|20|0|0|1:0:0:ecall_hot:2:20:10:168300:227700\n"
@@ -504,7 +516,9 @@ TEST(ReplayLocks, SweepPointsWithAndWithoutLowCountFallbacks) {
       << fingerprint(contended);
 
   const TraceDatabase serial = record_demo(1, 60);
-  const auto idle = ReplayEngine(serial).sweep_switchless(demo_ecall_key(serial), 1, 5);
+  const auto serial_index = tracedb::index_trace(serial);
+  const auto idle =
+      ReplayEngine(serial, serial_index).sweep_switchless(demo_ecall_key(serial), 1, 5);
   EXPECT_EQ(fingerprint(idle),
             "switchless ecall_with_ocall x1|671257|456157|60|0|0|1:0:0:ecall_with_ocall:1:60:0:"
             "415860:40297\n"
@@ -600,9 +614,8 @@ TraceDatabase record_stress(const std::string& stressor_name, std::size_t thread
 /// The replay matrix of one trace: per call site, eliminate, merge, merge
 /// with each indirect-parent site and switchless at 1-3 workers; then every
 /// patch level, four EPC sizes and one scenario combining every pass.
-std::vector<Scenario> matrix_scenarios(const TraceDatabase& db) {
+std::vector<Scenario> matrix_scenarios(const TraceDatabase& db, const tracedb::TraceIndex& index) {
   const auto& calls = db.calls();
-  const auto indirect = tracedb::indirect_parents(db);
   const auto key_of = [](const tracedb::CallRecord& c) {
     return CallKey{c.enclave_id, c.type, c.call_id};
   };
@@ -610,7 +623,7 @@ std::vector<Scenario> matrix_scenarios(const TraceDatabase& db) {
   std::vector<Scenario> out;
   std::optional<CallKey> first_ecall;
   std::optional<CallKey> first_ocall;
-  for (const auto& [key, instances] : tracedb::group_calls(db)) {
+  for (const auto& [key, instances] : index.sites) {
     auto& first = key.type == CallType::kEcall ? first_ecall : first_ocall;
     if (!first) first = key;
     out.emplace_back().name = "eliminate " + name(key);
@@ -619,7 +632,7 @@ std::vector<Scenario> matrix_scenarios(const TraceDatabase& db) {
     out.back().merge.push_back({key, std::nullopt});
     std::set<CallKey> partners;
     for (const auto i : instances) {
-      const auto ip = indirect[static_cast<std::size_t>(i)];
+      const auto ip = index.indirect[static_cast<std::size_t>(i)];
       if (ip != tracedb::kNoParent) partners.insert(key_of(calls[static_cast<std::size_t>(ip)]));
     }
     for (const auto& p : partners) {
@@ -661,7 +674,8 @@ std::string replay_matrix() {
   for (const char* stressor : {"mixed", "sync", "ocall-storm", "cpu", "vm", "order"}) {
     for (const std::size_t threads : {1u, 4u}) {
       const TraceDatabase db = record_stress(stressor, threads);
-      const ReplayEngine engine(db);
+      const auto index = tracedb::index_trace(db);
+      const ReplayEngine engine(db, index);
       const auto v = engine.validate();
       std::snprintf(buf, sizeof buf,
                     "%s/%zu calls %zu paging %zu validate %llu %llu %llu %.17g %.17g\n", stressor,
@@ -671,7 +685,7 @@ std::string replay_matrix() {
                     static_cast<unsigned long long>(v.ecalls_below_floor), v.span_error,
                     v.floor_error);
       out += buf;
-      for (const auto& s : matrix_scenarios(db)) {
+      for (const auto& s : matrix_scenarios(db, index)) {
         const TraceDatabase after = engine.materialize(s);
         std::uint64_t last_end = 0;
         for (const auto& c : after.calls()) last_end = std::max(last_end, c.end_ns);
@@ -843,7 +857,8 @@ TraceDatabase thin_parent_db() {
 
 TEST(ReplayProperty, SpanMatchesWalkWhenDeltasExceedSelfTime) {
   const TraceDatabase db = thin_parent_db();
-  const ReplayEngine engine(db);
+  const auto index = tracedb::index_trace(db);
+  const ReplayEngine engine(db, index);
   const CallKey ecall{1, CallType::kEcall, 0};
   const CallKey ocall{1, CallType::kOcall, 0};
   std::vector<Scenario> scenarios(4);
@@ -868,7 +883,8 @@ TEST(ReplayProperty, SpanMatchesWalkUnderCostProfileSwap) {
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
     const TraceDatabase db = record_stress("mixed", threads);
-    const ReplayEngine engine(db);
+    const auto index = tracedb::index_trace(db);
+    const ReplayEngine engine(db, index);
     for (const auto level : {PatchLevel::kSpectre, PatchLevel::kSpectreL1tf}) {
       Scenario s;
       s.cost_profile = level;
@@ -881,13 +897,10 @@ TEST(ReplayProperty, SpanMatchesWalkUnderCostProfileSwap) {
 
 TEST(ReplayProperty, SpanMatchesWalkOnFourThreadTrace) {
   const TraceDatabase db = record_stress("ocall-storm", 4);
-  const auto sites = tracedb::group_calls(db);
-  const auto indirect = tracedb::indirect_parents(db);
-  const ReplayEngine engine(db);
-  // The analyser hands the engine its own indexes; results must not change.
-  const ReplayEngine shared(db, {}, {&sites, &indirect});
+  const auto index = tracedb::index_trace(db);
+  const ReplayEngine engine(db, index);
   std::size_t checked = 0;
-  for (const auto& [key, instances] : sites) {
+  for (const auto& [key, instances] : index.sites) {
     Scenario el;
     el.eliminate.push_back({key});
     Scenario merge;
@@ -901,7 +914,6 @@ TEST(ReplayProperty, SpanMatchesWalkOnFourThreadTrace) {
     for (const Scenario* s : {&el, &merge, &sw, &all}) {
       const auto r = engine.run(*s);
       EXPECT_EQ(r.replayed_span_ns, materialized_span(engine, db, *s));
-      EXPECT_EQ(fingerprint(shared.run(*s)), fingerprint(r));
       ++checked;
     }
   }
@@ -919,8 +931,15 @@ TEST(ReplayEngineInput, RejectsParentsThatAreNotEarlierCalls) {
     db.add_call(c);
     c.parent = tracedb::kNoParent;
     db.add_call(c);
-    EXPECT_THROW(ReplayEngine{db}, std::invalid_argument) << bad;
+    const auto index = tracedb::index_trace(db);
+    EXPECT_THROW((ReplayEngine{db, index}), std::invalid_argument) << bad;
   }
+}
+
+TEST(ReplayEngineInput, RejectsAnIndexOfAnotherTrace) {
+  const TraceDatabase db = golden_db();
+  const auto other = tracedb::index_trace(thin_parent_db());
+  EXPECT_THROW((ReplayEngine{db, other}), std::invalid_argument);
 }
 
 // --- determinism --------------------------------------------------------------
@@ -962,9 +981,12 @@ TEST(ReplayDeterminism, ResultsAreByteIdenticalAtAnyReplayThreadCount) {
   for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
     ReplayConfig rcfg;
     rcfg.threads = threads;
-    ReplayEngine engine(db, rcfg);
-    ReplayEngine faults_engine(faults, rcfg);
-    ReplayEngine busy_engine(busy, rcfg);
+    const auto index = tracedb::index_trace(db);
+    ReplayEngine engine(db, index, rcfg);
+    const auto faults_index = tracedb::index_trace(faults);
+    ReplayEngine faults_engine(faults, faults_index, rcfg);
+    const auto busy_index = tracedb::index_trace(busy);
+    ReplayEngine busy_engine(busy, busy_index, rcfg);
     const std::string json =
         replay::render_whatif_json(engine.validate(), engine.run_all(scenarios)) +
         replay::render_whatif_json(faults_engine.validate(),
@@ -983,7 +1005,8 @@ TEST(ReplayDeterminism, ResultsAreByteIdenticalAtAnyReplayThreadCount) {
 
 TEST(ReplayMaterialize, MaterializedTraceDiffsLikeTheScenarioResult) {
   const TraceDatabase db = record_demo(2, 100);
-  ReplayEngine engine(db);
+  const auto index = tracedb::index_trace(db);
+  ReplayEngine engine(db, index);
   Scenario s;
   s.name = "switchless";
   s.switchless.push_back({demo_ecall_key(db), 1});

@@ -29,11 +29,9 @@ TEST(QueryEdgeCases, EmptyDatabaseYieldsEmptyViews) {
   EXPECT_TRUE(tracedb::group_calls(db).empty());
   EXPECT_TRUE(tracedb::durations_of(db, CallKey{1, CallType::kEcall, 0}).empty());
   EXPECT_TRUE(tracedb::scatter_of(db, CallKey{1, CallType::kEcall, 0}).empty());
-  EXPECT_TRUE(tracedb::calls_in_range(db, CallType::kEcall, 0, ~0ULL).empty());
-  EXPECT_EQ(tracedb::distinct_calls(db, 1, CallType::kEcall), 0u);
-  EXPECT_EQ(tracedb::total_calls(db, 1, CallType::kOcall), 0u);
-  EXPECT_EQ(tracedb::fraction_shorter_than(db, 1, CallType::kEcall, 10'000), 0.0);
-  EXPECT_EQ(tracedb::paging_counts(db, 1), (std::pair<std::size_t, std::size_t>{0, 0}));
+  const auto index = tracedb::index_trace(db);
+  EXPECT_TRUE(index.sites.empty());
+  EXPECT_TRUE(index.indirect.empty());
   EXPECT_EQ(db.find_latency(1, CallType::kEcall, 0), nullptr);
   EXPECT_EQ(db.stream_dropped(), 0u);
 }
@@ -58,15 +56,10 @@ TEST(QueryEdgeCases, SingleEventTrace) {
   ASSERT_EQ(durations.size(), 1u);
   EXPECT_EQ(durations[0], 250u);
 
-  EXPECT_EQ(tracedb::distinct_calls(db, 5, CallType::kEcall), 1u);
-  EXPECT_EQ(tracedb::total_calls(db, 5, CallType::kEcall), 1u);
-  // 250ns < 10us, so the whole population is "short".
-  EXPECT_EQ(tracedb::fraction_shorter_than(db, 5, CallType::kEcall, 10'000), 1.0);
-  // Subtracting more than the duration must clamp, not wrap.
-  EXPECT_EQ(tracedb::fraction_shorter_than(db, 5, CallType::kEcall, 10'000, 4'205), 1.0);
-  // Range filter: [start, start+1) hits, [start+1, ...) misses.
-  EXPECT_EQ(tracedb::calls_in_range(db, CallType::kEcall, 100, 101).size(), 1u);
-  EXPECT_TRUE(tracedb::calls_in_range(db, CallType::kEcall, 101, ~0ULL).empty());
+  const auto index = tracedb::index_trace(db);
+  EXPECT_EQ(index.sites, groups);
+  ASSERT_EQ(index.indirect.size(), 1u);
+  EXPECT_EQ(index.indirect[0], tracedb::kNoParent);
 }
 
 TEST(FormatV4, LatencyTableRoundTrips) {

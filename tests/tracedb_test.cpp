@@ -154,9 +154,6 @@ class QueryTest : public testing::Test {
     db_.add_call(make_call(CallType::kEcall, 1, 1, 0, 2'000, 20'000));
     db_.add_call(make_call(CallType::kOcall, 1, 1, 1, 2'500, 3'000, 1));
     db_.add_call(make_call(CallType::kEcall, 2, 2, 0, 5'000, 6'000));
-    db_.add_paging({1, 10, PageDirection::kPageOut, 50});
-    db_.add_paging({1, 10, PageDirection::kPageIn, 60});
-    db_.add_paging({1, 11, PageDirection::kPageIn, 70});
   }
 
   TraceDatabase db_;
@@ -182,35 +179,6 @@ TEST_F(QueryTest, ScatterOf) {
   ASSERT_EQ(pts.size(), 2u);
   EXPECT_EQ(pts[1].first, 2'000u);
   EXPECT_EQ(pts[1].second, 18'000u);
-}
-
-TEST_F(QueryTest, CallsInRange) {
-  const auto in_range = calls_in_range(db_, CallType::kEcall, 0, 3'000);
-  EXPECT_EQ(in_range.size(), 2u);
-}
-
-TEST_F(QueryTest, DistinctAndTotal) {
-  EXPECT_EQ(distinct_calls(db_, 1, CallType::kEcall), 1u);
-  EXPECT_EQ(distinct_calls(db_, 1, CallType::kOcall), 1u);
-  EXPECT_EQ(total_calls(db_, 1, CallType::kEcall), 2u);
-  EXPECT_EQ(total_calls(db_, 2, CallType::kEcall), 1u);
-}
-
-TEST_F(QueryTest, FractionShorterThan) {
-  // Durations 1,000 and 18,000: one of two below 10us.
-  EXPECT_DOUBLE_EQ(fraction_shorter_than(db_, 1, CallType::kEcall, 10'000), 0.5);
-  // Subtracting 9us of transition drops both below 10us.
-  EXPECT_DOUBLE_EQ(fraction_shorter_than(db_, 1, CallType::kEcall, 10'000, 9'000), 1.0);
-  // No calls at all -> 0.
-  EXPECT_DOUBLE_EQ(fraction_shorter_than(db_, 99, CallType::kEcall, 10'000), 0.0);
-}
-
-TEST_F(QueryTest, PagingCounts) {
-  const auto [ins, outs] = paging_counts(db_, 1);
-  EXPECT_EQ(ins, 2u);
-  EXPECT_EQ(outs, 1u);
-  const auto [i2, o2] = paging_counts(db_, 2);
-  EXPECT_EQ(i2 + o2, 0u);
 }
 
 }  // namespace

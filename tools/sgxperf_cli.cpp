@@ -1293,7 +1293,8 @@ int run_whatif(const Options& opts, Trace& trace) {
   const tracedb::TraceDatabase& db = trace.db;
   WhatIf whatif;
   if (const int rc = resolve_whatif(opts, db, whatif); rc != 0) return rc;
-  replay::ReplayEngine engine(db, whatif.replay);
+  const tracedb::TraceIndex index = tracedb::index_trace(db);
+  replay::ReplayEngine engine(db, index, whatif.replay);
   const auto validation = engine.validate();
 
   // A switchless pass sweeps the --workers range; every other pass runs once.
@@ -1643,7 +1644,8 @@ int run_compare(const Options& opts, Trace& trace) {
     if (pass.cost_profile) scenario.cost_profile = pass.cost_profile;
     if (pass.epc_pages) scenario.epc_pages = pass.epc_pages;
   }
-  replay::ReplayEngine engine(db, whatif.replay);
+  const tracedb::TraceIndex index = tracedb::index_trace(db);
+  replay::ReplayEngine engine(db, index, whatif.replay);
   const auto after = engine.materialize(scenario);
   return to_stdout(perf::render_comparison(perf::compare_traces(db, after)));
 }
