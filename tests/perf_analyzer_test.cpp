@@ -344,6 +344,12 @@ TEST(Security, TopLevelEcallNotPrivateCandidate) {
   add(db, CallType::kEcall, 0, 0, 100);
   EXPECT_FALSE(has_finding(Analyzer(db).analyze(), FindingKind::kPrivateEcallCandidate,
                            "ecall_top"));
+  // Also issued during an ocall once: one top-level instance still rules it out.
+  const auto e = add(db, CallType::kEcall, 1, 1'000, 9'000);
+  const auto o = add(db, CallType::kOcall, 0, 2'000, 8'000, e);
+  add(db, CallType::kEcall, 0, 3'000, 4'000, o);
+  EXPECT_FALSE(has_finding(Analyzer(db).analyze(), FindingKind::kPrivateEcallCandidate,
+                           "ecall_top"));
 }
 
 TEST(Security, AlreadyPrivateEcallNotReflagged) {
