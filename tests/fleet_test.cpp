@@ -16,6 +16,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,6 +30,7 @@
 #include "fleet/wire.hpp"
 #include "telemetry/hdr_histogram.hpp"
 #include "tracedb/database.hpp"
+#include "tracedb/open.hpp"
 
 namespace {
 
@@ -422,6 +425,137 @@ TEST(FleetAggregator, CheckpointRoundTripsThroughTheV5Format) {
   EXPECT_EQ(loaded.latencies().size(), db.latencies().size());
   EXPECT_EQ(loaded.alerts().size(), db.alerts().size());
   EXPECT_EQ(loaded.enclaves().size(), db.enclaves().size());
+}
+
+// --- Locks -------------------------------------------------------------------
+//
+// Every query document of three differently configured aggregators, sampled
+// as a 16-producer corpus streams in: the byte-level lock behind any change
+// to the merge path or the JSON writer.
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char ch : s) h = (h ^ ch) * 0x100000001b3ull;
+  return h;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string query_matrix() {
+  // The four corpus stressors x two seeds x two hosts, like the fleet-ingest
+  // wall-clock benchmark, at a 30 ms virtual run each.
+  const fleet::CorpusConfig corpus;
+  std::vector<std::string> streams;
+  for (const char* st : {"cpu", "ocall-storm", "vm", "order"}) {
+    for (std::uint64_t s = 0; s < 2; ++s) {
+      for (std::uint64_t host = 0; host < 2; ++host) {
+        fleet::CorpusProducerSpec spec;
+        spec.host = "host-" + std::to_string(host);
+        spec.enclave = std::string("stress_") + st + "-" + std::to_string(s);
+        spec.stressor = st;
+        spec.threads = 2;
+        spec.duration_ns = 30'000'000;
+        spec.seed = 3 + s * 2 + host;
+        spec.epc_mb = std::string(st) == "vm" ? 4 : 0;
+        streams.push_back(fleet::run_corpus_producer(spec, corpus));
+      }
+    }
+  }
+
+  // Full retention; retention shorter than the run (pruning on the ingest
+  // path); and a key cap of 3 that quarantines producers on frames with
+  // more sites than that.
+  struct Subject {
+    const char* name;
+    std::unique_ptr<fleet::Aggregator> agg;
+    std::vector<fleet::ProducerId> ids;
+  };
+  std::vector<Subject> subjects;
+  const auto add = [&](const char* name, std::size_t retention, std::size_t max_keys) {
+    fleet::AggregatorConfig config;
+    config.retention_windows = retention;
+    config.max_keys_per_producer = max_keys;
+    Subject s{name, std::make_unique<fleet::Aggregator>(config), {}};
+    for (std::size_t i = 0; i < streams.size(); ++i) s.ids.push_back(s.agg->connect());
+    subjects.push_back(std::move(s));
+  };
+  add("r256", 256, 4096);
+  add("r8", 8, 4096);
+  add("r8k3", 8, 3);
+
+  std::string out;
+  const auto line = [&](const std::string& label, const std::string& doc) {
+    out += label + " " + hex64(fnv1a(doc)) + "\n";
+  };
+  constexpr std::size_t kChunk = 4096;
+  // A 30 ms corpus is ~60 chunks in all, so refresh every 4th chunk to
+  // catch the documents mid-stream.
+  constexpr std::size_t kRefreshEvery = 4;
+  std::size_t chunks = 0;
+  std::vector<std::size_t> offsets(streams.size(), 0);
+  for (bool progress = true; progress;) {
+    progress = false;
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      const std::string& bytes = streams[i];
+      if (offsets[i] >= bytes.size()) continue;
+      const std::size_t len = std::min(kChunk, bytes.size() - offsets[i]);
+      for (auto& s : subjects) s.agg->ingest(s.ids[i], bytes.data() + offsets[i], len);
+      offsets[i] += len;
+      progress = true;
+      if (++chunks % kRefreshEvery != 0) continue;
+      for (const auto& s : subjects) {
+        const std::string at = std::to_string(chunks) + " " + s.name;
+        line(at + " snapshot", s.agg->snapshot_json());
+        for (const char* by : {"p99", "transitions", "paging"}) {
+          line(at + " top-" + by, s.agg->top_json(by, 10));
+        }
+        line(at + " alerts", s.agg->alerts_json());
+      }
+    }
+  }
+
+  const std::string path =
+      "/tmp/sgxperf_fleet_matrix_" + std::to_string(::getpid()) + ".trace";
+  for (const auto& s : subjects) {
+    for (const auto id : s.ids) s.agg->disconnect(id);
+    const std::string name = s.name;
+    out += "== " + name + " snapshot\n" + s.agg->snapshot_json() + "\n";
+    out += "== " + name + " status\n" + s.agg->status_json() + "\n";
+    const auto top = s.agg->top("transitions", 1);
+    if (!top.empty()) {
+      const auto& key = top.front().key;
+      out += "== " + name + " series " + key.host + " " + key.enclave + " " + key.site + "\n" +
+             s.agg->series_json(key.host, key.enclave, key.site) + "\n";
+    }
+    tracedb::TraceDatabase db;
+    s.agg->checkpoint(db);
+    tracedb::save_trace(db, path);
+    std::ifstream in(path, std::ios::binary);
+    const std::string saved{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+    std::remove(path.c_str());
+    out += "== " + name + " checkpoint " + std::to_string(saved.size()) + " bytes " +
+           hex64(fnv1a(saved)) + "\n";
+  }
+  return out;
+}
+
+TEST(FleetLocks, QueryMatrixOnChunkedCorpusMatchesGoldenFile) {
+  const std::string golden_path = std::string(GOLDEN_DIR) + "/fleet_query_matrix.txt";
+  std::ifstream in(golden_path, std::ios::binary);
+  const std::string expected{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+  const std::string got = query_matrix();
+  if (got != expected) {
+    // Leave the actual matrix next to the test for a line diff.
+    std::ofstream("fleet_query_matrix.actual.txt", std::ios::binary) << got;
+  }
+  ASSERT_FALSE(expected.empty()) << "missing golden file: " << golden_path;
+  EXPECT_EQ(got, expected) << "fleet query matrix drifted from " << golden_path
+                           << "; the actual matrix is in fleet_query_matrix.actual.txt";
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "support/clock.hpp"
 #include "support/crc32.hpp"
 #include "support/histogram.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/strutil.hpp"
@@ -291,6 +293,105 @@ TEST(Crc32, IsIncrementalAtEverySplit) {
     const std::uint32_t head = crc32(bytes.data(), split);
     EXPECT_EQ(crc32(bytes.data() + split, bytes.size() - split, head), whole) << split;
   }
+}
+
+// --- json::Writer ------------------------------------------------------------
+//
+// Every JSON golden in the repo is this writer's output, so its bytes are
+// pinned here directly: escapes, integer and double formatting, and comma
+// placement.
+
+std::string json_value(std::string_view v) {
+  json::Writer w;
+  w.value(v);
+  return w.take();
+}
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndWhitespace) {
+  EXPECT_EQ(json_value("plain"), "\"plain\"");
+  EXPECT_EQ(json_value(""), "\"\"");
+  EXPECT_EQ(json_value("say \"hi\""), "\"say \\\"hi\\\"\"");
+  EXPECT_EQ(json_value("C:\\dir\\"), "\"C:\\\\dir\\\\\"");
+  EXPECT_EQ(json_value("a\nb\rc\td"), "\"a\\nb\\rc\\td\"");
+}
+
+TEST(JsonWriter, EscapesControlBytesAsUnicode) {
+  EXPECT_EQ(json_value("\x01"), "\"\\u0001\"");
+  EXPECT_EQ(json_value("x\x1fy"), "\"x\\u001fy\"");
+  EXPECT_EQ(json_value("\b\f"), "\"\\u0008\\u000c\"");
+  EXPECT_EQ(json_value(std::string_view("a\0b", 3)), "\"a\\u0000b\"");
+}
+
+TEST(JsonWriter, PassesDelAndUtf8Through) {
+  EXPECT_EQ(json_value("\x7f"), "\"\x7f\"");
+  EXPECT_EQ(json_value("caf\xc3\xa9 \xe2\x82\xac"), "\"caf\xc3\xa9 \xe2\x82\xac\"");
+}
+
+TEST(JsonWriter, EscapesKeysLikeValues) {
+  json::Writer w;
+  w.begin_object();
+  w.kv("k\"\\\n\x01\x7f\xc3\xa9", "v\"\\\t\x1f");
+  w.end_object();
+  EXPECT_EQ(w.str(), "{\"k\\\"\\\\\\n\\u0001\x7f\xc3\xa9\":\"v\\\"\\\\\\t\\u001f\"}");
+}
+
+TEST(JsonWriter, EscapeMatchesWriterBody) {
+  EXPECT_EQ(json::escape(""), "");
+  EXPECT_EQ(json::escape("a\"b\\c\n\x02\x7f"), "a\\\"b\\\\c\\n\\u0002\x7f");
+}
+
+TEST(JsonWriter, FormatsIntegersExactly) {
+  json::Writer w;
+  w.begin_array();
+  w.value(std::uint64_t{0});
+  w.value(std::numeric_limits<std::uint64_t>::max());
+  w.value(std::int64_t{0});
+  w.value(std::numeric_limits<std::int64_t>::min());
+  w.value(std::numeric_limits<std::int64_t>::max());
+  w.value(-1);
+  w.value(42);
+  w.end_array();
+  EXPECT_EQ(w.str(),
+            "[0,18446744073709551615,0,-9223372036854775808,9223372036854775807,-1,42]");
+}
+
+TEST(JsonWriter, FormatsDoublesDeterministically) {
+  json::Writer w;
+  w.begin_array();
+  w.value(1e15 - 1);
+  w.value(1e15);
+  w.value(-(1e15 - 1));
+  w.value(0.1);
+  w.value(-0.5);
+  w.value(0.0);
+  w.value(-42.0);
+  w.value(1.0 / 3.0);
+  w.value(123456.789);
+  w.value(std::numeric_limits<double>::quiet_NaN());
+  w.value(std::numeric_limits<double>::infinity());
+  w.end_array();
+  EXPECT_EQ(w.str(),
+            "[999999999999999,1e+15,-999999999999999,0.1,-0.5,0,-42,0.333333333333,"
+            "123456.789,null,null]");
+}
+
+TEST(JsonWriter, PlacesCommasInNestedEmptyContainers) {
+  json::Writer w;
+  w.begin_object();
+  w.key("a").begin_object().end_object();
+  w.key("b").begin_array().end_array();
+  w.key("c").begin_array();
+  w.begin_object().end_object();
+  w.begin_array().end_array();
+  w.begin_array().begin_array().end_array().end_array();
+  w.null();
+  w.end_array();
+  w.kv("d", true);
+  w.kv("e", false);
+  w.key("f").null();
+  w.end_object();
+  EXPECT_EQ(w.str(), "{\"a\":{},\"b\":[],\"c\":[{},[],[[]],null],\"d\":true,\"e\":false,"
+                     "\"f\":null}");
 }
 
 }  // namespace

@@ -62,6 +62,60 @@ TEST(QueryEdgeCases, SingleEventTrace) {
   EXPECT_EQ(index.indirect[0], tracedb::kNoParent);
 }
 
+TraceDatabase synthesized_name_db() {
+  TraceDatabase db;
+  CallRecord c;
+  c.thread_id = 1;
+  c.enclave_id = 5;
+  c.type = CallType::kEcall;
+  c.call_id = 2;
+  c.start_ns = 100;
+  c.end_ns = 200;
+  db.add_call(c);
+  c.type = CallType::kOcall;
+  c.call_id = 7;
+  c.start_ns = 300;
+  c.end_ns = 400;
+  db.add_call(c);
+  c.type = CallType::kEcall;
+  c.call_id = 4;
+  c.start_ns = 500;
+  c.end_ns = 600;
+  db.add_call(c);
+  tracedb::CallNameRecord name;
+  name.enclave_id = 5;
+  name.type = CallType::kEcall;
+  name.call_id = 4;
+  name.name = "ecall_named";
+  db.add_call_name(name);
+  return db;
+}
+
+TEST(QueryFindCallByName, SynthesizedNameResolves) {
+  const TraceDatabase db = synthesized_name_db();
+  EXPECT_EQ(tracedb::find_call_by_name(db, 5, "ecall_2"), (CallKey{5, CallType::kEcall, 2}));
+  EXPECT_EQ(tracedb::find_call_by_name(db, 5, "ocall_7"), (CallKey{5, CallType::kOcall, 7}));
+  EXPECT_EQ(tracedb::find_call_by_name(db, 5, "ecall_named"), (CallKey{5, CallType::kEcall, 4}));
+  EXPECT_EQ(tracedb::find_call_by_name(db, 6, "ecall_2"), std::nullopt) << "other enclave";
+  EXPECT_EQ(tracedb::find_call_by_name(db, 5, "ocall_2"), std::nullopt) << "other type";
+}
+
+TEST(QueryFindCallByName, SynthesizedNameWithoutCallsIsUnknown) {
+  const TraceDatabase db = synthesized_name_db();
+  EXPECT_EQ(tracedb::find_call_by_name(db, 5, "ecall_9"), std::nullopt);
+  EXPECT_EQ(tracedb::find_call_by_name(TraceDatabase{}, 5, "ecall_2"), std::nullopt);
+  for (const char* bad : {"ecall_", "ecall_02", "ecall_2x", "ecall_+2", "ecall_-1", "Ecall_2",
+                          "ecall_4294967298", "call_2", ""}) {
+    EXPECT_EQ(tracedb::find_call_by_name(db, 5, bad), std::nullopt) << bad;
+  }
+}
+
+TEST(QueryFindCallByName, SynthesizedNameOfANamedSiteIsUnknown) {
+  // ecall 4 is recorded as "ecall_named", so "ecall_4" names nothing.
+  const TraceDatabase db = synthesized_name_db();
+  EXPECT_EQ(tracedb::find_call_by_name(db, 5, "ecall_4"), std::nullopt);
+}
+
 TEST(FormatV4, LatencyTableRoundTrips) {
   TraceDatabase db;
   tracedb::LatencyRecord rec;
