@@ -121,14 +121,21 @@ void Aggregator::apply(Producer& p, const Frame& frame) {
 
 void Aggregator::apply_window(Producer& p, const WindowFrame& f) {
   const auto& w = f.window;
+  // One lookup per row: the rows' series (end() where the key is new) are
+  // kept for the merge below, and one key is reused across the frame.
+  SiteKey key{p.state.host, p.state.enclave, {}, tracedb::CallType::kEcall};
+  row_series_.clear();
+  std::uint64_t new_keys = 0;
+  for (const auto& s : f.sites) {
+    key.site = s.name;
+    key.type = s.row.type;
+    const auto it = sites_.find(key);
+    if (it == sites_.end()) new_keys += 1;
+    row_series_.push_back(it);
+  }
   // Charge every key this frame would create against the producer's cap
   // up front, so a frame that would blow the cap is rejected whole.
   if (config_.max_keys_per_producer != 0) {
-    std::uint64_t new_keys = 0;
-    for (const auto& s : f.sites) {
-      const SiteKey key{p.state.host, p.state.enclave, s.name, s.row.type};
-      if (sites_.find(key) == sites_.end()) new_keys += 1;
-    }
     if (p.keys_created + new_keys > config_.max_keys_per_producer) {
       p.state.error = support::format("fleet key cap exceeded (%zu distinct keys)",
                                       config_.max_keys_per_producer);
@@ -158,9 +165,16 @@ void Aggregator::apply_window(Producer& p, const WindowFrame& f) {
   total_page_ins_ += w.page_ins;
   total_page_outs_ += w.page_outs;
 
-  for (const auto& s : f.sites) {
-    const SiteKey key{p.state.host, p.state.enclave, s.name, s.row.type};
-    SiteSeries& series = sites_[key];
+  for (std::size_t i = 0; i < f.sites.size(); ++i) {
+    const auto& s = f.sites[i];
+    auto it = row_series_[i];
+    if (it == sites_.end()) {
+      // try_emplace: an earlier row of this frame may have added the key.
+      key.site = s.name;
+      key.type = s.row.type;
+      it = sites_.try_emplace(key).first;
+    }
+    SiteSeries& series = it->second;
     if (series.calls == 0) {
       series.first_enclave_id = s.row.enclave_id;
       series.first_call_id = s.row.call_id;
@@ -215,10 +229,12 @@ void Aggregator::apply_alert(Producer& p, const AlertFrame& f) {
 }
 
 void Aggregator::prune() {
+  // Without an eviction the oldest retained start cannot rise, so no point
+  // can have fallen below it: the site walk runs only after an erase.
+  if (fleet_windows_.size() <= config_.retention_windows) return;
   while (fleet_windows_.size() > config_.retention_windows) {
     fleet_windows_.erase(fleet_windows_.begin());
   }
-  if (fleet_windows_.empty()) return;
   const std::uint64_t min_start = fleet_windows_.begin()->first;
   for (auto& [key, series] : sites_) {
     while (!series.points.empty() && series.points.front().start_ns < min_start) {
@@ -249,21 +265,45 @@ std::vector<Aggregator::TopRow> Aggregator::top_locked(const std::string& by,
       row.value = paging;
       rows.push_back(std::move(row));
     }
-  } else {
-    for (const auto& [key, series] : sites_) {
-      TopRow row;
-      row.key = key;
-      row.calls = series.calls;
-      row.p99_ns = series.cumulative.value_at_percentile(99.0);
-      row.value = by == "transitions" ? series.calls : row.p99_ns;
-      rows.push_back(std::move(row));
-    }
+    std::stable_sort(rows.begin(), rows.end(), [](const TopRow& a, const TopRow& b) {
+      if (a.value != b.value) return a.value > b.value;
+      return a.key < b.key;
+    });
+    if (rows.size() > n) rows.resize(n);
+    return rows;
   }
-  std::stable_sort(rows.begin(), rows.end(), [](const TopRow& a, const TopRow& b) {
-    if (a.value != b.value) return a.value > b.value;
-    return a.key < b.key;
-  });
-  if (rows.size() > n) rows.resize(n);
+  // Rank the sites in place: only the n returned rows copy their key, and
+  // ranking by transitions needs the p99 of those rows alone.  sites_
+  // iterates in key order, so the ordinal breaks value ties by key.
+  const bool by_p99 = by != "transitions";
+  struct Ranked {
+    std::uint64_t value;
+    std::size_t ordinal;
+    const std::pair<const SiteKey, SiteSeries>* site;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(sites_.size());
+  for (const auto& entry : sites_) {
+    const SiteSeries& series = entry.second;
+    ranked.push_back({by_p99 ? series.cumulative.value_at_percentile(99.0) : series.calls,
+                      ranked.size(), &entry});
+  }
+  const std::size_t keep = std::min(n, ranked.size());
+  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(keep),
+                    ranked.end(), [](const Ranked& a, const Ranked& b) {
+                      if (a.value != b.value) return a.value > b.value;
+                      return a.ordinal < b.ordinal;
+                    });
+  rows.reserve(keep);
+  for (std::size_t i = 0; i < keep; ++i) {
+    const auto& [key, series] = *ranked[i].site;
+    TopRow row;
+    row.key = key;
+    row.value = ranked[i].value;
+    row.calls = series.calls;
+    row.p99_ns = by_p99 ? ranked[i].value : series.cumulative.value_at_percentile(99.0);
+    rows.push_back(std::move(row));
+  }
   return rows;
 }
 
@@ -350,10 +390,13 @@ std::string Aggregator::snapshot_json_locked() const {
     w.kv("calls", series.calls);
     w.kv("aex", series.aex);
     w.kv("sum_ns", series.cumulative.sum());
-    w.kv("p50_ns", series.cumulative.value_at_percentile(50.0));
-    w.kv("p90_ns", series.cumulative.value_at_percentile(90.0));
-    w.kv("p99_ns", series.cumulative.value_at_percentile(99.0));
-    w.kv("p999_ns", series.cumulative.value_at_percentile(99.9));
+    static constexpr double kQuantiles[] = {50.0, 90.0, 99.0, 99.9};
+    std::uint64_t q[std::size(kQuantiles)];
+    series.cumulative.values_at_percentiles(kQuantiles, q);
+    w.kv("p50_ns", q[0]);
+    w.kv("p90_ns", q[1]);
+    w.kv("p99_ns", q[2]);
+    w.kv("p999_ns", q[3]);
     w.kv("max_ns", series.cumulative.max_value());
     w.kv("points", static_cast<std::uint64_t>(series.points.size()));
     w.end_object();

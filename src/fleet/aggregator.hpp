@@ -276,6 +276,8 @@ class Aggregator {
 
   std::map<std::uint64_t, FleetWindow> fleet_windows_;  // by start_ns
   std::map<SiteKey, SiteSeries> sites_;
+  /// apply_window's per-row series lookups (cleared per frame, never shrunk).
+  std::vector<std::map<SiteKey, SiteSeries>::iterator> row_series_;
   std::map<std::pair<SiteKey, tracedb::AlertKind>, AlertState> alerts_;
 
   std::uint64_t frames_seen_ = 0;      // frames parsed across all producers

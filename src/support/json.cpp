@@ -1,6 +1,7 @@
 #include "support/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,24 +11,53 @@
 
 namespace support::json {
 
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+namespace {
+
+/// True for the bytes a JSON string literal may not hold raw.
+bool needs_escape(char c) noexcept {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/// Appends `s` to `out` escaped for a JSON string literal (no quotes).  Runs
+/// of plain bytes are appended whole.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t plain = 0;  // start of the pending run of plain bytes
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (!needs_escape(c)) continue;
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += format("\\u%04x", c);
-        } else {
-          out += c;
-        }
+      default: {
+        const auto b = static_cast<unsigned char>(c);
+        const char u[] = {'\\', 'u', '0', '0', kHex[b >> 4], kHex[b & 0xf]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(s.data() + plain, s.size() - plain);
+}
+
+/// Appends the decimal digits of an integer without a temporary string.
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, res.ptr);
+}
+
+}  // namespace
+
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
@@ -66,7 +96,7 @@ Writer& Writer::end_array() {
 Writer& Writer::key(std::string_view k) {
   comma();
   out_ += '"';
-  out_ += escape(k);
+  append_escaped(out_, k);
   out_ += "\":";
   if (!needs_comma_.empty()) needs_comma_.back() = false;
   return *this;
@@ -75,7 +105,7 @@ Writer& Writer::key(std::string_view k) {
 Writer& Writer::value(std::string_view s) {
   comma();
   out_ += '"';
-  out_ += escape(s);
+  append_escaped(out_, s);
   out_ += '"';
   if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
@@ -85,11 +115,12 @@ Writer& Writer::value(double d) {
   comma();
   if (!std::isfinite(d)) {
     out_ += "null";  // JSON has no NaN/Inf
-  } else if (d == static_cast<double>(static_cast<std::int64_t>(d)) &&
-             std::abs(d) < 1e15) {
-    out_ += format("%lld", static_cast<long long>(d));
+  } else if (std::abs(d) < 1e15 && d == static_cast<double>(static_cast<std::int64_t>(d))) {
+    append_int(out_, static_cast<std::int64_t>(d));
   } else {
-    out_ += format("%.12g", d);
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof buf, "%.12g", d);
+    out_.append(buf, static_cast<std::size_t>(n));
   }
   if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
@@ -97,14 +128,14 @@ Writer& Writer::value(double d) {
 
 Writer& Writer::value(std::uint64_t v) {
   comma();
-  out_ += format("%llu", static_cast<unsigned long long>(v));
+  append_int(out_, v);
   if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }
 
 Writer& Writer::value(std::int64_t v) {
   comma();
-  out_ += format("%lld", static_cast<long long>(v));
+  append_int(out_, v);
   if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }

@@ -29,6 +29,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace telemetry {
@@ -106,16 +107,29 @@ class HdrSnapshot {
   /// Value at percentile `q` in [0, 100]: the upper bound of the bucket
   /// containing the q-th rank.  0 on an empty snapshot.
   [[nodiscard]] std::uint64_t value_at_percentile(double q) const noexcept {
-    if (count_ == 0) return 0;
-    auto rank = static_cast<std::uint64_t>(q / 100.0 * static_cast<double>(count_) + 0.5);
-    if (rank < 1) rank = 1;
-    if (rank > count_) rank = count_;
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < hdr::kBucketCount; ++i) {
-      seen += counts_[i];
-      if (seen >= rank) return hdr::upper_bound(i);
+    std::uint64_t v = 0;
+    values_at_percentiles({&q, 1}, {&v, 1});
+    return v;
+  }
+
+  /// value_at_percentile(qs[k]) into out[k] for every k, in one walk of the
+  /// buckets.  `qs` must be ascending; `out` at least as long as `qs`.
+  void values_at_percentiles(std::span<const double> qs,
+                             std::span<std::uint64_t> out) const noexcept {
+    std::size_t next = 0;    // next bucket to add to `seen`
+    std::uint64_t seen = 0;  // values in buckets [0, next)
+    for (std::size_t k = 0; k < qs.size(); ++k) {
+      if (count_ == 0) {
+        out[k] = 0;
+        continue;
+      }
+      auto rank = static_cast<std::uint64_t>(qs[k] / 100.0 * static_cast<double>(count_) + 0.5);
+      if (rank < 1) rank = 1;
+      if (rank > count_) rank = count_;
+      // Ascending ranks: the walk resumes where the previous rank stopped.
+      while (seen < rank && next < hdr::kBucketCount) seen += counts_[next++];
+      out[k] = hdr::upper_bound(seen >= rank ? next - 1 : hdr::kBucketCount - 1);
     }
-    return hdr::upper_bound(hdr::kBucketCount - 1);
   }
 
   /// Number of recorded values that fall in buckets entirely below `v` —

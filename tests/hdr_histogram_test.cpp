@@ -3,7 +3,11 @@
 // recorder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -90,6 +94,64 @@ TEST(HdrSnapshotTest, MergeIsAdditive) {
   // Lower half comes from a, upper half from b.
   EXPECT_LT(a.value_at_percentile(25), 100u);
   EXPECT_GE(a.value_at_percentile(75), 1'000u);
+}
+
+/// The documented rank rule, restated independently of HdrSnapshot: the
+/// upper bound of the first bucket whose cumulative count reaches the rank.
+std::uint64_t reference_percentile(const HdrSnapshot& snap, double q) {
+  if (snap.count() == 0) return 0;
+  auto rank = static_cast<std::uint64_t>(q / 100.0 * static_cast<double>(snap.count()) + 0.5);
+  rank = std::clamp<std::uint64_t>(rank, 1, snap.count());
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < hdr::kBucketCount; ++i) {
+    seen += snap.buckets()[i];
+    if (seen >= rank) return hdr::upper_bound(i);
+  }
+  return hdr::upper_bound(hdr::kBucketCount - 1);
+}
+
+void expect_one_walk_matches(const HdrSnapshot& snap, const std::string& what) {
+  static constexpr double kQs[] = {0.0,  0.001, 1.0,  10.0, 25.0,  50.0,   50.0,
+                                   75.0, 90.0,  99.0, 99.9, 99.99, 99.999, 100.0};
+  std::uint64_t got[std::size(kQs)];
+  snap.values_at_percentiles(kQs, got);
+  for (std::size_t k = 0; k < std::size(kQs); ++k) {
+    EXPECT_EQ(got[k], snap.value_at_percentile(kQs[k])) << what << " q=" << kQs[k];
+    EXPECT_EQ(got[k], reference_percentile(snap, kQs[k])) << what << " q=" << kQs[k];
+  }
+  // Any ascending subset walks to the same answers.
+  const double pair[] = {kQs[5], kQs[13]};
+  std::uint64_t two[2];
+  snap.values_at_percentiles(pair, two);
+  EXPECT_EQ(two[0], got[5]) << what;
+  EXPECT_EQ(two[1], got[13]) << what;
+}
+
+TEST(HdrSnapshotTest, OneWalkPercentilesMatchSingleLookups) {
+  expect_one_walk_matches(HdrSnapshot{}, "empty");
+
+  HdrSnapshot single;
+  single.add_bucket(37, 5);
+  expect_one_walk_matches(single, "single bucket");
+
+  HdrSnapshot clamped;
+  clamped.record(7, 3);
+  clamped.record(~std::uint64_t{0}, 2);  // clamps into the last bucket
+  expect_one_walk_matches(clamped, "clamped last bucket");
+
+  HdrSnapshot last_only;
+  last_only.add_bucket(hdr::kBucketCount - 1, 1);
+  expect_one_walk_matches(last_only, "last bucket only");
+
+  std::mt19937_64 rng(20241019);
+  for (int trial = 0; trial < 200; ++trial) {
+    HdrSnapshot snap;
+    const std::size_t filled = 1 + rng() % 24;
+    for (std::size_t i = 0; i < filled; ++i) {
+      snap.add_bucket(rng() % hdr::kBucketCount, 1 + rng() % (trial % 2 == 0 ? 3 : 100'000));
+    }
+    expect_one_walk_matches(snap, "trial " + std::to_string(trial));
+  }
 }
 
 TEST(HdrHistogramTest, ConcurrentRecordersLoseNothing) {
