@@ -128,11 +128,12 @@ struct Analyzer::SiteWalk {
   std::map<tracedb::EnclaveId, std::map<CallKey, std::set<std::string>>> nested;
 };
 
-AnalysisReport Analyzer::analyze() const {
+AnalysisReport Analyzer::analyze() const { return analyze(tracedb::index_trace(db_)); }
+
+AnalysisReport Analyzer::analyze(const tracedb::TraceIndex& index) const {
   AnalysisReport report;
   report.dropped_events = db_.dropped_events();
   report.stream_dropped = db_.stream_dropped();
-  const tracedb::TraceIndex index = tracedb::index_trace(db_);
   SiteWalk walk = walk_sites(report, index);
   // Findings go out tail, Eq. 1-3 and SSC, paging, orderliness, security;
   // the stable sort below keeps that order among equal severities.

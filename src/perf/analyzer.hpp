@@ -217,6 +217,9 @@ class Analyzer {
   void set_interface(tracedb::EnclaveId enclave, sgxsim::edl::InterfaceSpec spec);
 
   [[nodiscard]] AnalysisReport analyze() const;
+  /// analyze() over an index the caller already built with
+  /// tracedb::index_trace of the same database.
+  [[nodiscard]] AnalysisReport analyze(const tracedb::TraceIndex& index) const;
 
  private:
   struct SiteWalk;

@@ -1,5 +1,7 @@
 #include "tracedb/query.hpp"
 
+#include <charconv>
+#include <string_view>
 #include <unordered_map>
 
 namespace tracedb {
@@ -88,10 +90,24 @@ std::optional<CallKey> find_call_by_name(const TraceDatabase& db, EnclaveId encl
       return CallKey{rec.enclave_id, rec.type, rec.call_id};
     }
   }
-  // Fall back to the synthesized "ecall_<id>"/"ocall_<id>" names.
-  for (const auto& [key, _] : group_calls(db)) {
-    if (key.enclave_id == enclave &&
-        db.name_of(key.enclave_id, key.type, key.call_id) == name) {
+  // Fall back to the synthesized "ecall_<id>"/"ocall_<id>" names: parse the
+  // key back out of the name, then require that name_of() spells it the
+  // same way (no recorded name, canonical digits) and that it has a call.
+  CallKey key{enclave, CallType::kEcall, 0};
+  std::string_view digits = name;
+  if (digits.starts_with("ecall_")) {
+    key.type = CallType::kEcall;
+  } else if (digits.starts_with("ocall_")) {
+    key.type = CallType::kOcall;
+  } else {
+    return std::nullopt;
+  }
+  digits.remove_prefix(6);
+  const auto [end, ec] = std::from_chars(digits.data(), digits.data() + digits.size(), key.call_id);
+  if (ec != std::errc{} || end != digits.data() + digits.size()) return std::nullopt;
+  if (db.name_of(key.enclave_id, key.type, key.call_id) != name) return std::nullopt;
+  for (const auto& c : db.calls()) {
+    if (c.enclave_id == key.enclave_id && c.type == key.type && c.call_id == key.call_id) {
       return key;
     }
   }

@@ -1321,7 +1321,7 @@ int run_whatif(const Options& opts, Trace& trace) {
     acfg.replay_threads = opts.replay_threads;
     perf::Analyzer analyzer(db, acfg);
     if (!load_edl(opts, analyzer)) return 1;
-    const auto report = analyzer.analyze();
+    const auto report = analyzer.analyze(index);
     for (const auto& f : report.findings) {
       for (const auto& r : f.recommendations) {
         if (r.scenario.empty()) continue;  // no replay model for this action
