@@ -467,8 +467,9 @@ std::string query_matrix() {
   }
 
   // Full retention; retention shorter than the run (pruning on the ingest
-  // path); and a key cap of 3 that quarantines producers on frames with
-  // more sites than that.
+  // path); and key caps of 3 and 1.  At 3 every quarantine comes from an
+  // alert frame; at 1 the vm producers' window frames overflow the cap
+  // mid-frame, so rejected rows must leave no keys behind.
   struct Subject {
     const char* name;
     std::unique_ptr<fleet::Aggregator> agg;
@@ -486,6 +487,7 @@ std::string query_matrix() {
   add("r256", 256, 4096);
   add("r8", 8, 4096);
   add("r8k3", 8, 3);
+  add("r8k1", 8, 1);
 
   std::string out;
   const auto line = [&](const std::string& label, const std::string& doc) {
