@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,7 +43,6 @@ class BufWriter {
   void u8(std::uint8_t v) { bytes(&v, 1); }
   void u32(std::uint32_t v) { bytes(&v, 4); }
   void u64(std::uint64_t v) { bytes(&v, 8); }
-  void i64(std::int64_t v) { bytes(&v, 8); }
   void f64(double v);
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
@@ -64,11 +64,18 @@ class SpanReader {
   SpanReader(const char* data, std::size_t size, std::string prefix, std::string context)
       : p_(data), end_(data + size), prefix_(std::move(prefix)), context_(std::move(context)) {}
 
-  void bytes(void* out, std::size_t n);
+  /// Consumes the next `n` bytes and returns where they start, for a caller
+  /// that decodes fixed-width rows at known offsets itself.
+  [[nodiscard]] const char* take(std::size_t n) {
+    if (remaining() < n) truncated();
+    const char* at = p_;
+    p_ += n;
+    return at;
+  }
+  void bytes(void* out, std::size_t n) { std::memcpy(out, take(n), n); }
   std::uint8_t u8() { std::uint8_t v; bytes(&v, 1); return v; }
   std::uint32_t u32() { std::uint32_t v; bytes(&v, 4); return v; }
   std::uint64_t u64() { std::uint64_t v; bytes(&v, 8); return v; }
-  std::int64_t i64() { std::int64_t v; bytes(&v, 8); return v; }
   double f64();
   std::string str();
 
@@ -82,6 +89,8 @@ class SpanReader {
   }
 
  private:
+  [[noreturn]] void truncated() const;
+
   const char* p_;
   const char* end_;
   std::string prefix_;

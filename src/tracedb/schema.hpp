@@ -30,6 +30,7 @@ enum class CallType : std::uint8_t {
   kEcall = 0,
   kOcall = 1,
 };
+inline constexpr std::uint8_t kCallTypeCount = 2;
 
 /// Classification of ocalls, mirroring §4.1.3: the SDK's four in-enclave
 /// synchronisation ocalls reduce to sleep and wake-up events; everything
@@ -41,6 +42,7 @@ enum class OcallKind : std::uint8_t {
   kWakeMultiple = 3, // wake several waiters
   kWakeOneAndSleep = 4,
 };
+inline constexpr std::uint8_t kOcallKindCount = 5;
 
 /// One completed ecall or ocall.
 struct CallRecord {
@@ -68,6 +70,7 @@ enum class AexCause : std::uint8_t {
   kInterrupt = 1,  // timer / external interrupt
   kPageFault = 2,  // EPC fault during enclave execution
 };
+inline constexpr std::uint8_t kAexCauseCount = 3;
 
 /// One Asynchronous Enclave Exit (recorded when AEX *tracing* is enabled).
 struct AexRecord {
@@ -83,6 +86,7 @@ enum class PageDirection : std::uint8_t {
   kPageIn = 0,   // ELDU-like: page loaded back into the EPC
   kPageOut = 1,  // EWB-like: page evicted from the EPC
 };
+inline constexpr std::uint8_t kPageDirectionCount = 2;
 
 /// One EPC paging event, captured via the (simulated) kprobe on the driver.
 struct PagingRecord {
@@ -96,6 +100,7 @@ enum class SyncKind : std::uint8_t {
   kSleep = 0,
   kWakeup = 1,
 };
+inline constexpr std::uint8_t kSyncKindCount = 2;
 
 /// One synchronisation dependency event: which thread slept, which thread
 /// woke which other thread (§4.1.3 "track which thread wakes up which other

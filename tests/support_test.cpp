@@ -252,8 +252,8 @@ TEST(StrUtil, FormatBytes) {
 
 // --- crc32 --------------------------------------------------------------------
 
-/// The IEEE CRC-32 one bit at a time: the definition the table-driven
-/// implementation must agree with.
+/// The IEEE CRC-32 one bit at a time: the definition both kernels must
+/// agree with.
 std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t n) {
   std::uint32_t c = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < n; ++i) {
@@ -276,22 +276,36 @@ TEST(Crc32, KnownAnswer) {
   EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
+// Lengths up to 1,100 cross the 64-byte entry to the folding kernel, its
+// 64-byte main loop and its 16-byte step, with every tail length after them.
+constexpr std::size_t kCrcMaxLength = 1100;
+constexpr std::size_t kCrcOffsets = 9;
+
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
-  const auto bytes = crc_test_bytes(257 + 8);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t n = 0; n <= 257; ++n) {
-      ASSERT_EQ(crc32(bytes.data() + offset, n), bitwise_crc32(bytes.data() + offset, n))
+  // crc32() folds long inputs where the CPU allows, so the table kernel is
+  // checked on its own as well.
+  const auto bytes = crc_test_bytes(kCrcMaxLength + kCrcOffsets);
+  for (std::size_t offset = 0; offset < kCrcOffsets; ++offset) {
+    for (std::size_t n = 0; n <= kCrcMaxLength; ++n) {
+      const std::uint32_t expected = bitwise_crc32(bytes.data() + offset, n);
+      ASSERT_EQ(crc32(bytes.data() + offset, n), expected)
           << "offset " << offset << " length " << n;
+      ASSERT_EQ(detail::crc32_slicing8(bytes.data() + offset, n, 0), expected)
+          << "slicing-by-8, offset " << offset << " length " << n;
     }
   }
 }
 
 TEST(Crc32, IsIncrementalAtEverySplit) {
-  const auto bytes = crc_test_bytes(64);
+  // Long enough that each side of a split is sometimes folded and sometimes
+  // not, and that the seed enters both kernels.
+  const auto bytes = crc_test_bytes(320);
   const std::uint32_t whole = crc32(bytes.data(), bytes.size());
   for (std::size_t split = 0; split <= bytes.size(); ++split) {
     const std::uint32_t head = crc32(bytes.data(), split);
     EXPECT_EQ(crc32(bytes.data() + split, bytes.size() - split, head), whole) << split;
+    EXPECT_EQ(detail::crc32_slicing8(bytes.data() + split, bytes.size() - split, head), whole)
+        << split;
   }
 }
 

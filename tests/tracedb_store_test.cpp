@@ -179,6 +179,70 @@ std::string expect_store_error(const std::string& dir, unsigned mask) {
   return {};
 }
 
+/// A packed store whose events section holds exactly one chunk, kept as
+/// bytes so each case can rewrite that chunk from the original.
+struct OneChunkStore {
+  explicit OneChunkStore(const std::string& name) : dir(name) {
+    tracedb::store::pack(make_fixture_db(), dir.path);
+    events = slurp(events_path());
+    index = slurp(index_path());
+  }
+
+  std::string events_path() const { return dir.path + "/events.db"; }
+  std::string index_path() const { return dir.path + "/" + tracedb::store::kIndexFileName; }
+
+  /// The chunk's bytes from its magic through its last row (no CRC).
+  std::string payload() const {
+    const auto entry = directory();
+    EXPECT_EQ(entry.offset, 0u);
+    return events.substr(0, entry.length - 4);
+  }
+
+  /// Writes `payload` as the chunk and re-checksums everything that covers
+  /// it: the chunk's trailing CRC, its directory entry's CRC and length, and
+  /// the events section's CRC and length in the index.  The chunk's header
+  /// counts stay whatever `payload` says; the directory entry gets
+  /// `call_rebase`.
+  void write_chunk(const std::string& payload, std::uint64_t call_rebase = 0) const {
+    auto entry = directory();
+    entry.call_rebase = call_rebase;
+    const std::uint32_t crc = support::crc32(payload.data(), payload.size());
+    std::string file = payload;
+    file.append(reinterpret_cast<const char*>(&crc), 4);
+    entry.crc = crc;
+    entry.length = file.size();
+    const std::string footer = tracedb::store::encode_footer({entry});
+    const std::uint64_t footer_len = footer.size();
+    file += footer;
+    file.append(reinterpret_cast<const char*>(&footer_len), 8);
+    spill(events_path(), file);
+
+    tracedb::store::StoreIndex idx = tracedb::store::parse_index(index);
+    for (auto& section : idx.sections) {
+      if (section.id != tracedb::store::kEventsSection) continue;
+      EXPECT_EQ(section.offset, 0u);
+      section.length = file.size();
+      section.crc = support::crc32(footer.data(), footer.size());
+    }
+    spill(index_path(), tracedb::store::encode_index(idx));
+  }
+
+  StoreDir dir;
+  std::string events;
+  std::string index;
+
+ private:
+  tracedb::store::ChunkDirEntry directory() const {
+    std::uint64_t footer_len;
+    std::memcpy(&footer_len, events.data() + events.size() - 8, 8);
+    const std::size_t footer_at = events.size() - 8 - footer_len;
+    const auto chunks =
+        tracedb::store::parse_footer(events.data() + footer_at, footer_len, footer_at);
+    EXPECT_EQ(chunks.size(), 1u);
+    return chunks.at(0);
+  }
+};
+
 // --- round trips -------------------------------------------------------------
 
 TEST(TraceStore, PackUnpackRoundTripsByteIdentically) {
@@ -613,6 +677,73 @@ TEST(TraceStore, CallParentsThatAreNotEarlierCallsAreRejected) {
     // Summary sections do not decode calls, so they still open.
     tracedb::store::StoreReader reader(store.path);
     EXPECT_NO_THROW((void)reader.load(tracedb::store::kSummarySections));
+  }
+}
+
+TEST(TraceStore, OutOfRangeEventKindBytesAreRejected) {
+  OneChunkStore store("store_kinds.store");
+  // make_fixture_db() has 20 calls, then 10 rows of each other table, after
+  // the chunk's 36-byte header (magic and four row counts).  Each case sets
+  // one kind byte of a table's last row one past its enum, and to 0xFF.
+  const std::size_t calls_at = 36;
+  const std::size_t aexs_at = calls_at + 20 * 46;
+  const std::size_t paging_at = aexs_at + 10 * 29;
+  const std::size_t syncs_at = paging_at + 10 * 25;
+  const struct {
+    std::size_t at;
+    std::uint8_t first_bad;
+    const char* what;
+  } cases[] = {
+      {aexs_at - 46 + 0x00, 2, "unknown call type"},
+      {aexs_at - 46 + 0x01, 5, "unknown ocall kind"},
+      {paging_at - 29 + 0x1C, 3, "unknown aex cause"},
+      {syncs_at - 25 + 0x10, 2, "unknown paging direction"},
+      {syncs_at + 9 * 25 + 0x00, 2, "unknown sync kind"},
+  };
+  const std::string payload = store.payload();
+  ASSERT_EQ(payload.size(), syncs_at + 10 * 25);
+  for (const auto& c : cases) {
+    for (const std::uint8_t bad : {c.first_bad, std::uint8_t{0xFF}}) {
+      std::string edited = payload;
+      edited[c.at] = static_cast<char>(bad);
+      store.write_chunk(edited);
+      EXPECT_EQ(expect_store_error(store.dir.path, tracedb::store::kAllSections),
+                "store: " + std::string(c.what) + " in event chunk")
+          << "byte " << c.at << " = " << int{bad};
+    }
+  }
+  // The unedited payload, re-checksummed the same way, still loads.
+  store.write_chunk(payload);
+  tracedb::store::StoreReader reader(store.dir.path);
+  EXPECT_EQ(reader.load(tracedb::store::kAllSections).calls().size(), 20u);
+}
+
+TEST(TraceStore, RebasedCallParentThatWouldOverflowIsRejected) {
+  // The largest parent index a row can hold, plus a rebase of one from the
+  // directory: the sum wraps to a negative index, which is not an earlier
+  // call, instead of overflowing.
+  OneChunkStore store("store_rebase.store");
+  std::string payload = store.payload();
+  const std::int64_t largest = INT64_MAX;
+  std::memcpy(payload.data() + 36 + 0x12, &largest, 8);  // call 0's parent
+  store.write_chunk(payload, 1);
+  EXPECT_EQ(expect_store_error(store.dir.path, tracedb::store::kAllSections),
+            "store: call 0 has parent " + std::to_string(INT64_MIN) +
+                ", not an earlier call in event chunk");
+}
+
+TEST(TraceStore, EventChunkRowsCutShortAreRejected) {
+  // Every cut inside the rows of a chunk, CRCs recomputed, so the rows stop
+  // short of the counts in the chunk header and the directory.  The
+  // directory check refuses counts that need more bytes than the chunk
+  // holds, before any row is decoded from a raw pointer.
+  OneChunkStore store("store_cut.store");
+  const std::string payload = store.payload();
+  for (std::size_t keep = 36; keep < payload.size(); ++keep) {
+    store.write_chunk(payload.substr(0, keep));
+    EXPECT_EQ(expect_store_error(store.dir.path, tracedb::store::kAllSections),
+              "store: implausible event chunk row counts")
+        << "chunk cut to " << keep << " bytes";
   }
 }
 

@@ -1,10 +1,10 @@
 // The flat trace format (SGXPTRC6): every table round-trips byte-identically,
 // only the current magic loads, and corrupt payloads (bad alert or rule
 // kind, malformed window interval, dangling window reference, implausible
-// row counts, truncation, a call parent that is not an earlier call) are
-// rejected with a typed error instead of being half-loaded or allocating
-// without bound.  The fixtures are assembled by hand, independently of the
-// row codec, so they also lock the byte layout.
+// row counts, truncation, a call parent that is not an earlier call, an
+// event kind byte past its enum) are rejected with a typed error instead of
+// being half-loaded or allocating without bound.  The fixtures are assembled
+// by hand, independently of the row codec, so they also lock the byte layout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -193,6 +193,57 @@ std::string rules_fixture_bytes() {
   rule_row(b, 1, 0, 0, 0);        //   init 0
   rule_row(b, 1, 3, 0, 1);        //   edge 0 -> 1
   return b.bytes;
+}
+
+/// The four event tables with two rows each, assembled field by field, in
+/// an otherwise empty file.  Rows are fixed-width: a call is 46 bytes, an
+/// AEX 29, a paging or sync event 25.  Every row 0 holds its table's highest
+/// kind byte, so the file is the upper edge of what loads.  `counts` (if
+/// given) receives the offset of each table's row count.
+std::string event_tables_fixture_bytes(std::vector<std::size_t>* counts = nullptr) {
+  Buf b;
+  const auto count = [&](std::uint64_t n) {
+    if (counts != nullptr) counts->push_back(b.bytes.size());
+    b.u64(n);
+  };
+  b.raw("SGXPTRC6", 8);
+  count(2);  // calls
+  for (const std::uint8_t i : {0, 1}) {
+    b.u8(1 - i);          // type: ocall, then ecall
+    b.u8(i == 0 ? 4 : 0);  // kind: wake_one_and_sleep, then generic
+    b.u32(1 + i);         // thread_id
+    b.u64(1);             // enclave_id
+    b.u32(3 + i);         // call_id
+    const std::int64_t parent = i == 0 ? -1 : 0;
+    b.raw(&parent, 8);
+    b.u64(100 + 50 * i);  // start_ns
+    b.u64(200 + 50 * i);  // end_ns
+    b.u32(i);             // aex_count
+  }
+  count(2);  // aexs
+  for (const std::uint8_t i : {0, 1}) {
+    b.u32(1);             // thread_id
+    b.u64(1);             // enclave_id
+    b.u64(120 + i);       // timestamp_ns
+    b.u64(i);             // during_call
+    b.u8(2 - i);          // cause: page_fault, then interrupt
+  }
+  count(2);  // paging
+  for (const std::uint8_t i : {0, 1}) {
+    b.u64(1);             // enclave_id
+    b.u64(5 + i);         // page_number
+    b.u8(1 - i);          // direction: page_out, then page_in
+    b.u64(130 + i);       // timestamp_ns
+  }
+  count(2);  // syncs
+  for (const std::uint8_t i : {0, 1}) {
+    b.u8(1 - i);          // kind: wakeup, then sleep
+    b.u32(1);             // thread_id
+    b.u32(2);             // target_thread_id
+    b.u64(1);             // enclave_id
+    b.u64(140 + i);       // timestamp_ns
+  }
+  return b.bytes + empty_file().substr(8 + 4 * 8);
 }
 
 /// Saving `reloaded` again must reproduce `first`, the file it was loaded from.
@@ -570,6 +621,70 @@ TEST(FormatV6, RejectsTruncatedFiles) {
        {full.size() - 4, full.size() - 17, full.size() - 38, full.size() - 40}) {
     EXPECT_NE(load_error(full.substr(0, keep)), "")
         << "prefix of " << keep << " bytes should be rejected";
+  }
+
+  // Every cut inside populated event tables, whose rows are decoded from a
+  // raw pointer after one bounds check per table.  A cut inside a row count
+  // is a truncation; a cut inside the rows leaves fewer bytes than the
+  // count needs, which the count check refuses before any row is read.
+  std::vector<std::size_t> counts;
+  const std::string events = event_tables_fixture_bytes(&counts);
+  ASSERT_EQ(counts.size(), 4u);
+  const char* const tables[] = {"call", "aex", "paging", "sync"};
+  const std::size_t enclave_count_at = counts[3] + 8 + 2 * 25;
+  const std::string path = temp_path("load.bin");
+  for (std::size_t keep = counts[0]; keep <= enclave_count_at; ++keep) {
+    std::size_t t = 0;
+    while (t + 1 < counts.size() && keep >= counts[t + 1]) ++t;
+    const bool in_count = keep < counts[t] + 8 || keep == enclave_count_at;
+    const std::string expected =
+        in_count ? "tracedb: truncated trace file " + path
+                 : "tracedb: implausible " + std::string(tables[t]) + " count in trace file " +
+                       path;
+    EXPECT_EQ(load_error(events.substr(0, keep)), expected) << "prefix of " << keep << " bytes";
+  }
+}
+
+TEST(FormatV6, RejectsOutOfRangeEventKindBytes) {
+  std::vector<std::size_t> counts;
+  const std::string full = event_tables_fixture_bytes(&counts);
+  ASSERT_EQ(counts.size(), 4u);
+  {
+    const std::string path = temp_path("fixture.bin");
+    spill(path, full);
+    const TraceDatabase db = TraceDatabase::load(path);
+    std::filesystem::remove(path);
+    ASSERT_EQ(db.calls().size(), 2u);
+    EXPECT_EQ(db.calls()[0].kind, tracedb::OcallKind::kWakeOneAndSleep);
+    EXPECT_EQ(db.calls()[1].parent, 0);
+    ASSERT_EQ(db.aexs().size(), 2u);
+    EXPECT_EQ(db.aexs()[0].cause, tracedb::AexCause::kPageFault);
+    ASSERT_EQ(db.paging().size(), 2u);
+    EXPECT_EQ(db.paging()[1].direction, tracedb::PageDirection::kPageIn);
+    ASSERT_EQ(db.syncs().size(), 2u);
+    EXPECT_EQ(db.syncs()[0].kind, tracedb::SyncKind::kWakeup);
+  }
+
+  // Each kind byte of the second row, set one past its enum and to 0xFF.
+  const struct {
+    std::size_t at;
+    std::uint8_t first_bad;
+    const char* what;
+  } cases[] = {
+      {counts[0] + 8 + 46 + 0x00, 2, "unknown call type"},
+      {counts[0] + 8 + 46 + 0x01, 5, "unknown ocall kind"},
+      {counts[1] + 8 + 29 + 0x1C, 3, "unknown aex cause"},
+      {counts[2] + 8 + 25 + 0x10, 2, "unknown paging direction"},
+      {counts[3] + 8 + 25 + 0x00, 2, "unknown sync kind"},
+  };
+  for (const auto& c : cases) {
+    for (const std::uint8_t bad : {c.first_bad, std::uint8_t{0xFF}}) {
+      std::string bytes = full;
+      bytes[c.at] = static_cast<char>(bad);
+      EXPECT_EQ(load_error(bytes),
+                "tracedb: " + std::string(c.what) + " in trace file " + temp_path("load.bin"))
+          << "byte " << c.at << " = " << int{bad};
+    }
   }
 }
 
