@@ -9,10 +9,14 @@
 // streams across runs).  `sgxperf top`'s TopSink is checked on the same
 // loop: its folded windows equal the logger's latency table and event
 // counts, and its windowed view equals the last persisted window.
+// OnlineLocks pins every window table, alert and sink delta of a long
+// one-thread `mixed` session by digest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -445,6 +449,132 @@ TEST(MonitorSession, NotOkWhenSubscriberSlotsExhausted) {
     sessions.push_back(std::move(s));
   }
   EXPECT_TRUE(saturated) << "subscriber slots must be finite";
+}
+
+// --- Locks -------------------------------------------------------------------
+//
+// Every window row, window-site row (p50/p99 included), alert record, alert
+// transition and sink delta (buckets, count, sum) of a deterministic
+// one-thread `mixed` session of a few thousand 1 ms windows, driven the way
+// the live-monitor wall-clock benchmark drives it (steps, then poll).  The
+// byte-level lock behind any change to window closing.
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char ch : s) h = (h ^ ch) * 0x100000001b3ull;
+  return h;
+}
+
+/// Appends the decimal rendering of each value, space-separated.
+template <typename... Ts>
+void put(std::string& out, const Ts&... vs) {
+  ((out += std::to_string(static_cast<unsigned long long>(vs)), out += ' '), ...);
+  out += '\n';
+}
+
+/// Sink side of the lock: alert transitions as JSON lines and every window
+/// delta's non-zero buckets.
+class TableSink : public perf::MonitorSink {
+ public:
+  void on_alert(const tracedb::AlertRecord& alert, bool resolved,
+                const std::string& site_name) override {
+    text += perf::alert_json(alert, resolved, site_name) + "\n";
+  }
+  void on_window(const tracedb::WindowRecord& window,
+                 const std::vector<perf::SessionWindowSite>& sites) override {
+    put(text, window.window_index, sites.size());
+    for (const auto& s : sites) {
+      text += s.name + " ";
+      put(text, s.row.call_id, s.delta.count(), s.delta.sum());
+      const auto& buckets = s.delta.buckets();
+      for (std::size_t i = 0; i < buckets.size(); ++i) {
+        if (buckets[i] != 0) put(text, i, buckets[i]);
+      }
+    }
+  }
+
+  std::string text;
+};
+
+struct WindowTables {
+  std::string text;
+  std::size_t windows = 0;
+  std::size_t window_sites = 0;
+  std::size_t alerts = 0;
+};
+
+WindowTables window_tables() {
+  sgxsim::Urts urts(sgxsim::CostModel::preset(sgxsim::PatchLevel::kUnpatched));
+  const auto stressor = stress::make_stressor("mixed");
+  if (stressor == nullptr) throw std::runtime_error("unknown stressor");
+  stress::StressConfig scfg;
+  scfg.threads = 1;
+  scfg.seed = 41;
+  // prepare() faults in more than the EPC, so it runs before the session
+  // subscribes (as in the benchmark).
+  stressor->prepare(urts, scfg);
+
+  tracedb::TraceDatabase db;
+  perf::Logger logger(db);
+  logger.attach(urts);
+  perf::MonitorSessionConfig config;
+  config.identity = {"lock-host", "stress_mixed"};
+  config.online.window_ns = 1'000'000;
+  perf::MonitorSession session(logger, urts, config);
+  if (!session.ok()) throw std::runtime_error("no subscriber slot");
+  const auto sink = std::make_shared<TableSink>();
+  session.add_sink(sink);
+
+  constexpr std::uint64_t kSteps = 12'000;
+  for (std::uint64_t step = 0; step < kSteps; ++step) {
+    stressor->step(urts, 0, step);
+    if (step % 4 == 3) session.poll();
+  }
+  session.poll();
+  logger.detach();
+  session.finish();
+
+  WindowTables out;
+  const auto& online = session.analyzer();
+  std::string& text = out.text;
+  text += "== windows\n";
+  for (const auto& w : online.windows()) {
+    put(text, w.window_index, w.start_ns, w.end_ns, w.calls, w.aexs, w.page_ins, w.page_outs,
+        w.stream_dropped, w.switchless_calls, w.switchless_fallbacks, w.switchless_wasted_ns,
+        w.active_alerts);
+  }
+  text += "== window sites\n";
+  for (const auto& s : online.window_sites()) {
+    put(text, s.window_index, s.enclave_id, static_cast<int>(s.type), s.call_id, s.calls,
+        s.aex_count, s.p50_ns, s.p99_ns);
+  }
+  text += "== alerts\n";
+  for (const auto& a : online.alerts()) {
+    put(text, static_cast<int>(a.kind), a.enclave_id, static_cast<int>(a.type), a.call_id,
+        a.onset_ns, a.resolved_ns, a.window_index, a.detail);
+  }
+  text += "== sink\n" + sink->text;
+  out.windows = online.windows().size();
+  out.window_sites = online.window_sites().size();
+  out.alerts = online.alerts().size();
+  return out;
+}
+
+TEST(OnlineLocks, WindowTablesMatchGoldenDigest) {
+  constexpr std::uint64_t kDigest = 0x35d813bbf019c6ffull;
+  const WindowTables got = window_tables();
+  const std::uint64_t digest = fnv1a(got.text);
+  if (digest != kDigest) {
+    // Leave the actual tables next to the test for a line diff.
+    std::ofstream("online_window_tables.actual.txt", std::ios::binary) << got.text;
+  }
+  EXPECT_EQ(got.windows, 7097u);
+  EXPECT_EQ(got.window_sites, 33548u);
+  EXPECT_EQ(got.alerts, 395u);
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(digest));
+  EXPECT_EQ(digest, kDigest) << "window tables drifted (digest " << hex
+                            << "); the actual tables are in online_window_tables.actual.txt";
 }
 
 }  // namespace
