@@ -187,8 +187,10 @@ void OnlineAnalyzer::reconcile_site(const CallKey& site, const SiteState& st, bo
   for (const Verdict& v : verdicts_) at(v.kind) = std::max(at(v.kind), v.score);
   if (with_tail) {
     const auto& snap = st.latency.cumulative();
-    if (const auto ratio = tail_score(st.counters.count, snap.value_at_percentile(50),
-                                      snap.value_at_percentile(99), config_.analyzer)) {
+    const std::size_t first = st.latency.cumulative_first();
+    if (const auto ratio =
+            tail_score(st.counters.count, snap.value_at_percentile(50, first),
+                       snap.value_at_percentile(99, first), config_.analyzer)) {
       at(AlertKind::kTailLatency) = *ratio;
     }
   }
@@ -267,13 +269,13 @@ void OnlineAnalyzer::resolve_alert(AlertKind kind, const CallKey& site, std::uin
 void OnlineAnalyzer::close_window(std::uint64_t window_end) {
   // Latency-shift alerts are change-point markers: they live exactly one
   // window, so resolve survivors from earlier windows first.
-  std::vector<std::pair<AlertKind, CallKey>> expired;
+  expired_.clear();
   for (const auto& [k, idx] : active_) {
     if (k.first == AlertKind::kLatencyShift && alerts_[idx].window_index < window_index_) {
-      expired.push_back(k);
+      expired_.push_back(k);
     }
   }
-  for (const auto& [kind, site] : expired) resolve_alert(kind, site, window_end);
+  for (const auto& [kind, site] : expired_) resolve_alert(kind, site, window_end);
 
   std::uint64_t page_ins = 0;
   std::uint64_t page_outs = 0;
@@ -284,10 +286,10 @@ void OnlineAnalyzer::close_window(std::uint64_t window_end) {
     pg.window_outs = 0;
   }
 
-  std::vector<WindowSiteSnapshot> sink_sites;
   for (auto& [key, st] : sites_) {
     if (!st.touched_this_window) continue;
-    const telemetry::HdrSnapshot delta = st.latency.window_delta();
+    const telemetry::HdrSnapshot& delta = st.latency.window_delta();
+    const std::size_t first = st.latency.window_first();
 
     tracedb::WindowSiteRecord row;
     row.window_index = window_index_;
@@ -296,10 +298,10 @@ void OnlineAnalyzer::close_window(std::uint64_t window_end) {
     row.call_id = key.call_id;
     row.calls = st.window_calls;
     row.aex_count = st.window_aex;
-    row.p50_ns = delta.value_at_percentile(50);
-    row.p99_ns = delta.value_at_percentile(99);
+    row.p50_ns = delta.value_at_percentile(50, first);
+    row.p99_ns = delta.value_at_percentile(99, first);
     window_sites_.push_back(row);
-    if (window_sink_) sink_sites.push_back({row, delta});
+    if (window_sink_) sink_sites_.push_back({row, delta});
 
     if (delta.count() > 0 && st.change.observe(delta.mean())) {
       raise_alert(AlertKind::kLatencyShift, key, window_end,
@@ -332,7 +334,10 @@ void OnlineAnalyzer::close_window(std::uint64_t window_end) {
   }
   win.active_alerts = static_cast<std::uint32_t>(active_.size());
   windows_.push_back(win);
-  if (window_sink_) window_sink_(win, sink_sites);
+  if (window_sink_) {
+    window_sink_(win, sink_sites_);
+    sink_sites_.clear();
+  }
 
   window_calls_ = 0;
   window_aexs_ = 0;

@@ -20,7 +20,8 @@
 //
 // On top of the shared detectors, fixed-interval *windows* (virtual-time
 // aligned, so replays are deterministic) cut per-site rate/percentile
-// snapshots (HDR deltas via telemetry::WindowedHdr) and run EWMA+CUSUM
+// snapshots (each site's window-local HDR, telemetry::WindowedHdr, which
+// a close reads and then zeroes over the buckets it touched) and run EWMA+CUSUM
 // change detection over per-window mean latency (AlertKind::kLatencyShift —
 // an online-only signal with no post-mortem analogue).  Windows, per-site
 // window rows and the full alert history persist as the v5 trace tables.
@@ -149,7 +150,7 @@ class OnlineAnalyzer {
   /// online analyser keeps.
   struct SiteState {
     SiteCounters counters;
-    // Latency: cumulative HDR (tail detector) with a window cursor.
+    // Latency: cumulative HDR (tail detector) and the open window's HDR.
     telemetry::WindowedHdr latency;
     std::uint64_t window_calls = 0;  // completions in the open window
     std::uint64_t window_aex = 0;
@@ -216,6 +217,10 @@ class OnlineAnalyzer {
   std::map<std::uint32_t, ThreadState> threads_;
   /// evaluate()'s output, reused so reconciling allocates nothing per event.
   std::vector<Verdict> verdicts_;
+  /// close_window()'s scratch, reused so that a close without a window sink
+  /// allocates nothing: expiring latency-shift alerts, and the sink's rows.
+  std::vector<std::pair<tracedb::AlertKind, tracedb::CallKey>> expired_;
+  std::vector<WindowSiteSnapshot> sink_sites_;
 
   /// Present iff config_.order is non-empty.
   std::optional<OrderChecker> order_checker_;

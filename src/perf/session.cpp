@@ -153,6 +153,7 @@ void MonitorSession::wire_analyzer() {
   });
   online_.set_alert_sink([this](const tracedb::AlertRecord& a, bool resolved) {
     (resolved ? resolved_ : raised_) += 1;
+    if (sinks_.empty()) return;
     const std::string name = name_of(a.enclave_id, a.type, a.call_id);
     const std::string& site =
         a.kind == tracedb::AlertKind::kPaging
@@ -160,9 +161,11 @@ void MonitorSession::wire_analyzer() {
             : name;
     for (const auto& sink : sinks_) sink->on_alert(a, resolved, site);
   });
+}
+
+void MonitorSession::install_window_sink() {
   online_.set_window_sink([this](const tracedb::WindowRecord& win,
                                  const std::vector<WindowSiteSnapshot>& sites) {
-    if (sinks_.empty()) return;
     std::vector<SessionWindowSite> rows;
     rows.reserve(sites.size());
     for (const auto& s : sites) {
@@ -183,6 +186,9 @@ void MonitorSession::add_sink(std::shared_ptr<MonitorSink> sink) {
   info.identity = config_.identity;
   info.window_ns = config_.online.window_ns;
   sink->on_session_start(info);
+  // The analyser copies window deltas only for an installed window sink, so
+  // a session without sinks installs none.
+  if (sinks_.empty()) install_window_sink();
   sinks_.push_back(std::move(sink));
 }
 

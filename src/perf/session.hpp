@@ -295,6 +295,8 @@ class MonitorSession {
 
  private:
   void wire_analyzer();
+  /// Hands closed windows to the sinks; installed with the first sink.
+  void install_window_sink();
   [[nodiscard]] std::string name_of(tracedb::EnclaveId enclave, tracedb::CallType type,
                                     tracedb::CallId id) const;
 

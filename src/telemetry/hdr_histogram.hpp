@@ -105,15 +105,16 @@ class HdrSnapshot {
   }
 
   /// Value at percentile `q` in [0, 100]: the upper bound of the bucket
-  /// containing the q-th rank.  0 on an empty snapshot.  Kept as its own
-  /// early-exit walk: the online analyser calls it per site at every window
-  /// close, and the one-element case of values_at_percentiles measured
-  /// slower there.
-  [[nodiscard]] std::uint64_t value_at_percentile(double q) const noexcept {
+  /// containing the q-th rank.  0 on an empty snapshot.  The walk starts at
+  /// bucket `first`, which must be at or below the lowest non-empty bucket
+  /// (telemetry::WindowedHdr tracks it).  Kept as its own early-exit walk:
+  /// single percentiles measured slower through values_at_percentiles.
+  [[nodiscard]] std::uint64_t value_at_percentile(double q,
+                                                  std::size_t first = 0) const noexcept {
     if (count_ == 0) return 0;
     const std::uint64_t rank = rank_of(q);
     std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < hdr::kBucketCount; ++i) {
+    for (std::size_t i = first; i < hdr::kBucketCount; ++i) {
       seen += counts_[i];
       if (seen >= rank) return hdr::upper_bound(i);
     }
@@ -154,6 +155,14 @@ class HdrSnapshot {
       if (counts_[i] > 0) return hdr::upper_bound(i);
     }
     return 0;
+  }
+
+  /// Empties the snapshot by zeroing buckets [first, last] only; every
+  /// non-empty bucket must lie in that range.  first > last zeroes none.
+  void clear(std::size_t first, std::size_t last) noexcept {
+    for (std::size_t i = first; i <= last; ++i) counts_[i] = 0;
+    count_ = 0;
+    sum_ = 0;
   }
 
   /// Replaces the bound-derived sum with an exactly-recorded one (used by

@@ -4,19 +4,6 @@
 
 namespace telemetry {
 
-HdrSnapshot hdr_delta(const HdrSnapshot& cumulative, const HdrSnapshot& baseline) {
-  HdrSnapshot out;
-  const auto& cur = cumulative.buckets();
-  const auto& base = baseline.buckets();
-  for (std::size_t i = 0; i < hdr::kBucketCount; ++i) {
-    if (cur[i] > base[i]) out.add_bucket(i, cur[i] - base[i]);
-  }
-  const std::uint64_t sum =
-      cumulative.sum() > baseline.sum() ? cumulative.sum() - baseline.sum() : 0;
-  out.set_exact_sum(sum);
-  return out;
-}
-
 bool EwmaCusum::observe(double x) {
   ++n_;
   if (n_ == 1) {

@@ -3,14 +3,11 @@
 // The post-mortem analyser sees one cumulative distribution per call site;
 // a live monitor needs the *per-window* view — "what did latency look like
 // in the last interval" — plus a baseline to decide when a site's regime
-// has moved.  This header provides the three building blocks:
+// has moved.  This header provides the two building blocks:
 //
-//   hdr_delta()  — bucket-wise difference of two HDR snapshots, turning two
-//                  cumulative checkpoints into the distribution of exactly
-//                  the values recorded between them.
-//   WindowedHdr  — a cumulative HdrSnapshot plus a checkpoint cursor, so a
-//                  consumer can cut fixed-interval windows without keeping
-//                  a second histogram in the hot path.
+//   WindowedHdr  — a cumulative HdrSnapshot recorded beside a window-local
+//                  one, with the bucket range each has touched, so closing
+//                  a window costs only what the window recorded.
 //   EwmaCusum    — EWMA baseline + two-sided CUSUM change detection over
 //                  per-window aggregates (the classic quickest-detection
 //                  scheme: robust to noise, O(1) per observation).
@@ -23,31 +20,44 @@
 
 namespace telemetry {
 
-/// Bucket-wise `cumulative − baseline`.  `baseline` must be an earlier
-/// checkpoint of the same recorder (every bucket monotonically grew);
-/// short-falls clamp to zero rather than wrap.  The delta's sum is the
-/// exact difference of the recorded sums.
-[[nodiscard]] HdrSnapshot hdr_delta(const HdrSnapshot& cumulative, const HdrSnapshot& baseline);
-
-/// Cumulative HDR recorder with a window cursor.  record() accumulates
-/// forever; window_delta() is the distribution since the last checkpoint();
-/// checkpoint() closes the window.
+/// Cumulative HDR recorder with a window cursor.  record() accumulates into
+/// both histograms; window_delta() is the distribution since the last
+/// checkpoint(); checkpoint() closes the window.  The delta is recorded, not
+/// derived, so it equals the bucket-wise difference of two cumulative
+/// checkpoints, with the exact sum.  The *_first() buckets are where
+/// percentile walks may start: HdrSnapshot::value_at_percentile(q, first).
 class WindowedHdr {
  public:
-  void record(std::uint64_t v) noexcept { cumulative_.record(v); }
-
-  [[nodiscard]] const HdrSnapshot& cumulative() const noexcept { return cumulative_; }
-  [[nodiscard]] HdrSnapshot window_delta() const { return hdr_delta(cumulative_, baseline_); }
-  [[nodiscard]] std::uint64_t window_count() const noexcept {
-    return cumulative_.count() - baseline_.count();
+  void record(std::uint64_t v) noexcept {
+    const std::size_t i = hdr::index_of(v);
+    cumulative_.record(v);
+    window_.record(v);
+    if (i < window_first_) window_first_ = i;
+    if (i > window_last_) window_last_ = i;
+    if (i < cumulative_first_) cumulative_first_ = i;
   }
 
-  /// Closes the current window: subsequent deltas are relative to now.
-  void checkpoint() { baseline_ = cumulative_; }
+  [[nodiscard]] const HdrSnapshot& cumulative() const noexcept { return cumulative_; }
+  [[nodiscard]] const HdrSnapshot& window_delta() const noexcept { return window_; }
+  /// Lowest bucket recorded since the last checkpoint (kBucketCount if none).
+  [[nodiscard]] std::size_t window_first() const noexcept { return window_first_; }
+  /// Lowest bucket ever recorded (kBucketCount if none).
+  [[nodiscard]] std::size_t cumulative_first() const noexcept { return cumulative_first_; }
+
+  /// Closes the current window: zeroes the buckets it touched, so the next
+  /// delta starts empty.
+  void checkpoint() noexcept {
+    window_.clear(window_first_, window_last_);
+    window_first_ = hdr::kBucketCount;
+    window_last_ = 0;
+  }
 
  private:
   HdrSnapshot cumulative_;
-  HdrSnapshot baseline_;
+  HdrSnapshot window_;
+  std::size_t window_first_ = hdr::kBucketCount;
+  std::size_t window_last_ = 0;
+  std::size_t cumulative_first_ = hdr::kBucketCount;
 };
 
 /// EWMA baseline plus two-sided CUSUM over per-window aggregates.

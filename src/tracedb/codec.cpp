@@ -95,6 +95,14 @@ Enum kind_at(const SpanReader& r, const char* row, std::size_t at, const char* w
   return static_cast<Enum>(v);
 }
 
+/// The next byte as a kind, which must be below `kCount`.
+template <class Enum, std::uint8_t kCount>
+Enum read_kind(SpanReader& r, const char* what) {
+  const std::uint8_t v = r.u8();
+  if (v >= kCount) [[unlikely]] r.fail(what);
+  return static_cast<Enum>(v);
+}
+
 }  // namespace
 
 // --- plumbing ----------------------------------------------------------------
@@ -334,7 +342,7 @@ void read_call_names(SpanReader& r, std::vector<CallNameRecord>& out) {
   for (std::uint64_t i = 0; i < n; ++i) {
     CallNameRecord name;
     name.enclave_id = r.u64();
-    name.type = static_cast<CallType>(r.u8());
+    name.type = read_kind<CallType, kCallTypeCount>(r, "unknown call type");
     name.call_id = r.u32();
     name.name = r.str();
     out.push_back(std::move(name));
@@ -357,7 +365,7 @@ void read_metric_series(SpanReader& r, std::vector<MetricSeriesRecord>& out) {
   for (std::uint64_t i = 0; i < n; ++i) {
     MetricSeriesRecord s;
     s.series_id = r.u32();
-    s.kind = static_cast<MetricKind>(r.u8());
+    s.kind = read_kind<MetricKind, kMetricKindCount>(r, "unknown metric kind");
     s.name = r.str();
     s.unit = r.str();
     out.push_back(std::move(s));
@@ -414,7 +422,7 @@ void read_latencies(SpanReader& r, std::vector<LatencyRecord>& out) {
   for (std::uint64_t i = 0; i < n; ++i) {
     LatencyRecord l;
     l.enclave_id = r.u64();
-    l.type = static_cast<CallType>(r.u8());
+    l.type = read_kind<CallType, kCallTypeCount>(r, "unknown call type");
     l.call_id = r.u32();
     l.count = r.u64();
     l.sum_ns = r.u64();
@@ -492,7 +500,7 @@ void read_window_sites(SpanReader& r, std::vector<WindowSiteRecord>& out,
     WindowSiteRecord site;
     site.window_index = r.u32();
     site.enclave_id = r.u64();
-    site.type = static_cast<CallType>(r.u8());
+    site.type = read_kind<CallType, kCallTypeCount>(r, "unknown call type");
     site.call_id = r.u32();
     site.calls = r.u64();
     site.aex_count = r.u64();
@@ -522,11 +530,9 @@ void read_alerts(SpanReader& r, std::vector<AlertRecord>& out) {
   reserve_rows(r, n, 1 + 8 + 1 + 4 + 8 + 8 + 4 + 8, "alert", out);
   for (std::uint64_t i = 0; i < n; ++i) {
     AlertRecord alert;
-    const std::uint8_t kind = r.u8();
-    if (kind >= kAlertKindCount) r.fail("unknown alert kind");
-    alert.kind = static_cast<AlertKind>(kind);
+    alert.kind = read_kind<AlertKind, kAlertKindCount>(r, "unknown alert kind");
     alert.enclave_id = r.u64();
-    alert.type = static_cast<CallType>(r.u8());
+    alert.type = read_kind<CallType, kCallTypeCount>(r, "unknown call type");
     alert.call_id = r.u32();
     alert.onset_ns = r.u64();
     alert.resolved_ns = r.u64();
@@ -555,9 +561,8 @@ void read_order_rules(SpanReader& r, std::vector<OrderRuleRecord>& out) {
   for (std::uint64_t i = 0; i < n; ++i) {
     OrderRuleRecord rule;
     rule.enclave_id = r.u64();
-    const std::uint8_t kind = r.u8();
-    if (kind >= kOrderRuleKindCount) r.fail("unknown order-rule kind");
-    rule.rule = static_cast<OrderRuleRecord::Rule>(kind);
+    rule.rule =
+        read_kind<OrderRuleRecord::Rule, kOrderRuleKindCount>(r, "unknown order-rule kind");
     rule.a = r.u32();
     rule.b = r.u32();
     out.push_back(rule);

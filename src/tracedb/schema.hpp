@@ -137,6 +137,7 @@ enum class MetricKind : std::uint8_t {
   kCounter = 0,  // monotonically increasing
   kGauge = 1,    // may go up and down
 };
+inline constexpr std::uint8_t kMetricKindCount = 2;
 
 /// Metadata for one telemetry timeseries (format v3).  One row per metric
 /// name; samples reference the series by id.

@@ -1,6 +1,6 @@
 // HDR-style log-bucketed histogram: bucket geometry invariants, percentile
-// extraction, merge/serialisation round trips, and the striped concurrent
-// recorder.
+// extraction, merge/serialisation round trips, the striped concurrent
+// recorder, and the online analyser's windowed recorder (WindowedHdr).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +12,13 @@
 #include <vector>
 
 #include "telemetry/hdr_histogram.hpp"
+#include "telemetry/timeseries.hpp"
 
 namespace {
 
 using telemetry::HdrHistogram;
 using telemetry::HdrSnapshot;
+using telemetry::WindowedHdr;
 namespace hdr = telemetry::hdr;
 
 TEST(HdrGeometry, FirstBucketsAreExact) {
@@ -207,6 +209,109 @@ TEST(HdrSnapshotTest, BucketReconstructionMatchesDirectRecording) {
   for (const double q : {50.0, 90.0, 99.0, 99.9}) {
     EXPECT_EQ(rebuilt.value_at_percentile(q), direct.value_at_percentile(q)) << "q=" << q;
   }
+}
+
+// --- WindowedHdr ---------------------------------------------------------------
+//
+// The window histogram is recorded beside the cumulative one; the reference
+// is what it replaced: the bucket-wise difference of two cumulative
+// checkpoints.
+
+/// Bucket-wise `cumulative - baseline`, with the exact sum difference.
+HdrSnapshot reference_delta(const HdrSnapshot& cumulative, const HdrSnapshot& baseline) {
+  HdrSnapshot out;
+  for (std::size_t i = 0; i < hdr::kBucketCount; ++i) {
+    const std::uint64_t n = cumulative.buckets()[i] - baseline.buckets()[i];
+    if (n > 0) out.add_bucket(i, n);
+  }
+  out.set_exact_sum(cumulative.sum() - baseline.sum());
+  return out;
+}
+
+/// Lowest non-empty bucket, kBucketCount if none.
+std::size_t lowest_bucket(const HdrSnapshot& snap) {
+  const auto& b = snap.buckets();
+  return static_cast<std::size_t>(
+      std::find_if(b.begin(), b.end(), [](std::uint64_t n) { return n != 0; }) - b.begin());
+}
+
+constexpr double kWindowQs[] = {0.0, 50.0, 99.0, 99.9, 100.0};
+
+void expect_window_matches(const WindowedHdr& w, const HdrSnapshot& baseline,
+                           const std::string& what) {
+  const HdrSnapshot want = reference_delta(w.cumulative(), baseline);
+  const HdrSnapshot& got = w.window_delta();
+  ASSERT_EQ(got.buckets(), want.buckets()) << what;
+  EXPECT_EQ(got.count(), want.count()) << what;
+  EXPECT_EQ(got.sum(), want.sum()) << what;
+  EXPECT_EQ(got.mean(), want.mean()) << what;
+  EXPECT_EQ(w.window_first(), lowest_bucket(want)) << what;
+  EXPECT_EQ(w.cumulative_first(), lowest_bucket(w.cumulative())) << what;
+  for (const double q : kWindowQs) {
+    EXPECT_EQ(got.value_at_percentile(q, w.window_first()), want.value_at_percentile(q))
+        << what << " q=" << q;
+    EXPECT_EQ(w.cumulative().value_at_percentile(q, w.cumulative_first()),
+              w.cumulative().value_at_percentile(q))
+        << what << " q=" << q;
+  }
+}
+
+TEST(WindowedHdrTest, WindowsEqualDifferencesOfCumulativeCheckpoints) {
+  for (const std::uint32_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    std::mt19937_64 rng(seed);
+    // Each value class with its own weight: 0, exact buckets below kSubCount,
+    // the log range, and the clamp bucket (>= 2^40; small enough that sums
+    // of a few thousand never wrap).
+    const auto draw = [&rng]() -> std::uint64_t {
+      switch (rng() % 6) {
+        case 0: return 0;
+        case 1: return rng() % hdr::kSubCount;
+        case 2: return (1ull << 40) + rng() % (1ull << 48);
+        default: return rng() % (1ull << (8 + rng() % 24));
+      }
+    };
+    WindowedHdr w;
+    HdrSnapshot baseline;  // the cumulative histogram at the last checkpoint
+    for (int window = 0; window < 40; ++window) {
+      const std::string what = "seed " + std::to_string(seed) + " window " +
+                               std::to_string(window);
+      // Every fifth window is empty.
+      const std::size_t n = window % 5 == 4 ? 0 : rng() % 300;
+      for (std::size_t i = 0; i < n; ++i) w.record(draw());
+      expect_window_matches(w, baseline, what);
+      w.checkpoint();
+      if (window % 7 == 0) w.checkpoint();  // repeated checkpoints are no-ops
+      baseline = w.cumulative();
+      expect_window_matches(w, baseline, what + " after checkpoint");
+    }
+  }
+}
+
+TEST(WindowedHdrTest, CheckpointClearsTheClampBucketAndTheExactBuckets) {
+  WindowedHdr w;
+  EXPECT_EQ(w.window_first(), hdr::kBucketCount);
+  EXPECT_EQ(w.cumulative_first(), hdr::kBucketCount);
+  EXPECT_EQ(w.window_delta().value_at_percentile(50, w.window_first()), 0u);
+
+  w.record(~0ull);  // clamps into the last bucket
+  EXPECT_EQ(w.window_first(), hdr::kBucketCount - 1);
+  EXPECT_EQ(w.window_delta().value_at_percentile(99, w.window_first()),
+            hdr::upper_bound(hdr::kBucketCount - 1));
+  w.checkpoint();
+  EXPECT_EQ(w.window_delta().buckets(), HdrSnapshot().buckets());
+
+  w.record(0);
+  w.record(hdr::kSubCount - 1);
+  w.record(1ull << 40);
+  EXPECT_EQ(w.window_first(), 0u);
+  EXPECT_EQ(w.window_delta().count(), 3u);
+  EXPECT_EQ(w.window_delta().sum(), hdr::kSubCount - 1 + (1ull << 40));
+  w.checkpoint();
+  EXPECT_EQ(w.window_delta().buckets(), HdrSnapshot().buckets());
+  EXPECT_EQ(w.window_delta().count(), 0u);
+  EXPECT_EQ(w.window_delta().sum(), 0u);
+  EXPECT_EQ(w.cumulative().count(), 4u);
+  EXPECT_EQ(w.cumulative_first(), 0u);
 }
 
 }  // namespace

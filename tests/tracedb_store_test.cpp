@@ -718,6 +718,114 @@ TEST(TraceStore, OutOfRangeEventKindBytesAreRejected) {
   EXPECT_EQ(reader.load(tracedb::store::kAllSections).calls().size(), 20u);
 }
 
+// --- kind bytes of the counted tables ------------------------------------------
+//
+// Call names, latencies, window sites and alerts carry a CallType byte and
+// metric series a MetricKind byte.  Each case finds one row of
+// make_fixture_db() by a distinctive run of its encoded fields (the same
+// bytes in the flat file and in the store section that holds the table),
+// sets the kind byte just before that run one past its enum and to 0xFF, and
+// expects both formats to refuse the load with a typed error.
+
+std::string le32(std::uint32_t v) { return std::string(reinterpret_cast<const char*>(&v), 4); }
+std::string le64(std::uint64_t v) { return std::string(reinterpret_cast<const char*>(&v), 8); }
+
+/// Offset of the byte before the only occurrence of `fields` in `bytes`,
+/// npos if `fields` does not occur.
+std::size_t kind_byte_at(const std::string& bytes, const std::string& fields) {
+  const std::size_t at = bytes.find(fields);
+  if (at == std::string::npos) return at;
+  EXPECT_EQ(bytes.find(fields, at + 1), std::string::npos) << "ambiguous row anchor";
+  EXPECT_GT(at, 0u);
+  return at - 1;
+}
+
+void expect_kind_byte_rejected(const std::string& fields, std::uint8_t original,
+                               std::uint8_t first_bad, const std::string& what) {
+  // ctest runs each case in its own process, in parallel: name files apart.
+  const std::string tag = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const TraceDatabase db = make_fixture_db();
+  const std::string flat = flat_bytes(db, tag + "_src.bin");
+  const std::size_t flat_at = kind_byte_at(flat, fields);
+  ASSERT_NE(flat_at, std::string::npos) << what;
+  ASSERT_EQ(static_cast<std::uint8_t>(flat[flat_at]), original) << what;
+
+  StoreDir store(tag + ".store");
+  tracedb::store::pack(db, store.path);
+  const std::string index_path = store.path + "/" + tracedb::store::kIndexFileName;
+  const tracedb::store::StoreIndex index = tracedb::store::parse_index(slurp(index_path));
+  std::size_t holder = index.sections.size();  // the section whose payload has the row
+  std::size_t section_at = std::string::npos;
+  for (std::size_t i = 0; i < index.sections.size(); ++i) {
+    if (index.sections[i].id == tracedb::store::kEventsSection) continue;
+    const std::size_t at = kind_byte_at(slurp(store.path + "/" + index.sections[i].file), fields);
+    if (at == std::string::npos) continue;
+    ASSERT_EQ(holder, index.sections.size()) << what << ": row in two sections";
+    holder = i;
+    section_at = at;
+  }
+  ASSERT_LT(holder, index.sections.size()) << what;
+  const auto& section = index.sections[holder];
+  const std::string section_path = store.path + "/" + section.file;
+  const std::string payload = slurp(section_path);
+
+  for (const std::uint8_t bad : {first_bad, std::uint8_t{0xFF}}) {
+    std::string edited = flat;
+    edited[flat_at] = static_cast<char>(bad);
+    const std::string path = temp_path(tag + ".bin");
+    spill(path, edited);
+    std::string error;
+    try {
+      (void)TraceDatabase::load(path);
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    fs::remove(path);
+    EXPECT_EQ(error, "tracedb: " + what + " in trace file " + path) << int{bad};
+
+    // The same byte in the store, with the section's checksum recomputed so
+    // the decoder, not the CRC, refuses it.
+    edited = payload;
+    edited[section_at] = static_cast<char>(bad);
+    spill(section_path, edited);
+    tracedb::store::StoreIndex patched = index;
+    patched.sections[holder].crc = support::crc32(edited.data(), edited.size());
+    spill(index_path, tracedb::store::encode_index(patched));
+    EXPECT_EQ(expect_store_error(store.path, tracedb::store::kAllSections),
+              "store: " + what + " in " + tracedb::store::section_name(section.id) +
+                  " section " + section.file)
+        << int{bad};
+  }
+}
+
+TEST(TraceStore, OutOfRangeCallNameTypeIsRejected) {
+  // {1, ecall, 7, "process"}: the type byte precedes the call id.
+  expect_kind_byte_rejected(le32(7) + le32(7) + "process", 0, 2, "unknown call type");
+}
+
+TEST(TraceStore, OutOfRangeMetricSeriesKindIsRejected) {
+  // The gauge "epc_used": the kind byte precedes the name.
+  expect_kind_byte_rejected(le32(8) + "epc_used", 1, 2, "unknown metric kind");
+}
+
+TEST(TraceStore, OutOfRangeLatencyTypeIsRejected) {
+  // Ecall 7's latency row: call id, count 10, sum 9,000.
+  expect_kind_byte_rejected(le32(7) + le64(10) + le64(9'000), 0, 2, "unknown call type");
+}
+
+TEST(TraceStore, OutOfRangeWindowSiteTypeIsRejected) {
+  // Window 0's site row (call id, 10 calls, 0 AEXs, p50 900, p99 950), told
+  // from window 1's by the next row's window index and enclave.
+  expect_kind_byte_rejected(
+      le32(7) + le64(10) + le64(0) + le64(900) + le64(950) + le32(1) + le64(1), 0, 2,
+      "unknown call type");
+}
+
+TEST(TraceStore, OutOfRangeAlertTypeIsRejected) {
+  // The short-calls alert: call id, onset 1,200, resolved 2,400.
+  expect_kind_byte_rejected(le32(7) + le64(1'200) + le64(2'400), 0, 2, "unknown call type");
+}
+
 TEST(TraceStore, RebasedCallParentThatWouldOverflowIsRejected) {
   // The largest parent index a row can hold, plus a rebase of one from the
   // directory: the sum wraps to a negative index, which is not an earlier
