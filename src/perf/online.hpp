@@ -20,11 +20,11 @@
 //
 // On top of the shared detectors, fixed-interval *windows* (virtual-time
 // aligned, so replays are deterministic) cut per-site rate/percentile
-// snapshots (each site's window-local HDR, telemetry::WindowedHdr, which
-// a close reads and then zeroes over the buckets it touched) and run EWMA+CUSUM
-// change detection over per-window mean latency (AlertKind::kLatencyShift —
-// an online-only signal with no post-mortem analogue).  Windows, per-site
-// window rows and the full alert history persist as the v5 trace tables.
+// snapshots from each site's window-local HDR (telemetry::WindowedHdr) and
+// run EWMA+CUSUM change detection over per-window mean latency
+// (AlertKind::kLatencyShift — an online-only signal with no post-mortem
+// analogue).  Windows, per-site window rows and the full alert history
+// persist as the v5 trace tables.
 //
 // Threading: single-consumer.  feed()/on_window()/finish() belong to one
 // monitoring thread; the producers are the traced workload threads on the
@@ -95,7 +95,7 @@ class OnlineAnalyzer {
   using AlertSink = std::function<void(const tracedb::AlertRecord&, bool resolved)>;
   /// Invoked each time a window closes, with the window row and one
   /// snapshot per site that completed a call inside it.  The HDR deltas are
-  /// only materialised when a window sink is installed.
+  /// only copied when a window sink is installed.
   using WindowSink =
       std::function<void(const tracedb::WindowRecord&, const std::vector<WindowSiteSnapshot>&)>;
 
