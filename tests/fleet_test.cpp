@@ -28,6 +28,7 @@
 #include "fleet/corpus.hpp"
 #include "fleet/server.hpp"
 #include "fleet/wire.hpp"
+#include "support/crc32.hpp"
 #include "telemetry/hdr_histogram.hpp"
 #include "tracedb/database.hpp"
 #include "tracedb/open.hpp"
@@ -543,6 +544,35 @@ std::string query_matrix() {
            hex64(fnv1a(saved)) + "\n";
   }
   return out;
+}
+
+// Every default-corpus producer's wire stream, pinned by CRC32 and frame
+// count: the lock behind any change to frame encoding.
+TEST(FleetLocks, CorpusStreamsMatchGoldenDigest) {
+  struct Pinned {
+    std::uint32_t crc;
+    std::size_t frames;
+  };
+  constexpr Pinned kPinned[] = {
+      {0xf2e16832u, 24},  // stress_cpu
+      {0xa745808au, 43},  // stress_storm
+      {0x540ecc2eu, 26},  // stress_vm
+      {0x1310258au, 31},  // stress_order
+  };
+  const fleet::CorpusConfig config = fleet::default_corpus();
+  ASSERT_EQ(config.producers.size(), std::size(kPinned));
+  for (std::size_t i = 0; i < config.producers.size(); ++i) {
+    const auto& spec = config.producers[i];
+    const std::string bytes = fleet::run_corpus_producer(spec, config);
+    fleet::FrameParser parser;
+    parser.push(bytes);
+    std::size_t frames = 0;
+    while (parser.next()) ++frames;
+    ASSERT_FALSE(parser.error()) << spec.enclave << ": " << parser.error_message();
+    const std::uint32_t crc = support::crc32(bytes.data(), bytes.size());
+    EXPECT_EQ(crc, kPinned[i].crc) << spec.enclave << " stream crc32 is 0x" << std::hex << crc;
+    EXPECT_EQ(frames, kPinned[i].frames) << spec.enclave;
+  }
 }
 
 TEST(FleetLocks, QueryMatrixOnChunkedCorpusMatchesGoldenFile) {
