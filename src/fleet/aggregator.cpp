@@ -24,6 +24,8 @@ std::vector<std::string> tokenize(const std::string& line) {
   return out;
 }
 
+}  // namespace
+
 std::string error_json(const std::string& message) {
   support::json::Writer w;
   w.begin_object();
@@ -32,8 +34,6 @@ std::string error_json(const std::string& message) {
   w.end_object();
   return w.take();
 }
-
-}  // namespace
 
 Aggregator::Aggregator(AggregatorConfig config) : config_(config) {
   if (config_.retention_windows == 0) config_.retention_windows = 1;
@@ -74,7 +74,7 @@ void Aggregator::disconnect(ProducerId id) {
 
 void Aggregator::apply(Producer& p, const Frame& frame) {
   if (const auto* hello = std::get_if<HelloFrame>(&frame)) {
-    if (hello->version > kWireVersion) {
+    if (hello->version != kWireVersion) {
       p.state.error = support::format("unsupported wire version %u", hello->version);
       return;
     }
@@ -201,7 +201,15 @@ void Aggregator::apply_window(Producer& p, const WindowFrame& f) {
 void Aggregator::apply_alert(Producer& p, const AlertFrame& f) {
   const SiteKey key{p.state.host, p.state.enclave, f.site_name, f.alert.type};
   const auto alert_key = std::make_pair(key, f.alert.kind);
-  if (config_.max_keys_per_producer != 0 && alerts_.find(alert_key) == alerts_.end()) {
+  const auto known = alerts_.find(alert_key);
+  // The frame's own row was checked on decode; a resolve can still predate
+  // the raise before it, which the checkpoint's alert row would not load.
+  if (f.resolved && known != alerts_.end() && f.alert.resolved_ns != 0 &&
+      f.alert.resolved_ns < known->second.onset_ns) {
+    p.state.error = "alert resolved before its raise";
+    return;
+  }
+  if (config_.max_keys_per_producer != 0 && known == alerts_.end()) {
     if (p.keys_created >= config_.max_keys_per_producer) {
       p.state.error = support::format("fleet key cap exceeded (%zu distinct keys)",
                                       config_.max_keys_per_producer);

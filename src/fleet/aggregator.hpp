@@ -181,6 +181,9 @@ struct ServeSelfStats {
 
 using ProducerId = std::uint64_t;
 
+/// The query protocol's typed error document: {"schema_version", "error"}.
+[[nodiscard]] std::string error_json(const std::string& message);
+
 class Aggregator {
  public:
   explicit Aggregator(AggregatorConfig config = {});

@@ -1,5 +1,6 @@
 #include "fleet/server.hpp"
 
+#include "support/strutil.hpp"
 #include "telemetry/prometheus.hpp"
 #include "tracedb/open.hpp"
 
@@ -364,14 +365,20 @@ std::uint64_t Server::run() {
         continue;
       }
       if (conn.is_query) {
+        const std::size_t scanned = conn.request.size();
         conn.request.append(buf, static_cast<std::size_t>(n));
-        const auto eol = conn.request.find('\n');
-        if (eol != std::string::npos) {
+        const auto eol = conn.request.find('\n', scanned);
+        if (std::min(eol, conn.request.size()) > kMaxRequestBytes) {
+          conn.response = error_json(support::format("request line longer than %zu bytes",
+                                                     kMaxRequestBytes)) + "\n";
+        } else if (eol != std::string::npos) {
           conn.request.resize(eol);
           conn.response = answer_query(conn.request) + "\n";
-          conn.last_progress = Clock::now();
-          if (drain_response(conn)) close_connection(conn);
+        } else {
+          continue;
         }
+        conn.last_progress = Clock::now();
+        if (drain_response(conn)) close_connection(conn);
       } else {
         bytes_ingested_.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
         agg_.ingest(conn.producer, buf, static_cast<std::size_t>(n));

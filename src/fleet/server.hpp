@@ -57,6 +57,11 @@ struct ServerConfig {
 
 class Server {
  public:
+  /// Longest query request line read before the client gets an error and is
+  /// closed; a `series` line names a host and an enclave of at most 65,535
+  /// bytes each, far below it.
+  static constexpr std::size_t kMaxRequestBytes = 256 * 1024;
+
   explicit Server(ServerConfig config);
   ~Server();
 

@@ -1,276 +1,184 @@
 #include "fleet/wire.hpp"
 
+#include <iterator>
+#include <stdexcept>
+
 #include "support/strutil.hpp"
 #include "telemetry/hdr_histogram.hpp"
+#include "tracedb/codec.hpp"
 
 namespace fleet {
 namespace {
 
-void put_u8(std::string& out, std::uint8_t v) { out.push_back(static_cast<char>(v)); }
+namespace codec = tracedb::codec;
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_string(std::string& out, const std::string& s) {
+/// Wire strings are u16-length-prefixed; a longer string is cut at 65,535
+/// bytes.
+void write_str16(codec::BufWriter& w, const std::string& s) {
   const std::size_t n = std::min<std::size_t>(s.size(), 0xffff);
-  put_u16(out, static_cast<std::uint16_t>(n));
-  out.append(s.data(), n);
+  w.u16(static_cast<std::uint16_t>(n));
+  w.bytes(s.data(), n);
 }
 
-/// Wraps `payload` in the frame header and appends it to `out`.
-void put_frame(std::string& out, FrameType type, const std::string& payload) {
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u8(out, static_cast<std::uint8_t>(type));
-  out += payload;
+std::string read_str16(codec::SpanReader& r) {
+  const std::uint16_t n = r.u16();
+  return std::string(r.take(n), n);
 }
 
-/// Bounds-checked big-endian-free reader over one frame payload.
-class Cursor {
- public:
-  Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
+/// Appends the frame header and `payload` to `out`.
+void append_frame(std::string& out, FrameType type, const codec::BufWriter& payload) {
+  codec::BufWriter header;
+  header.u32(static_cast<std::uint32_t>(payload.size()));
+  header.u8(static_cast<std::uint8_t>(type));
+  out += header.str_ref();
+  out += payload.str_ref();
+}
 
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  [[nodiscard]] bool done() const noexcept { return pos_ == size_; }
+/// Encoded bytes of the smallest window site (empty name, no buckets).
+constexpr std::size_t kMinSiteBytes = 8 + 1 + 4 + 2 + 8 * 6 + 4;
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(take(1) ? byte(pos_ - 1) : 0); }
-
-  std::uint16_t u16() {
-    if (!take(2)) return 0;
-    return static_cast<std::uint16_t>(byte(pos_ - 2) | (byte(pos_ - 1) << 8));
+/// Decodes one frame payload; throws std::runtime_error on malformed bytes.
+Frame decode_payload(FrameType type, const char* data, std::size_t size) {
+  static constexpr const char* kNames[] = {"hello frame", "window frame", "alert frame",
+                                           "stats frame", "bye frame"};
+  const auto index = static_cast<std::size_t>(type) - 1;
+  if (index >= std::size(kNames)) {
+    throw std::runtime_error(
+        support::format("fleet: unknown frame type %u", static_cast<unsigned>(type)));
   }
-
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(byte(pos_ - 4 + i)) << (8 * i);
-    return v;
-  }
-
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(byte(pos_ - 8 + i)) << (8 * i);
-    return v;
-  }
-
-  std::string str() {
-    const std::uint16_t n = u16();
-    if (!take(n)) return {};
-    return std::string(data_ + pos_ - n, n);
-  }
-
- private:
-  [[nodiscard]] std::uint8_t byte(std::size_t i) const {
-    return static_cast<std::uint8_t>(data_[i]);
-  }
-
-  bool take(std::size_t n) {
-    if (!ok_ || size_ - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    pos_ += n;
-    return true;
-  }
-
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-std::optional<Frame> decode_payload(FrameType type, const char* data, std::size_t size,
-                                    std::string& error) {
-  Cursor c(data, size);
+  codec::SpanReader r(data, size, "fleet", kNames[index]);
   Frame frame;
   switch (type) {
     case FrameType::kHello: {
       HelloFrame f;
-      f.version = c.u16();
-      f.hdr_sub_bits = c.u8();
-      f.hdr_max_exponent = c.u8();
-      f.window_ns = c.u64();
-      f.host = c.str();
-      f.enclave = c.str();
+      f.version = r.u16();
+      f.hdr_sub_bits = r.u8();
+      f.hdr_max_exponent = r.u8();
+      f.window_ns = r.u64();
+      f.host = read_str16(r);
+      f.enclave = read_str16(r);
       frame = std::move(f);
       break;
     }
     case FrameType::kWindow: {
       WindowFrame f;
-      auto& w = f.window;
-      w.window_index = c.u32();
-      w.start_ns = c.u64();
-      w.end_ns = c.u64();
-      w.calls = c.u64();
-      w.aexs = c.u64();
-      w.page_ins = c.u64();
-      w.page_outs = c.u64();
-      w.stream_dropped = c.u64();
-      w.switchless_calls = c.u64();
-      w.switchless_fallbacks = c.u64();
-      w.switchless_wasted_ns = c.u64();
-      w.active_alerts = c.u32();
-      const std::uint32_t site_count = c.u32();
-      for (std::uint32_t i = 0; i < site_count && c.ok(); ++i) {
-        WireSite s;
-        s.row.window_index = w.window_index;
-        s.row.enclave_id = c.u64();
-        s.row.type = c.u8() == 0 ? tracedb::CallType::kEcall : tracedb::CallType::kOcall;
-        s.row.call_id = c.u32();
-        s.name = c.str();
-        s.row.calls = c.u64();
-        s.row.aex_count = c.u64();
-        s.row.p50_ns = c.u64();
-        s.row.p99_ns = c.u64();
-        s.delta_count = c.u64();
-        s.delta_sum = c.u64();
-        const std::uint32_t pairs = c.u32();
-        for (std::uint32_t p = 0; p < pairs && c.ok(); ++p) {
-          const std::uint32_t bucket = c.u32();
-          const std::uint64_t count = c.u64();
-          s.buckets.emplace_back(bucket, count);
+      f.window = codec::read_window(r);
+      const std::uint32_t site_count = r.u32();
+      r.check_rows(site_count, kMinSiteBytes, "window-site");
+      f.sites.reserve(site_count);
+      for (std::uint32_t i = 0; i < site_count; ++i) {
+        WireSite& s = f.sites.emplace_back();
+        s.row.window_index = f.window.window_index;
+        s.row.enclave_id = r.u64();
+        s.row.type = codec::read_call_type(r);
+        s.row.call_id = r.u32();
+        s.name = read_str16(r);
+        s.row.calls = r.u64();
+        s.row.aex_count = r.u64();
+        s.row.p50_ns = r.u64();
+        s.row.p99_ns = r.u64();
+        s.delta_count = r.u64();
+        s.delta_sum = r.u64();
+        const std::uint32_t pairs = r.u32();
+        r.check_rows(pairs, 4 + 8, "bucket");
+        s.buckets.reserve(pairs);
+        for (std::uint32_t p = 0; p < pairs; ++p) {
+          const std::uint32_t bucket = r.u32();
+          s.buckets.emplace_back(bucket, r.u64());
         }
-        f.sites.push_back(std::move(s));
       }
       frame = std::move(f);
       break;
     }
     case FrameType::kAlert: {
       AlertFrame f;
-      f.resolved = c.u8() != 0;
-      const std::uint8_t kind = c.u8();
-      if (kind >= tracedb::kAlertKindCount) {
-        error = "alert frame with unknown kind";
-        return std::nullopt;
-      }
-      f.alert.kind = static_cast<tracedb::AlertKind>(kind);
-      f.alert.enclave_id = c.u64();
-      f.alert.type = c.u8() == 0 ? tracedb::CallType::kEcall : tracedb::CallType::kOcall;
-      f.alert.call_id = c.u32();
-      f.alert.onset_ns = c.u64();
-      f.alert.resolved_ns = c.u64();
-      f.alert.window_index = c.u32();
-      f.alert.detail = c.u64();
-      f.site_name = c.str();
+      f.resolved = r.u8() != 0;
+      f.alert = codec::read_alert(r);
+      f.site_name = read_str16(r);
       frame = std::move(f);
       break;
     }
     case FrameType::kStats: {
       StatsFrame f;
-      f.events = c.u64();
-      f.stream_dropped = c.u64();
-      f.sealed_dropped = c.u64();
-      f.pending_evicted = c.u64();
-      frame = std::move(f);
+      f.events = r.u64();
+      f.stream_dropped = r.u64();
+      f.sealed_dropped = r.u64();
+      f.pending_evicted = r.u64();
+      frame = f;
       break;
     }
-    case FrameType::kBye: {
-      ByeFrame f;
-      f.end_ns = c.u64();
-      frame = std::move(f);
+    case FrameType::kBye:
+      frame = ByeFrame{r.u64()};
       break;
-    }
-    default:
-      error = support::format("unknown frame type %u", static_cast<unsigned>(type));
-      return std::nullopt;
   }
-  if (!c.ok() || !c.done()) {
-    error = support::format("malformed frame payload (type %u, %zu bytes)",
-                            static_cast<unsigned>(type), size);
-    return std::nullopt;
-  }
+  if (r.remaining() != 0) r.fail("trailing bytes");
   return frame;
 }
 
 }  // namespace
 
-void encode_magic(std::string& out) { put_u32(out, kWireMagic); }
+void encode_magic(std::string& out) {
+  codec::BufWriter w;
+  w.u32(kWireMagic);
+  out += w.str_ref();
+}
 
 void encode(std::string& out, const HelloFrame& f) {
-  std::string p;
-  put_u16(p, f.version);
-  put_u8(p, f.hdr_sub_bits);
-  put_u8(p, f.hdr_max_exponent);
-  put_u64(p, f.window_ns);
-  put_string(p, f.host);
-  put_string(p, f.enclave);
-  put_frame(out, FrameType::kHello, p);
+  codec::BufWriter p;
+  p.u16(f.version);
+  p.u8(f.hdr_sub_bits);
+  p.u8(f.hdr_max_exponent);
+  p.u64(f.window_ns);
+  write_str16(p, f.host);
+  write_str16(p, f.enclave);
+  append_frame(out, FrameType::kHello, p);
 }
 
 void encode(std::string& out, const WindowFrame& f) {
-  std::string p;
-  const auto& w = f.window;
-  put_u32(p, w.window_index);
-  put_u64(p, w.start_ns);
-  put_u64(p, w.end_ns);
-  put_u64(p, w.calls);
-  put_u64(p, w.aexs);
-  put_u64(p, w.page_ins);
-  put_u64(p, w.page_outs);
-  put_u64(p, w.stream_dropped);
-  put_u64(p, w.switchless_calls);
-  put_u64(p, w.switchless_fallbacks);
-  put_u64(p, w.switchless_wasted_ns);
-  put_u32(p, w.active_alerts);
-  put_u32(p, static_cast<std::uint32_t>(f.sites.size()));
+  codec::BufWriter p;
+  codec::write_window(p, f.window);
+  p.u32(static_cast<std::uint32_t>(f.sites.size()));
   for (const auto& s : f.sites) {
-    put_u64(p, s.row.enclave_id);
-    put_u8(p, s.row.type == tracedb::CallType::kEcall ? 0 : 1);
-    put_u32(p, s.row.call_id);
-    put_string(p, s.name);
-    put_u64(p, s.row.calls);
-    put_u64(p, s.row.aex_count);
-    put_u64(p, s.row.p50_ns);
-    put_u64(p, s.row.p99_ns);
-    put_u64(p, s.delta_count);
-    put_u64(p, s.delta_sum);
-    put_u32(p, static_cast<std::uint32_t>(s.buckets.size()));
+    p.u64(s.row.enclave_id);
+    p.u8(static_cast<std::uint8_t>(s.row.type));
+    p.u32(s.row.call_id);
+    write_str16(p, s.name);
+    p.u64(s.row.calls);
+    p.u64(s.row.aex_count);
+    p.u64(s.row.p50_ns);
+    p.u64(s.row.p99_ns);
+    p.u64(s.delta_count);
+    p.u64(s.delta_sum);
+    p.u32(static_cast<std::uint32_t>(s.buckets.size()));
     for (const auto& [bucket, count] : s.buckets) {
-      put_u32(p, bucket);
-      put_u64(p, count);
+      p.u32(bucket);
+      p.u64(count);
     }
   }
-  put_frame(out, FrameType::kWindow, p);
+  append_frame(out, FrameType::kWindow, p);
 }
 
 void encode(std::string& out, const AlertFrame& f) {
-  std::string p;
-  put_u8(p, f.resolved ? 1 : 0);
-  put_u8(p, static_cast<std::uint8_t>(f.alert.kind));
-  put_u64(p, f.alert.enclave_id);
-  put_u8(p, f.alert.type == tracedb::CallType::kEcall ? 0 : 1);
-  put_u32(p, f.alert.call_id);
-  put_u64(p, f.alert.onset_ns);
-  put_u64(p, f.alert.resolved_ns);
-  put_u32(p, f.alert.window_index);
-  put_u64(p, f.alert.detail);
-  put_string(p, f.site_name);
-  put_frame(out, FrameType::kAlert, p);
+  codec::BufWriter p;
+  p.u8(f.resolved ? 1 : 0);
+  codec::write_alert(p, f.alert);
+  write_str16(p, f.site_name);
+  append_frame(out, FrameType::kAlert, p);
 }
 
 void encode(std::string& out, const StatsFrame& f) {
-  std::string p;
-  put_u64(p, f.events);
-  put_u64(p, f.stream_dropped);
-  put_u64(p, f.sealed_dropped);
-  put_u64(p, f.pending_evicted);
-  put_frame(out, FrameType::kStats, p);
+  codec::BufWriter p;
+  p.u64(f.events);
+  p.u64(f.stream_dropped);
+  p.u64(f.sealed_dropped);
+  p.u64(f.pending_evicted);
+  append_frame(out, FrameType::kStats, p);
 }
 
 void encode(std::string& out, const ByeFrame& f) {
-  std::string p;
-  put_u64(p, f.end_ns);
-  put_frame(out, FrameType::kBye, p);
+  codec::BufWriter p;
+  p.u64(f.end_ns);
+  append_frame(out, FrameType::kBye, p);
 }
 
 // --- FrameSink --------------------------------------------------------------
@@ -382,39 +290,26 @@ std::optional<Frame> FrameParser::next() {
     buf_.erase(0, pos_);
     pos_ = 0;
   }
-  auto avail = [&] { return buf_.size() - pos_; };
-  if (!saw_magic_) {
-    if (avail() < 4) return std::nullopt;
-    std::uint32_t magic = 0;
-    for (int i = 0; i < 4; ++i) {
-      magic |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf_[pos_ + i])) << (8 * i);
+  codec::SpanReader in(buf_.data() + pos_, buf_.size() - pos_, "fleet", "stream");
+  try {
+    if (!saw_magic_) {
+      if (in.remaining() < 4) return std::nullopt;
+      if (in.u32() != kWireMagic) in.fail("bad magic");
+      pos_ += 4;
+      saw_magic_ = true;
     }
-    if (magic != kWireMagic) {
-      fail("bad stream magic");
-      return std::nullopt;
-    }
-    pos_ += 4;
-    saw_magic_ = true;
-  }
-  if (avail() < 5) return std::nullopt;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(buf_[pos_ + i])) << (8 * i);
-  }
-  if (len > kMaxPayload) {
-    fail(support::format("frame payload length %u exceeds limit", len));
+    if (in.remaining() < 5) return std::nullopt;
+    const std::uint32_t len = in.u32();
+    const auto type = static_cast<FrameType>(in.u8());
+    if (len > kMaxPayload) in.fail(support::format("frame payload length %u exceeds limit", len));
+    if (in.remaining() < len) return std::nullopt;
+    Frame frame = decode_payload(type, in.take(len), len);
+    pos_ += 5 + len;
+    return frame;
+  } catch (const std::runtime_error& e) {
+    fail(e.what());
     return std::nullopt;
   }
-  if (avail() < 5 + static_cast<std::size_t>(len)) return std::nullopt;
-  const auto type = static_cast<FrameType>(static_cast<std::uint8_t>(buf_[pos_ + 4]));
-  std::string error;
-  auto frame = decode_payload(type, buf_.data() + pos_ + 5, len, error);
-  if (!frame.has_value()) {
-    fail(std::move(error));
-    return std::nullopt;
-  }
-  pos_ += 5 + len;
-  return frame;
 }
 
 }  // namespace fleet

@@ -28,9 +28,12 @@
 //   kBye    — clean end of stream with the sealed end timestamp.  A stream
 //             that ends without kBye (producer died) is kept, flagged lossy.
 //
-// Decoding is incremental (FrameParser::push accepts arbitrary byte slices,
-// e.g. socket reads) and paranoid: every length is bounds-checked against
-// the frame, malformed input poisons the parser instead of the process.
+// Bytes are written and read with tracedb::codec, and the window and alert
+// frames carry that codec's window and alert rows, so a row the wire admits
+// passes the trace formats' checks too.  Decoding is incremental
+// (FrameParser::push accepts arbitrary byte slices, e.g. socket reads) and
+// paranoid: every length is bounds-checked against the frame, malformed
+// input poisons the parser instead of the process.
 #pragma once
 
 #include <cstddef>
@@ -165,7 +168,8 @@ class FrameSink : public perf::MonitorSink {
 
 /// Incremental frame decoder: push() arbitrary byte slices, then drain
 /// next() until it returns nullopt.  A framing violation (bad magic, bogus
-/// length, truncated payload) latches error() — further input is ignored,
+/// length, truncated payload) or a row the codec refuses latches the typed
+/// message as error() — further input is ignored,
 /// which is exactly how the aggregator quarantines a misbehaving producer.
 class FrameParser {
  public:

@@ -1,4 +1,5 @@
-// Row codec shared by the flat file and the SGXSTORE sections; see codec.hpp.
+// Row codec shared by the flat file, the SGXSTORE sections and the fleet
+// wire; see codec.hpp.
 #include "tracedb/codec.hpp"
 
 #include <fcntl.h>
@@ -106,6 +107,10 @@ Enum read_kind(SpanReader& r, const char* what) {
 }  // namespace
 
 // --- plumbing ----------------------------------------------------------------
+
+CallType read_call_type(SpanReader& r) {
+  return read_kind<CallType, kCallTypeCount>(r, "unknown call type");
+}
 
 void BufWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -342,7 +347,7 @@ void read_call_names(SpanReader& r, std::vector<CallNameRecord>& out) {
   for (std::uint64_t i = 0; i < n; ++i) {
     CallNameRecord name;
     name.enclave_id = r.u64();
-    name.type = read_kind<CallType, kCallTypeCount>(r, "unknown call type");
+    name.type = read_call_type(r);
     name.call_id = r.u32();
     name.name = r.str();
     out.push_back(std::move(name));
@@ -422,7 +427,7 @@ void read_latencies(SpanReader& r, std::vector<LatencyRecord>& out) {
   for (std::uint64_t i = 0; i < n; ++i) {
     LatencyRecord l;
     l.enclave_id = r.u64();
-    l.type = read_kind<CallType, kCallTypeCount>(r, "unknown call type");
+    l.type = read_call_type(r);
     l.call_id = r.u32();
     l.count = r.u64();
     l.sum_ns = r.u64();
@@ -438,44 +443,48 @@ void read_latencies(SpanReader& r, std::vector<LatencyRecord>& out) {
   }
 }
 
+void write_window(BufWriter& w, const WindowRecord& win) {
+  w.u32(win.window_index);
+  w.u64(win.start_ns);
+  w.u64(win.end_ns);
+  w.u64(win.calls);
+  w.u64(win.aexs);
+  w.u64(win.page_ins);
+  w.u64(win.page_outs);
+  w.u64(win.stream_dropped);
+  w.u64(win.switchless_calls);
+  w.u64(win.switchless_fallbacks);
+  w.u64(win.switchless_wasted_ns);
+  w.u32(win.active_alerts);
+}
+
+WindowRecord read_window(SpanReader& r) {
+  WindowRecord win;
+  win.window_index = r.u32();
+  win.start_ns = r.u64();
+  win.end_ns = r.u64();
+  win.calls = r.u64();
+  win.aexs = r.u64();
+  win.page_ins = r.u64();
+  win.page_outs = r.u64();
+  win.stream_dropped = r.u64();
+  win.switchless_calls = r.u64();
+  win.switchless_fallbacks = r.u64();
+  win.switchless_wasted_ns = r.u64();
+  win.active_alerts = r.u32();
+  if (win.end_ns < win.start_ns) r.fail("malformed window interval");
+  return win;
+}
+
 void write_windows(BufWriter& w, std::span<const WindowRecord> rows) {
   w.u64(rows.size());
-  for (const auto& win : rows) {
-    w.u32(win.window_index);
-    w.u64(win.start_ns);
-    w.u64(win.end_ns);
-    w.u64(win.calls);
-    w.u64(win.aexs);
-    w.u64(win.page_ins);
-    w.u64(win.page_outs);
-    w.u64(win.stream_dropped);
-    w.u64(win.switchless_calls);
-    w.u64(win.switchless_fallbacks);
-    w.u64(win.switchless_wasted_ns);
-    w.u32(win.active_alerts);
-  }
+  for (const auto& win : rows) write_window(w, win);
 }
 
 void read_windows(SpanReader& r, std::vector<WindowRecord>& out) {
   const std::uint64_t n = r.u64();
   reserve_rows(r, n, 4 + 8 * 10 + 4, "window", out);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    WindowRecord win;
-    win.window_index = r.u32();
-    win.start_ns = r.u64();
-    win.end_ns = r.u64();
-    win.calls = r.u64();
-    win.aexs = r.u64();
-    win.page_ins = r.u64();
-    win.page_outs = r.u64();
-    win.stream_dropped = r.u64();
-    win.switchless_calls = r.u64();
-    win.switchless_fallbacks = r.u64();
-    win.switchless_wasted_ns = r.u64();
-    win.active_alerts = r.u32();
-    if (win.end_ns < win.start_ns) r.fail("malformed window interval");
-    out.push_back(win);
-  }
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(read_window(r));
 }
 
 void write_window_sites(BufWriter& w, std::span<const WindowSiteRecord> rows) {
@@ -500,7 +509,7 @@ void read_window_sites(SpanReader& r, std::vector<WindowSiteRecord>& out,
     WindowSiteRecord site;
     site.window_index = r.u32();
     site.enclave_id = r.u64();
-    site.type = read_kind<CallType, kCallTypeCount>(r, "unknown call type");
+    site.type = read_call_type(r);
     site.call_id = r.u32();
     site.calls = r.u64();
     site.aex_count = r.u64();
@@ -511,38 +520,42 @@ void read_window_sites(SpanReader& r, std::vector<WindowSiteRecord>& out,
   }
 }
 
+void write_alert(BufWriter& w, const AlertRecord& alert) {
+  w.u8(static_cast<std::uint8_t>(alert.kind));
+  w.u64(alert.enclave_id);
+  w.u8(static_cast<std::uint8_t>(alert.type));
+  w.u32(alert.call_id);
+  w.u64(alert.onset_ns);
+  w.u64(alert.resolved_ns);
+  w.u32(alert.window_index);
+  w.u64(alert.detail);
+}
+
+AlertRecord read_alert(SpanReader& r) {
+  AlertRecord alert;
+  alert.kind = read_kind<AlertKind, kAlertKindCount>(r, "unknown alert kind");
+  alert.enclave_id = r.u64();
+  alert.type = read_call_type(r);
+  alert.call_id = r.u32();
+  alert.onset_ns = r.u64();
+  alert.resolved_ns = r.u64();
+  alert.window_index = r.u32();
+  alert.detail = r.u64();
+  if (alert.resolved_ns != 0 && alert.resolved_ns < alert.onset_ns) {
+    r.fail("alert resolved before onset");
+  }
+  return alert;
+}
+
 void write_alerts(BufWriter& w, std::span<const AlertRecord> rows) {
   w.u64(rows.size());
-  for (const auto& alert : rows) {
-    w.u8(static_cast<std::uint8_t>(alert.kind));
-    w.u64(alert.enclave_id);
-    w.u8(static_cast<std::uint8_t>(alert.type));
-    w.u32(alert.call_id);
-    w.u64(alert.onset_ns);
-    w.u64(alert.resolved_ns);
-    w.u32(alert.window_index);
-    w.u64(alert.detail);
-  }
+  for (const auto& alert : rows) write_alert(w, alert);
 }
 
 void read_alerts(SpanReader& r, std::vector<AlertRecord>& out) {
   const std::uint64_t n = r.u64();
   reserve_rows(r, n, 1 + 8 + 1 + 4 + 8 + 8 + 4 + 8, "alert", out);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    AlertRecord alert;
-    alert.kind = read_kind<AlertKind, kAlertKindCount>(r, "unknown alert kind");
-    alert.enclave_id = r.u64();
-    alert.type = read_kind<CallType, kCallTypeCount>(r, "unknown call type");
-    alert.call_id = r.u32();
-    alert.onset_ns = r.u64();
-    alert.resolved_ns = r.u64();
-    alert.window_index = r.u32();
-    alert.detail = r.u64();
-    if (alert.resolved_ns != 0 && alert.resolved_ns < alert.onset_ns) {
-      r.fail("alert resolved before onset");
-    }
-    out.push_back(alert);
-  }
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(read_alert(r));
 }
 
 void write_order_rules(BufWriter& w, std::span<const OrderRuleRecord> rows) {

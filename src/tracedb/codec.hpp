@@ -1,10 +1,15 @@
-// Row codec shared by both on-disk forms of a TraceDatabase (internal).
+// The tool's one byte codec: every row of a TraceDatabase table, on disk
+// and on the fleet wire.
 //
 // The flat SGXPTRC6 file (serialize.cpp) and the SGXSTORE sections
-// (store/format.cpp) frame the tables differently, but each table's rows
-// are written by exactly one write_* function here and read back by exactly
-// one read_*.  Integers are little-endian fixed-width; strings are
-// u32-length-prefixed; doubles are stored as their IEEE-754 bit pattern.
+// (store/format.cpp) frame the tables differently, and the fleet wire
+// (fleet/wire.cpp) carries single window and alert rows inside its frames,
+// but each table's rows are written by exactly one write_* function here
+// and read back by exactly one read_*.  The window and alert tables loop
+// over write_window/read_window and write_alert/read_alert, which the
+// wire's frames call too.  Integers are little-endian fixed-width; strings
+// are u32-length-prefixed here (the wire writes its own u16 ones); doubles
+// are stored as their IEEE-754 bit pattern.
 //
 // The readers also hold every structural check, once: a row count is
 // bounded by 2^32 and by the bytes left to read before anything is
@@ -12,8 +17,9 @@
 // allocation; kind bytes must be in range; windows must be well-formed
 // intervals and window sites must name an existing window; an alert cannot
 // resolve before its onset; and the latency table's HDR bucket geometry
-// must match the compiled one.  Neither format can admit a row the other
-// would reject.
+// must match the compiled one.  Every failure is a std::runtime_error.  So
+// neither file format can admit a row the other would reject, and a window
+// or alert row the wire admits is one a checkpoint of it can load.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +47,7 @@ class BufWriter {
  public:
   void bytes(const void* p, std::size_t n) { out_.append(static_cast<const char*>(p), n); }
   void u8(std::uint8_t v) { bytes(&v, 1); }
+  void u16(std::uint16_t v) { bytes(&v, 2); }
   void u32(std::uint32_t v) { bytes(&v, 4); }
   void u64(std::uint64_t v) { bytes(&v, 8); }
   void f64(double v);
@@ -74,6 +81,7 @@ class SpanReader {
   }
   void bytes(void* out, std::size_t n) { std::memcpy(out, take(n), n); }
   std::uint8_t u8() { std::uint8_t v; bytes(&v, 1); return v; }
+  std::uint16_t u16() { std::uint16_t v; bytes(&v, 2); return v; }
   std::uint32_t u32() { std::uint32_t v; bytes(&v, 4); return v; }
   std::uint64_t u64() { std::uint64_t v; bytes(&v, 8); return v; }
   double f64();
@@ -142,6 +150,15 @@ void write_metric_series(BufWriter& w, std::span<const MetricSeriesRecord> rows)
 void write_metric_samples(BufWriter& w, std::span<const MetricSampleRecord> rows);
 /// Preceded by the compiled HDR bucket geometry (sub_bits, max_exponent).
 void write_latencies(BufWriter& w, std::span<const LatencyRecord> rows);
+/// One window row, or one alert row: the tables below are a count and
+/// these rows, and the fleet wire's window and alert frames carry them.
+void write_window(BufWriter& w, const WindowRecord& row);
+void write_alert(BufWriter& w, const AlertRecord& row);
+[[nodiscard]] WindowRecord read_window(SpanReader& r);
+[[nodiscard]] AlertRecord read_alert(SpanReader& r);
+/// A call-type byte, which must name a CallType.
+[[nodiscard]] CallType read_call_type(SpanReader& r);
+
 void write_windows(BufWriter& w, std::span<const WindowRecord> rows);
 void write_window_sites(BufWriter& w, std::span<const WindowSiteRecord> rows);
 void write_alerts(BufWriter& w, std::span<const AlertRecord> rows);

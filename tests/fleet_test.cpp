@@ -72,6 +72,93 @@ std::string ingest_all(const std::vector<std::string>& streams, std::size_t chun
   return agg.snapshot_json();
 }
 
+/// Magic plus a hello frame of `version` with the compiled HDR geometry.
+std::string hello_stream(std::uint16_t version = fleet::kWireVersion) {
+  std::string bytes;
+  fleet::encode_magic(bytes);
+  fleet::HelloFrame hello;
+  hello.version = version;
+  hello.hdr_sub_bits = telemetry::hdr::kSubBits;
+  hello.hdr_max_exponent = telemetry::hdr::kMaxExponent;
+  hello.window_ns = 1'000'000;
+  hello.host = "host-x";
+  hello.enclave = "probe";
+  fleet::encode(bytes, hello);
+  return bytes;
+}
+
+/// A well-formed one-site window frame covering [index ms, index+1 ms).
+fleet::WindowFrame probe_window(std::uint32_t index) {
+  fleet::WindowFrame w;
+  w.window.window_index = index;
+  w.window.start_ns = index * 1'000'000ull;
+  w.window.end_ns = w.window.start_ns + 1'000'000;
+  w.window.calls = 2;
+  fleet::WireSite site;
+  site.name = "site";
+  site.row.calls = 2;
+  site.delta_count = 2;
+  site.delta_sum = 300;
+  site.buckets = {{1, 1}, {2, 1}};
+  w.sites.push_back(site);
+  return w;
+}
+
+fleet::AlertFrame probe_alert(bool resolved, std::uint64_t onset_ns, std::uint64_t resolved_ns) {
+  fleet::AlertFrame a;
+  a.resolved = resolved;
+  a.alert.kind = tracedb::AlertKind::kShortCalls;
+  a.alert.onset_ns = onset_ns;
+  a.alert.resolved_ns = resolved_ns;
+  a.site_name = "site";
+  return a;
+}
+
+/// The encoded frame, its payload cut short by `cut` bytes (the length
+/// prefix still matches what is left).
+template <class F>
+std::string frame_bytes(const F& frame, std::size_t cut = 0) {
+  std::string out;
+  fleet::encode(out, frame);
+  out.resize(out.size() - cut);
+  const auto len = static_cast<std::uint32_t>(out.size() - 5);
+  std::memcpy(out.data(), &len, 4);
+  return out;
+}
+
+struct MalformedCase {
+  const char* name;
+  std::string bytes;  // a whole producer stream
+  const char* error;  // expected in the producer's error
+};
+
+/// Streams whose frames are well framed but carry a row the trace formats
+/// would refuse: each must poison the wire parser.
+std::vector<MalformedCase> malformed_row_cases() {
+  std::vector<MalformedCase> cases;
+  const auto add = [&](const char* name, const std::string& frame, const char* error) {
+    cases.push_back({name, hello_stream() + frame_bytes(probe_window(0)) + frame, error});
+  };
+  fleet::WindowFrame inverted = probe_window(1);
+  inverted.window.end_ns = inverted.window.start_ns - 1;
+  add("window end before start", frame_bytes(inverted), "malformed window interval");
+  add("alert resolved before onset", frame_bytes(probe_alert(true, 2'000'000, 1'000'000)),
+      "alert resolved before onset");
+  fleet::WindowFrame bad_site = probe_window(1);
+  bad_site.sites[0].row.type = static_cast<tracedb::CallType>(2);
+  add("window site call type 2", frame_bytes(bad_site), "unknown call type");
+  fleet::AlertFrame bad_type = probe_alert(false, 1'000'000, 0);
+  bad_type.alert.type = static_cast<tracedb::CallType>(2);
+  add("alert call type 2", frame_bytes(bad_type), "unknown call type");
+  fleet::AlertFrame bad_kind = probe_alert(false, 1'000'000, 0);
+  bad_kind.alert.kind = static_cast<tracedb::AlertKind>(tracedb::kAlertKindCount);
+  add("alert kind out of range", frame_bytes(bad_kind), "unknown alert kind");
+  // The last bucket pair is 12 bytes; cut 6 of them.
+  add("window cut inside bucket pairs", frame_bytes(probe_window(1), 6),
+      "implausible bucket count in window frame");
+  return cases;
+}
+
 TEST(FleetWire, ProducerStreamRoundTrips) {
   fleet::CorpusConfig config = small_corpus();
   const auto& spec = config.producers[1];  // the transition-storm producer
@@ -158,6 +245,15 @@ TEST(FleetWire, ParserRejectsMalformedStreams) {
     while (parser.next()) {
     }
     EXPECT_TRUE(parser.error()) << "unknown frame type must poison the parser";
+  }
+  for (const auto& c : malformed_row_cases()) {
+    fleet::FrameParser parser;
+    parser.push(c.bytes);
+    std::size_t frames = 0;
+    while (parser.next()) ++frames;
+    EXPECT_EQ(frames, 2u) << c.name << ": hello and the good window decode";
+    EXPECT_NE(parser.error_message().find(c.error), std::string::npos)
+        << c.name << ": " << parser.error_message();
   }
 }
 
@@ -319,6 +415,37 @@ TEST(FleetAggregator, KeyCapQuarantinesRunawayProducer) {
   EXPECT_EQ(snapshot.find("\"site\":\"site_8\""), std::string::npos) << snapshot;
 }
 
+TEST(FleetAggregator, MalformedProducerIsQuarantinedAndCheckpointLoads) {
+  std::vector<MalformedCase> cases = malformed_row_cases();
+  // Each frame below is well-formed alone, so only the aggregator can see
+  // what is wrong.
+  cases.push_back({"wire version 0", hello_stream(0) + frame_bytes(probe_window(0)),
+                   "unsupported wire version 0"});
+  cases.push_back({"resolve before the raise",
+                   hello_stream() + frame_bytes(probe_window(0)) +
+                       frame_bytes(probe_alert(false, 2'000'000, 0)) +
+                       frame_bytes(probe_alert(true, 500, 1'000'000)),
+                   "alert resolved before its raise"});
+  const std::string path =
+      "/tmp/sgxperf_fleet_malformed_" + std::to_string(::getpid()) + ".trace";
+  for (const auto& c : cases) {
+    fleet::Aggregator agg;
+    const fleet::ProducerId id = agg.connect();
+    agg.ingest(id, c.bytes);
+    agg.disconnect(id);
+    const std::string snapshot = agg.snapshot_json();
+    EXPECT_NE(snapshot.find("\"drop_reasons\":[\"quarantined\""), std::string::npos)
+        << c.name << ": " << snapshot;
+    EXPECT_NE(snapshot.find(c.error), std::string::npos) << c.name << ": " << snapshot;
+
+    tracedb::TraceDatabase db;
+    agg.checkpoint(db);
+    tracedb::save_trace(db, path);
+    EXPECT_NO_THROW((void)tracedb::TraceDatabase::load(path)) << c.name;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(FleetServer, ConcurrentSocketProducersMatchInProcessMerge) {
   const fleet::CorpusConfig config = small_corpus();
   const auto streams = corpus_streams(config);
@@ -395,6 +522,47 @@ TEST(FleetServer, VanishedQueryClientDoesNotKillTheDaemon) {
   // The daemon is still alive and answering.
   const std::string got = fleet::query_server(sconfig.query_path, "alerts");
   EXPECT_NE(got.find("\"schema_version\":1"), std::string::npos) << got;
+
+  server.stop();
+  loop.join();
+  std::remove(sconfig.ingest_path.c_str());
+  std::remove(sconfig.query_path.c_str());
+}
+
+TEST(FleetServer, OverlongQueryLineGetsAnErrorAndTheDaemonAnswers) {
+  const std::string base = "/tmp/sgxperf_fleet_long_" + std::to_string(::getpid());
+  fleet::ServerConfig sconfig;
+  sconfig.ingest_path = base + ".ingest";
+  sconfig.query_path = base + ".query";
+  fleet::Server server(sconfig);
+  ASSERT_TRUE(server.start());
+  std::thread loop([&] { server.run(); });
+
+  // One byte over the cap and no newline: the daemon must answer with an
+  // error instead of buffering the line.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, sconfig.query_path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string line(fleet::Server::kMaxRequestBytes + 1, 'x');
+  for (std::size_t off = 0; off < line.size();) {
+    const ssize_t n = ::send(fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    off += static_cast<std::size_t>(n);
+  }
+  std::string response;
+  char buf[4096];
+  for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) > 0;) {
+    response.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_NE(response.find("\"error\":\"request line longer than"), std::string::npos)
+      << response;
+
+  const std::string status = fleet::query_server(sconfig.query_path, "status");
+  EXPECT_NE(status.find("\"daemon\""), std::string::npos) << status;
 
   server.stop();
   loop.join();
