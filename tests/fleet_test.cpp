@@ -519,48 +519,34 @@ TEST(FleetServer, VanishedQueryClientDoesNotKillTheDaemon) {
     ::close(fd);  // gone before reading a byte of the response
   }
 
+  // A client that sends one byte over the request cap and no newline gets
+  // the error document instead of a daemon that buffers without bound.
+  {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, sconfig.query_path.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+    const std::string line(fleet::Server::kMaxRequestBytes + 1, 'x');
+    for (std::size_t off = 0; off < line.size();) {
+      const ssize_t n = ::send(fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0);
+      off += static_cast<std::size_t>(n);
+    }
+    std::string response;
+    char buf[4096];
+    for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) > 0;) {
+      response.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    EXPECT_NE(response.find("\"error\":\"request line longer than"), std::string::npos)
+        << response;
+  }
+
   // The daemon is still alive and answering.
   const std::string got = fleet::query_server(sconfig.query_path, "alerts");
   EXPECT_NE(got.find("\"schema_version\":1"), std::string::npos) << got;
-
-  server.stop();
-  loop.join();
-  std::remove(sconfig.ingest_path.c_str());
-  std::remove(sconfig.query_path.c_str());
-}
-
-TEST(FleetServer, OverlongQueryLineGetsAnErrorAndTheDaemonAnswers) {
-  const std::string base = "/tmp/sgxperf_fleet_long_" + std::to_string(::getpid());
-  fleet::ServerConfig sconfig;
-  sconfig.ingest_path = base + ".ingest";
-  sconfig.query_path = base + ".query";
-  fleet::Server server(sconfig);
-  ASSERT_TRUE(server.start());
-  std::thread loop([&] { server.run(); });
-
-  // One byte over the cap and no newline: the daemon must answer with an
-  // error instead of buffering the line.
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, sconfig.query_path.c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
-  const std::string line(fleet::Server::kMaxRequestBytes + 1, 'x');
-  for (std::size_t off = 0; off < line.size();) {
-    const ssize_t n = ::send(fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
-    ASSERT_GT(n, 0);
-    off += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  for (ssize_t n; (n = ::read(fd, buf, sizeof buf)) > 0;) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  EXPECT_NE(response.find("\"error\":\"request line longer than"), std::string::npos)
-      << response;
-
   const std::string status = fleet::query_server(sconfig.query_path, "status");
   EXPECT_NE(status.find("\"daemon\""), std::string::npos) << status;
 
