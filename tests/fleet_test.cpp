@@ -132,12 +132,14 @@ struct MalformedCase {
   const char* error;  // expected in the producer's error
 };
 
-/// Streams whose frames are well framed but carry a row the trace formats
-/// would refuse: each must poison the wire parser.
+/// Streams of a hello, a good window and a raise, then a well-framed frame
+/// with a row the trace formats would refuse: each must poison the parser.
 std::vector<MalformedCase> malformed_row_cases() {
   std::vector<MalformedCase> cases;
+  const std::string good = hello_stream() + frame_bytes(probe_window(0)) +
+                           frame_bytes(probe_alert(false, 2'000'000, 0));
   const auto add = [&](const char* name, const std::string& frame, const char* error) {
-    cases.push_back({name, hello_stream() + frame_bytes(probe_window(0)) + frame, error});
+    cases.push_back({name, good + frame, error});
   };
   fleet::WindowFrame inverted = probe_window(1);
   inverted.window.end_ns = inverted.window.start_ns - 1;
@@ -251,7 +253,7 @@ TEST(FleetWire, ParserRejectsMalformedStreams) {
     parser.push(c.bytes);
     std::size_t frames = 0;
     while (parser.next()) ++frames;
-    EXPECT_EQ(frames, 2u) << c.name << ": hello and the good window decode";
+    EXPECT_EQ(frames, 3u) << c.name << ": the good frames decode";
     EXPECT_NE(parser.error_message().find(c.error), std::string::npos)
         << c.name << ": " << parser.error_message();
   }
