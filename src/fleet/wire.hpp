@@ -82,16 +82,13 @@ struct WireSite {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;  // sparse, ascending
 };
 
-/// u32 window_index | u64 start | u64 end | u64 calls | u64 aexs |
-/// u64 page_ins | u64 page_outs | u64 stream_dropped | u64 switchless×3 |
-/// u32 active_alerts | u32 site_count | site*
+/// window row (tracedb::codec::write_window) | u32 site_count | site*
 struct WindowFrame {
   tracedb::WindowRecord window;
   std::vector<WireSite> sites;
 };
 
-/// u8 resolved | u8 kind | u64 enclave_id | u8 type | u32 call_id |
-/// u64 onset | u64 resolved_ns | u32 window_index | u64 detail | string site
+/// u8 resolved | alert row (tracedb::codec::write_alert) | string site
 struct AlertFrame {
   tracedb::AlertRecord alert;
   bool resolved = false;
