@@ -22,8 +22,10 @@
 #include <utility>
 #include <vector>
 
+#include "perf/logger.hpp"
 #include "sgxsim/runtime.hpp"
 #include "stress/harness.hpp"
+#include "stress/stressor.hpp"
 #include "support/crc32.hpp"
 #include "tracedb/database.hpp"
 #include "tracedb/open.hpp"
@@ -331,6 +333,98 @@ TEST(TraceStore, EveryTableEncodesToPinnedBytes) {
   for (const auto& [file, crc] : sections) {
     const std::string bytes = slurp(store.path + "/" + file);
     EXPECT_EQ(support::crc32(bytes.data(), bytes.size()), crc) << file;
+  }
+}
+
+// Behaviour lock on what the logger's shard merge hands the two writers.
+// One recording is a single-thread `mixed` run stepped by hand with a
+// flush() half way, so its second merge appends to a non-empty database;
+// the other is a lockstep four-thread run, whose shards interleave.
+// Each recording's flat file and store sections are pinned by CRC32,
+// together with its merge statistics.
+struct RecordingLock {
+  std::uint32_t flat;
+  std::uint32_t meta, profile, alerts, events;
+  TraceDatabase::MergeStats stats;
+};
+
+void expect_recording_bytes(const TraceDatabase& db, const std::string& name,
+                            const RecordingLock& want) {
+  const std::string flat = flat_bytes(db, name + ".bin");
+  EXPECT_EQ(support::crc32(flat.data(), flat.size()), want.flat) << name;
+  StoreDir store(name + ".store");
+  tracedb::store::pack(db, store.path, {.chunk_calls = 512});
+  const std::pair<const char*, std::uint32_t> sections[] = {
+      {"meta.db", want.meta},
+      {"profile.db", want.profile},
+      {"alerts.db", want.alerts},
+      {"events.db", want.events},
+  };
+  for (const auto& [file, crc] : sections) {
+    const std::string bytes = slurp(store.path + "/" + file);
+    EXPECT_EQ(support::crc32(bytes.data(), bytes.size()), crc) << name << " " << file;
+  }
+  const auto got = db.merge_stats();
+  EXPECT_EQ(got.merges, want.stats.merges) << name;
+  EXPECT_EQ(got.shards_merged, want.stats.shards_merged) << name;
+  EXPECT_EQ(got.calls, want.stats.calls) << name;
+  EXPECT_EQ(got.aexs, want.stats.aexs) << name;
+  EXPECT_EQ(got.paging, want.stats.paging) << name;
+  EXPECT_EQ(got.syncs, want.stats.syncs) << name;
+  EXPECT_EQ(got.dropped, want.stats.dropped) << name;
+}
+
+TEST(TraceLocks, RecordedSessionsEncodeToPinnedBytes) {
+  perf::LoggerConfig logger_config;
+  logger_config.trace_aex = true;
+  {
+    sgxsim::Urts urts;
+    const auto stressor = stress::make_stressor("mixed");
+    ASSERT_NE(stressor, nullptr);
+    stress::StressConfig config;
+    config.threads = 1;
+    config.seed = 29;
+    stressor->prepare(urts, config);
+    TraceDatabase db;
+    perf::Logger logger(db, logger_config);
+    logger.attach(urts);
+    for (std::uint64_t op = 0; op < 160; ++op) {
+      stressor->step(urts, 0, op);
+      if (op == 79) logger.flush();
+    }
+    logger.detach();
+    expect_recording_bytes(db, "lock_mixed_t1",
+                           {0x7e2be97fu, 0x21f8200au, 0xe404e626u, 0x6522df69u, 0x835de488u,
+                            {.merges = 2,
+                             .shards_merged = 2,
+                             .calls = 840,
+                             .aexs = 2560,
+                             .paging = 5136,
+                             .syncs = 80,
+                             .dropped = 0}});
+  }
+  {
+    sgxsim::Urts urts;
+    const auto stressor = stress::make_stressor("mixed");
+    ASSERT_NE(stressor, nullptr);
+    stress::StressConfig config;
+    config.threads = 4;
+    config.duration_ns = 10'000'000;
+    config.seed = 29;
+    TraceDatabase db;
+    perf::Logger logger(db, logger_config);
+    logger.attach(urts);
+    (void)stress::run_stressor(*stressor, urts, config);
+    logger.detach();
+    expect_recording_bytes(db, "lock_mixed_t4",
+                           {0xc3c243e3u, 0x2186fbb8u, 0x1b712fc7u, 0x6522df69u, 0x72bcb413u,
+                            {.merges = 1,
+                             .shards_merged = 5,
+                             .calls = 133,
+                             .aexs = 256,
+                             .paging = 69004,
+                             .syncs = 8,
+                             .dropped = 0}});
   }
 }
 
