@@ -59,10 +59,13 @@ void Aggregator::ingest(ProducerId id, const char* data, std::size_t size) {
     apply(p, *frame);
     if (!p.state.error.empty()) {
       frames_rejected_ += 1;  // the frame that tripped the quarantine
-      return;
+      break;
     }
   }
   if (p.parser.error()) p.state.error = p.parser.error_message();
+  // Later bytes of a quarantined producer are dropped unparsed, so nothing
+  // it buffered can become a frame.
+  if (!p.state.error.empty()) p.parser = FrameParser{};
 }
 
 void Aggregator::disconnect(ProducerId id) {
@@ -70,6 +73,14 @@ void Aggregator::disconnect(ProducerId id) {
   const auto it = producers_.find(id);
   if (it == producers_.end()) return;
   it->second.state.ended = true;
+  it->second.parser = FrameParser{};
+}
+
+std::size_t Aggregator::buffered_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::size_t n = 0;
+  for (const auto& [id, p] : producers_) n += p.parser.buffered_bytes();
+  return n;
 }
 
 void Aggregator::apply(Producer& p, const Frame& frame) {

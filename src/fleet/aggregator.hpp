@@ -195,8 +195,12 @@ class Aggregator {
   void ingest(ProducerId id, const char* data, std::size_t size);
   void ingest(ProducerId id, const std::string& bytes) { ingest(id, bytes.data(), bytes.size()); }
   /// End of the producer's stream.  A stream without a bye frame is kept
-  /// (partial data stays merged) and flagged lossy.
+  /// (partial data stays merged) and flagged lossy.  The producer's parser
+  /// and any partial frame it held are freed, as on a quarantine; its
+  /// ledger and snapshot rows stay.
   void disconnect(ProducerId id);
+  /// Stream bytes held across all producers that are not yet a whole frame.
+  [[nodiscard]] std::size_t buffered_bytes() const;
 
   // --- queries (each locks; JSON output is deterministic) -------------------
 

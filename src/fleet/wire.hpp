@@ -182,6 +182,8 @@ class FrameParser {
 
   [[nodiscard]] bool error() const noexcept { return !error_.empty(); }
   [[nodiscard]] const std::string& error_message() const noexcept { return error_; }
+  /// Bytes pushed but not yet returned as a frame (a partial frame).
+  [[nodiscard]] std::size_t buffered_bytes() const noexcept { return buf_.size() - pos_; }
 
  private:
   void fail(std::string message);

@@ -20,14 +20,17 @@ void commit_file(const std::string& temp_path, const std::string& final_path) {
   }
 }
 
-void write_file_atomic(const std::string& path, std::string_view bytes) {
+void write_file_atomic(const std::string& path, std::initializer_list<std::string_view> parts) {
   const std::string tmp = atomic_temp_path(path);
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     throw std::runtime_error("atomic_file: cannot open " + tmp + " for writing");
   }
-  const bool written = std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size() &&
-                       std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
+  bool written = true;
+  for (const std::string_view part : parts) {
+    written = written && std::fwrite(part.data(), 1, part.size(), f) == part.size();
+  }
+  written = written && std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
   const bool closed = std::fclose(f) == 0;
   if (!written || !closed) {
     std::remove(tmp.c_str());

@@ -7,6 +7,7 @@
 // `sgxperf stats` run may be about to open.
 #pragma once
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -21,8 +22,10 @@ namespace support {
 /// on failure.
 void commit_file(const std::string& temp_path, const std::string& final_path);
 
-/// Writes `bytes` to `path` atomically: temp sibling, flush, fsync, rename.
-/// Throws std::runtime_error on any I/O failure; `path` is untouched then.
-void write_file_atomic(const std::string& path, std::string_view bytes);
+/// Writes `parts`, one after another, to `path` atomically: temp sibling,
+/// flush, fsync, rename.  The parts are never joined in memory, so a large
+/// payload and a small trailer cost no copy.  Throws std::runtime_error on
+/// any I/O failure; `path` is untouched then.
+void write_file_atomic(const std::string& path, std::initializer_list<std::string_view> parts);
 
 }  // namespace support

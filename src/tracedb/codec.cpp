@@ -170,17 +170,17 @@ MappedFile::~MappedFile() {
 
 // --- event tables --------------------------------------------------------------
 //
-// Each event row is written into a row buffer and read back from a pointer
-// into the mapped bytes at these fixed offsets (DESIGN.md lays them out as
-// tables), so the layout is stated once.  A reader checks its whole table's
-// bounds with one take(); only the checks that depend on a row's data run
-// per row, before the row is appended.  The row is then filled in place:
-// at -O2, building it on the stack and copying it in cost about half again
-// as much per call.
+// Each event row is stored into and read back from the bytes at these fixed
+// offsets (DESIGN.md lays them out as tables), so the layout is stated once.
+// A writer grows its buffer once for the whole table and stores each row in
+// place.  A reader checks its whole table's bounds with one take(); only the
+// checks that depend on a row's data run per row, before the row is
+// appended.  The row is then filled in place: at -O2, building it on the
+// stack and copying it in cost about half again as much per call.
 
 void write_calls(BufWriter& w, std::span<const CallRecord> rows) {
+  char* row = w.grow(rows.size() * kCallRowBytes);
   for (const auto& c : rows) {
-    char row[kCallRowBytes];
     store_at(row, call_row::kType, static_cast<std::uint8_t>(c.type));
     store_at(row, call_row::kKind, static_cast<std::uint8_t>(c.kind));
     store_at(row, call_row::kThread, c.thread_id);
@@ -190,7 +190,7 @@ void write_calls(BufWriter& w, std::span<const CallRecord> rows) {
     store_at(row, call_row::kStart, c.start_ns);
     store_at(row, call_row::kEnd, c.end_ns);
     store_at(row, call_row::kAexCount, c.aex_count);
-    w.bytes(row, sizeof row);
+    row += kCallRowBytes;
   }
 }
 
@@ -224,14 +224,14 @@ void read_calls(SpanReader& r, std::uint64_t n, std::vector<CallRecord>& out,
 }
 
 void write_aexs(BufWriter& w, std::span<const AexRecord> rows) {
+  char* row = w.grow(rows.size() * kAexRowBytes);
   for (const auto& a : rows) {
-    char row[kAexRowBytes];
     store_at(row, aex_row::kThread, a.thread_id);
     store_at(row, aex_row::kEnclave, a.enclave_id);
     store_at(row, aex_row::kTimestamp, a.timestamp_ns);
     store_at(row, aex_row::kDuringCall, a.during_call);
     store_at(row, aex_row::kCause, static_cast<std::uint8_t>(a.cause));
-    w.bytes(row, sizeof row);
+    row += kAexRowBytes;
   }
 }
 
@@ -251,13 +251,13 @@ void read_aexs(SpanReader& r, std::uint64_t n, std::vector<AexRecord>& out, Call
 }
 
 void write_paging(BufWriter& w, std::span<const PagingRecord> rows) {
+  char* row = w.grow(rows.size() * kPagingRowBytes);
   for (const auto& p : rows) {
-    char row[kPagingRowBytes];
     store_at(row, paging_row::kEnclave, p.enclave_id);
     store_at(row, paging_row::kPage, p.page_number);
     store_at(row, paging_row::kDirection, static_cast<std::uint8_t>(p.direction));
     store_at(row, paging_row::kTimestamp, p.timestamp_ns);
-    w.bytes(row, sizeof row);
+    row += kPagingRowBytes;
   }
 }
 
@@ -276,14 +276,14 @@ void read_paging(SpanReader& r, std::uint64_t n, std::vector<PagingRecord>& out)
 }
 
 void write_syncs(BufWriter& w, std::span<const SyncRecord> rows) {
+  char* row = w.grow(rows.size() * kSyncRowBytes);
   for (const auto& s : rows) {
-    char row[kSyncRowBytes];
     store_at(row, sync_row::kKind, static_cast<std::uint8_t>(s.kind));
     store_at(row, sync_row::kThread, s.thread_id);
     store_at(row, sync_row::kTarget, s.target_thread_id);
     store_at(row, sync_row::kEnclave, s.enclave_id);
     store_at(row, sync_row::kTimestamp, s.timestamp_ns);
-    w.bytes(row, sizeof row);
+    row += kSyncRowBytes;
   }
 }
 

@@ -55,6 +55,15 @@ class BufWriter {
     u32(static_cast<std::uint32_t>(s.size()));
     bytes(s.data(), s.size());
   }
+  /// Appends `n` bytes and returns where they start, for a caller that
+  /// stores fixed-width rows at known offsets itself.  The pointer is
+  /// invalidated by the next append.
+  [[nodiscard]] char* grow(std::size_t n) {
+    const std::size_t at = out_.size();
+    out_.resize(at + n);
+    return out_.data() + at;
+  }
+  void reserve(std::size_t n) { out_.reserve(n); }
   [[nodiscard]] const std::string& str_ref() const noexcept { return out_; }
   [[nodiscard]] std::string take() noexcept { return std::move(out_); }
   [[nodiscard]] std::size_t size() const noexcept { return out_.size(); }

@@ -5,30 +5,48 @@
 #include <stdexcept>
 
 #include "support/strutil.hpp"
-#include "telemetry/metrics.hpp"
 #include "tracedb/merge.hpp"
+#include "tracedb/metrics.hpp"
 
 namespace tracedb {
-namespace {
-
-/// Registry handles resolved once per process; merge/registration paths pay
-/// only relaxed atomic adds after that.
-struct DbMetrics {
-  telemetry::Counter& shards_registered =
-      telemetry::metrics().counter("tracedb.shards_registered", "shards");
-  telemetry::Counter& shard_seals = telemetry::metrics().counter("tracedb.shard_seals", "shards");
-  telemetry::Counter& merges = telemetry::metrics().counter("tracedb.merges", "merges");
-  telemetry::Counter& merge_records =
-      telemetry::metrics().counter("tracedb.merge_records", "records");
-  telemetry::Counter& events_dropped =
-      telemetry::metrics().counter("tracedb.events_dropped", "events");
-  telemetry::Histogram& merge_ns = telemetry::metrics().histogram(
-      "tracedb.merge_ns", {10'000, 100'000, 1'000'000, 10'000'000, 100'000'000}, "ns");
-};
 
 DbMetrics& db_metrics() {
   static DbMetrics m;
   return m;
+}
+
+namespace {
+
+/// True if no row's key is smaller than the key of the row before it.
+template <class Record>
+bool in_key_order(const std::vector<Record>& rows, Nanoseconds Record::*key) {
+  return std::is_sorted(rows.begin(), rows.end(),
+                        [key](const Record& a, const Record& b) { return a.*key < b.*key; });
+}
+
+/// Moves `rows` onto the end of `table` (taking the buffer itself when
+/// `table` is empty), leaves `rows` empty and returns how many rows moved.
+template <class Record>
+std::size_t take_rows(std::vector<Record>& table, std::vector<Record>& rows) {
+  const std::size_t n = rows.size();
+  if (table.empty()) {
+    table = std::move(rows);
+  } else {
+    table.insert(table.end(), rows.begin(), rows.end());
+  }
+  rows.clear();
+  return n;
+}
+
+/// Adds `base` to the call reference `ref` of the last `n` rows of `table`,
+/// except where it is kNoParent.
+template <class Record>
+void rebase_refs(std::vector<Record>& table, std::size_t n, CallIndex Record::*ref,
+                 CallIndex base) {
+  if (base == 0) return;
+  for (auto it = table.end() - static_cast<std::ptrdiff_t>(n); it != table.end(); ++it) {
+    if ((*it).*ref != kNoParent) (*it).*ref += base;
+  }
 }
 
 }  // namespace
@@ -224,22 +242,7 @@ std::uint64_t TraceDatabase::dropped_events() const {
   return dropped_events_;
 }
 
-TraceDatabase::MergeStats TraceDatabase::merge_shards() {
-  std::lock_guard lock(mu_);
-  const auto merge_start = std::chrono::steady_clock::now();
-  MergeStats round;
-  round.merges = 1;
-
-  std::vector<EventShard*> live;
-  for (auto& s : shards_) {
-    if (!s->sealed()) db_metrics().shard_seals.add();
-    s->seal();
-    if (!s->drained()) live.push_back(s.get());
-  }
-
-  // Timestamp ties resolve to shard registration order then append order
-  // inside merge.cpp's tournament merge, which makes the merged sequence
-  // deterministic (and byte-identical for any merge_threads_ setting).
+void TraceDatabase::merge_by_key(const std::vector<EventShard*>& live, MergeStats& round) {
   std::vector<std::uint32_t> shard_ids;
   shard_ids.reserve(live.size());
   for (const EventShard* s : live) shard_ids.push_back(s->shard_id());
@@ -306,10 +309,51 @@ TraceDatabase::MergeStats TraceDatabase::merge_shards() {
     for (const auto& ref : order) syncs_.push_back(live[ref.shard]->syncs_[ref.local]);
     round.syncs = order.size();
   }
+}
+
+TraceDatabase::MergeStats TraceDatabase::merge_shards() {
+  std::lock_guard lock(mu_);
+  const auto merge_start = std::chrono::steady_clock::now();
+  MergeStats round;
+  round.merges = 1;
+
+  std::vector<EventShard*> live;
+  for (auto& s : shards_) {
+    if (!s->sealed()) db_metrics().shard_seals.add();
+    s->seal();
+    if (!s->drained()) live.push_back(s.get());
+  }
+  EventShard* lone = nullptr;  // the only live shard with events, if one is
+  for (EventShard* s : live) {
+    if (s->events_recorded() == 0) continue;
+    ++round.shards_merged;
+    lone = round.shards_merged == 1 ? s : nullptr;
+  }
+
+  // Timestamp ties resolve to shard registration order then append order
+  // inside merge.cpp's tournament merge, which makes the merged sequence
+  // deterministic (and byte-identical for any merge_threads_ setting).
+  // So a lone shard whose four tables are each in key order merges to the
+  // identity: its rows move over as they are, and its local call indices
+  // shift by the calls merged before.  One recording thread gives exactly
+  // that, since its clock only moves forward.
+  if (lone != nullptr && in_key_order(lone->calls_, &CallRecord::start_ns) &&
+      in_key_order(lone->aexs_, &AexRecord::timestamp_ns) &&
+      in_key_order(lone->paging_, &PagingRecord::timestamp_ns) &&
+      in_key_order(lone->syncs_, &SyncRecord::timestamp_ns)) {
+    const auto base = static_cast<CallIndex>(calls_.size());
+    round.calls = take_rows(calls_, lone->calls_);
+    rebase_refs(calls_, round.calls, &CallRecord::parent, base);
+    round.aexs = take_rows(aexs_, lone->aexs_);
+    rebase_refs(aexs_, round.aexs, &AexRecord::during_call, base);
+    round.paging = take_rows(paging_, lone->paging_);
+    round.syncs = take_rows(syncs_, lone->syncs_);
+  } else {
+    merge_by_key(live, round);
+  }
 
   // --- drain ----------------------------------------------------------------
   for (EventShard* s : live) {
-    if (s->events_recorded() > 0) ++round.shards_merged;
     s->calls_.clear();
     s->aexs_.clear();
     s->paging_.clear();

@@ -127,7 +127,10 @@ class TraceDatabase {
   /// record arrays, sorted by timestamp (ties broken by shard registration
   /// order, then append order — so a single-threaded trace merges to exactly
   /// the sequence the direct API would have produced).  Shard-local parent /
-  /// during_call references are remapped to global indices.  Drained shards
+  /// during_call references are remapped to global indices.  When one shard
+  /// holds every event and each of its tables is already in time order (one
+  /// recording thread), that order is the identity: its rows are moved in,
+  /// or appended with their references shifted, in one pass.  Drained shards
   /// remain registered as inert husks (late writers see a sealed shard)
   /// until reopen_shards(), clear() or destruction.  Callers must guarantee
   /// the shard writers have quiesced.  Returns the stats of *this* merge.
@@ -201,6 +204,10 @@ class TraceDatabase {
 
  private:
   friend struct store::RawTables;
+
+  /// merge_shards()'s general case: a k-way merge of the live shards by
+  /// key, with every call reference remapped.
+  void merge_by_key(const std::vector<EventShard*>& live, MergeStats& round);
 
   mutable std::mutex mu_;
   std::vector<CallRecord> calls_;

@@ -130,12 +130,14 @@ std::vector<MergeRef> parallel_merge_order(const std::vector<std::vector<Nanosec
 
   // --- 1. per-shard index sort (parallel across shards) ---------------------
   // Shards are appended in each thread's completion order, which is close to
-  // start order already, so these sorts touch mostly-sorted data.
+  // start order already, so these sorts touch mostly-sorted data; a shard
+  // whose keys are in order already needs no sort at all.
   std::vector<std::vector<std::size_t>> sorted(k);
   parallel_for(k, threads, [&](std::size_t s) {
     auto& idx = sorted[s];
     idx.resize(keys[s].size());
     for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    if (std::is_sorted(keys[s].begin(), keys[s].end())) return;
     std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
       if (keys[s][a] != keys[s][b]) return keys[s][a] < keys[s][b];
       return a < b;  // append order within a shard

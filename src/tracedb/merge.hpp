@@ -7,7 +7,8 @@
 // replaces it with the classic external-merge structure:
 //
 //   1. sort each shard's records by key (parallel across shards; shards
-//      are nearly time-ordered already, so this pass is cheap),
+//      are nearly time-ordered already, so this pass is cheap, and a shard
+//      whose keys are in order skips it),
 //   2. split the key range at sampled splitters into one contiguous
 //      segment per worker,
 //   3. each worker merges its segment with a tournament (loser) tree —

@@ -16,8 +16,6 @@ using codec::SpanReader;
 
 constexpr std::size_t kMinIndexBytes = 8 /*magic*/ + 4 /*version*/ + 1 /*payload*/ +
                                        8 /*generation*/ + 4 /*n_sections*/ + 4 /*self-crc*/;
-/// Event chunk bytes around the rows: magic, the four row counts, trailing CRC.
-constexpr std::uint64_t kChunkFrameBytes = 4 + 4 * 8 + 4;
 
 }  // namespace
 
@@ -252,10 +250,10 @@ std::vector<std::uint64_t> alert_counts(const TraceDatabase& db) {
 
 // --- event chunks -----------------------------------------------------------
 
-std::string encode_chunk(std::span<const CallRecord> calls, std::span<const AexRecord> aexs,
-                         std::span<const PagingRecord> paging, std::span<const SyncRecord> syncs,
-                         ChunkDirEntry& entry) {
-  BufWriter w;
+void encode_chunk(BufWriter& w, std::span<const CallRecord> calls,
+                  std::span<const AexRecord> aexs, std::span<const PagingRecord> paging,
+                  std::span<const SyncRecord> syncs, ChunkDirEntry& entry) {
+  entry.offset = w.size();
   w.u32(kChunkMagic);
   w.u64(calls.size());
   w.u64(aexs.size());
@@ -292,14 +290,13 @@ std::string encode_chunk(std::span<const CallRecord> calls, std::span<const AexR
     note_thread(s.thread_id);
   }
 
-  entry.crc = support::crc32(w.str_ref().data(), w.size());
+  entry.crc = support::crc32(w.str_ref().data() + entry.offset, w.size() - entry.offset);
   w.u32(entry.crc);
   entry.n_calls = calls.size();
   entry.n_aexs = aexs.size();
   entry.n_paging = paging.size();
   entry.n_syncs = syncs.size();
-  entry.length = w.size();
-  return w.take();
+  entry.length = w.size() - entry.offset;
 }
 
 void decode_chunk(const char* data, std::size_t size, const ChunkDirEntry& entry,

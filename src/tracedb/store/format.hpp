@@ -167,12 +167,14 @@ void decode_alerts(codec::SpanReader& r, TraceDatabase& db);
 [[nodiscard]] std::vector<std::uint64_t> profile_counts(const TraceDatabase& db);
 [[nodiscard]] std::vector<std::uint64_t> alert_counts(const TraceDatabase& db);
 
-/// Encodes one event chunk (magic, row counts, rows, trailing CRC32) and
-/// fills `entry` (offset is left for the writer to assign).
-[[nodiscard]] std::string encode_chunk(std::span<const CallRecord> calls,
-                                       std::span<const AexRecord> aexs,
-                                       std::span<const PagingRecord> paging,
-                                       std::span<const SyncRecord> syncs, ChunkDirEntry& entry);
+/// Event chunk bytes around the rows: magic, the four row counts, trailing CRC.
+inline constexpr std::size_t kChunkFrameBytes = 4 + 4 * 8 + 4;
+
+/// Appends one event chunk (magic, row counts, rows, trailing CRC32) to `w`
+/// and fills `entry`; its offset is where the chunk starts in `w`.
+void encode_chunk(codec::BufWriter& w, std::span<const CallRecord> calls,
+                  std::span<const AexRecord> aexs, std::span<const PagingRecord> paging,
+                  std::span<const SyncRecord> syncs, ChunkDirEntry& entry);
 
 /// Verifies `entry.crc` over the chunk bytes and appends the rows to `db`,
 /// shifting CallIndex references by `entry.call_rebase` — the complete

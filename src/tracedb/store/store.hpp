@@ -145,7 +145,7 @@ class StoreWriter {
   WriterOptions options_;
   std::uint64_t generation_ = 0;
   std::vector<std::string> stale_files_;  // previous generation, removed on commit
-  std::string events_;                    // framed chunks, accumulated
+  codec::BufWriter events_;               // framed chunks, accumulated
   std::vector<ChunkDirEntry> chunks_;
   std::uint64_t calls_written_ = 0;
   std::uint64_t aexs_written_ = 0;

@@ -11,16 +11,27 @@
 // are never touched), the index — which names the files — last, stale files
 // only after the new index is durable.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <initializer_list>
 #include <stdexcept>
+#include <string_view>
 
 #include "support/atomic_file.hpp"
 #include "support/crc32.hpp"
+#include "tracedb/metrics.hpp"
 #include "tracedb/store/store.hpp"
 
 namespace tracedb::store {
 namespace {
+
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                           since)
+          .count());
+}
 
 std::string section_file_name(std::uint8_t id, std::uint64_t generation) {
   std::string name = section_file_stem(id);
@@ -56,10 +67,15 @@ void StoreWriter::add_events(const std::vector<CallRecord>& calls,
                              const std::vector<PagingRecord>& paging,
                              const std::vector<SyncRecord>& syncs) {
   if (calls.empty() && aexs.empty() && paging.empty() && syncs.empty()) return;
+  const auto start = std::chrono::steady_clock::now();
 
   const std::uint64_t batch_rebase = calls_written_;
   const std::size_t chunk_calls = options_.chunk_calls;
   const std::size_t n_chunks = calls.empty() ? 1 : (calls.size() + chunk_calls - 1) / chunk_calls;
+  // Each chunk is encoded straight into events_, which grows once here.
+  events_.reserve(events_.size() + n_chunks * kChunkFrameBytes +
+                  calls.size() * codec::kCallRowBytes + aexs.size() * codec::kAexRowBytes +
+                  paging.size() * codec::kPagingRowBytes + syncs.size() * codec::kSyncRowBytes);
 
   std::size_t ai = 0, pi = 0, si = 0;
   for (std::size_t chunk = 0; chunk < n_chunks; ++chunk) {
@@ -84,13 +100,9 @@ void StoreWriter::add_events(const std::vector<CallRecord>& calls,
 
     ChunkDirEntry entry;
     entry.call_rebase = batch_rebase;
-    entry.offset = events_.size();
-    const std::string bytes =
-        encode_chunk(std::span(calls).subspan(call_begin, call_end - call_begin),
-                     std::span(aexs).subspan(ai, ae - ai),
-                     std::span(paging).subspan(pi, pe - pi),
-                     std::span(syncs).subspan(si, se - si), entry);
-    events_ += bytes;
+    encode_chunk(events_, std::span(calls).subspan(call_begin, call_end - call_begin),
+                 std::span(aexs).subspan(ai, ae - ai), std::span(paging).subspan(pi, pe - pi),
+                 std::span(syncs).subspan(si, se - si), entry);
     chunks_.push_back(entry);
     ai = ae;
     pi = pe;
@@ -101,12 +113,13 @@ void StoreWriter::add_events(const std::vector<CallRecord>& calls,
   aexs_written_ += aexs.size();
   paging_written_ += paging.size();
   syncs_written_ += syncs.size();
+  db_metrics().store_encode_ns.observe(elapsed_ns(start));
 }
 
 void StoreWriter::add_raw_chunk(std::string_view bytes, ChunkDirEntry entry) {
   entry.offset = events_.size();
   entry.length = bytes.size();
-  events_.append(bytes.data(), bytes.size());
+  events_.bytes(bytes.data(), bytes.size());
   chunks_.push_back(entry);
   calls_written_ += entry.n_calls;
   aexs_written_ += entry.n_aexs;
@@ -119,48 +132,53 @@ void StoreWriter::commit(const TraceDatabase& summary) {
     throw std::logic_error("store: StoreWriter::commit() called twice");
   }
 
-  const std::string footer = encode_footer(chunks_);
-  std::string events_file = events_;
-  events_file += footer;
-  const std::uint64_t footer_len = footer.size();
-  events_file.append(reinterpret_cast<const char*>(&footer_len), 8);
+  const auto start = std::chrono::steady_clock::now();
 
+  const std::string footer = encode_footer(chunks_);
+  const std::uint64_t footer_len = footer.size();
   const std::string meta = encode_meta(summary);
   const std::string profile = encode_profile(summary);
   const std::string alerts = encode_alerts(summary);
 
   StoreIndex index;
   index.generation = generation_;
-  auto add_section = [&](std::uint8_t id, const std::string& payload, std::uint32_t crc,
-                         std::vector<std::uint64_t> counts) {
+  auto add_section = [&](std::uint8_t id, std::initializer_list<std::string_view> parts,
+                         std::uint32_t crc, std::vector<std::uint64_t> counts) {
     IndexSection s;
     s.id = id;
     s.file = section_file_name(id, generation_);
-    s.length = payload.size();
+    for (const std::string_view part : parts) s.length += part.size();
     s.crc = crc;
     s.counts = std::move(counts);
-    support::write_file_atomic(dir_ + "/" + s.file, payload);
+    support::write_file_atomic(dir_ + "/" + s.file, parts);
     index.sections.push_back(std::move(s));
   };
-  add_section(kMetaSection, meta, support::crc32(meta.data(), meta.size()),
+  add_section(kMetaSection, {meta}, support::crc32(meta.data(), meta.size()),
               meta_counts(summary));
-  add_section(kProfileSection, profile, support::crc32(profile.data(), profile.size()),
+  add_section(kProfileSection, {profile}, support::crc32(profile.data(), profile.size()),
               profile_counts(summary));
-  add_section(kAlertsSection, alerts, support::crc32(alerts.data(), alerts.size()),
+  add_section(kAlertsSection, {alerts}, support::crc32(alerts.data(), alerts.size()),
               alert_counts(summary));
-  add_section(kEventsSection, events_file, support::crc32(footer.data(), footer.size()),
+  // The events file is the chunks, the footer and the footer's length.  The
+  // chunks are most of a store's bytes, so they are written from events_
+  // as they lie, not joined with the footer first.
+  add_section(kEventsSection,
+              {events_.str_ref(), footer,
+               std::string_view(reinterpret_cast<const char*>(&footer_len), 8)},
+              support::crc32(footer.data(), footer.size()),
               {chunks_.size(), calls_written_, aexs_written_, paging_written_,
                syncs_written_});
 
   // The index names the new generation's files; once it is in place the old
   // generation is unreachable and safe to delete.
-  support::write_file_atomic(dir_ + "/" + kIndexFileName, encode_index(index));
+  support::write_file_atomic(dir_ + "/" + kIndexFileName, {encode_index(index)});
   for (const auto& old : stale_files_) {
     bool still_used = false;
     for (const auto& s : index.sections) still_used = still_used || s.file == old;
     if (!still_used) std::remove((dir_ + "/" + old).c_str());
   }
   committed_ = true;
+  db_metrics().store_commit_ns.observe(elapsed_ns(start));
 }
 
 void pack(const TraceDatabase& db, const std::string& dir, WriterOptions options) {

@@ -29,7 +29,9 @@
 #include "fleet/server.hpp"
 #include "fleet/wire.hpp"
 #include "support/crc32.hpp"
+#include "support/json.hpp"
 #include "telemetry/hdr_histogram.hpp"
+#include "telemetry/ledger.hpp"
 #include "tracedb/database.hpp"
 #include "tracedb/open.hpp"
 
@@ -415,6 +417,44 @@ TEST(FleetAggregator, KeyCapQuarantinesRunawayProducer) {
   EXPECT_NE(snapshot.find("\"site\":\"site_7\""), std::string::npos)
       << "keys created below the cap must stay merged";
   EXPECT_EQ(snapshot.find("\"site\":\"site_8\""), std::string::npos) << snapshot;
+}
+
+TEST(FleetAggregator, EndedAndQuarantinedProducersHoldNoStreamBytes) {
+  // Half of a 1 MiB window frame: a header that promises the payload, and
+  // 512 KiB of it.
+  std::string partial(5 + (1u << 19), '\0');
+  const std::uint32_t len = 1u << 20;
+  std::memcpy(partial.data(), &len, 4);
+  partial[4] = static_cast<char>(fleet::FrameType::kWindow);
+  const std::string head = hello_stream() + frame_bytes(probe_window(0));
+
+  const auto status_and_audit = [](const fleet::Aggregator& agg) {
+    telemetry::Ledger led;
+    agg.fill_ledger(led);
+    support::json::Writer w;
+    led.write_json(w);
+    return agg.status_json() + "\n" + w.str();  // the ledger JSON carries the audit
+  };
+  fleet::Aggregator without_tail;
+  const fleet::ProducerId a = without_tail.connect();
+  without_tail.ingest(a, head);
+  without_tail.disconnect(a);
+
+  fleet::Aggregator agg;
+  const fleet::ProducerId id = agg.connect();
+  agg.ingest(id, head + partial);
+  EXPECT_EQ(agg.buffered_bytes(), partial.size());
+  agg.disconnect(id);
+  EXPECT_EQ(agg.buffered_bytes(), 0u);
+  // A partial frame was never data: the freed bytes change no document.
+  EXPECT_EQ(status_and_audit(agg), status_and_audit(without_tail));
+
+  // A quarantine frees the parser too, with whatever followed the bad frame.
+  fleet::Aggregator quarantined;
+  const fleet::ProducerId q = quarantined.connect();
+  quarantined.ingest(q, hello_stream(0) + frame_bytes(probe_window(0)) + partial);
+  EXPECT_EQ(quarantined.buffered_bytes(), 0u);
+  EXPECT_NE(quarantined.snapshot_json().find("unsupported wire version 0"), std::string::npos);
 }
 
 TEST(FleetAggregator, MalformedProducerIsQuarantinedAndCheckpointLoads) {

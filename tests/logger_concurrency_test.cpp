@@ -5,6 +5,7 @@
 // single-threaded baseline.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <map>
 #include <set>
 #include <thread>
@@ -178,6 +179,49 @@ TEST(LoggerConcurrency, AnalyzerVerdictsMatchSingleThreadedBaseline) {
   };
   EXPECT_TRUE(ocall_short_call_verdict(st));
   EXPECT_EQ(ocall_short_call_verdict(mt), ocall_short_call_verdict(st));
+}
+
+TEST(LoggerConcurrency, LateWritesAfterAnInOrderMergeAreDroppedAndCounted) {
+  // The writer thread outlives the merge.  Its one shard is in time order,
+  // so the merge moves the shard's rows into the database as they are; the
+  // writer's late add_call and finish_call then meet a sealed, emptied shard
+  // and must be dropped and counted, never written into the moved rows.
+  tracedb::TraceDatabase db;
+  std::promise<void> recorded;
+  std::promise<void> merged;
+  tracedb::CallIndex late_index = 0;
+  std::thread writer([&] {
+    tracedb::EventShard& shard = db.register_shard(/*owner_thread=*/1);
+    tracedb::CallRecord rec;
+    rec.thread_id = 1;
+    rec.enclave_id = 1;
+    tracedb::CallIndex last = tracedb::kNoParent;
+    for (std::size_t i = 0; i < kCallsPerThread; ++i) {
+      rec.start_ns = 100 * (i + 1);
+      last = shard.add_call(rec);
+      shard.finish_call(last, rec.start_ns + 50, 0);
+    }
+    recorded.set_value();
+    merged.get_future().wait();
+    late_index = shard.add_call(rec);
+    shard.finish_call(last, 1, 7);
+  });
+  recorded.get_future().wait();
+  const auto first = db.merge_shards();
+  merged.set_value();
+  writer.join();
+
+  EXPECT_EQ(first.shards_merged, 1u);
+  EXPECT_EQ(first.calls, kCallsPerThread);
+  EXPECT_EQ(first.dropped, 0u);
+  EXPECT_EQ(late_index, tracedb::kShardSealed);
+  const auto second = db.merge_shards();
+  EXPECT_EQ(second.calls, 0u);
+  EXPECT_EQ(second.dropped, 2u);
+  EXPECT_EQ(db.dropped_events(), 2u);
+  ASSERT_EQ(db.calls().size(), kCallsPerThread);
+  EXPECT_EQ(db.calls().back().end_ns, 100 * kCallsPerThread + 50);
+  EXPECT_EQ(db.calls().back().aex_count, 0u);
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 // move-constructor fix and the save() unmerged-events guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "tracedb/database.hpp"
 
@@ -271,6 +274,138 @@ TEST(TraceDatabaseShards, SingleShardSerializesIdenticallyToDirectBuild) {
   EXPECT_EQ(slurp(direct_path), slurp(sharded_path));
   std::remove(direct_path.c_str());
   std::remove(sharded_path.c_str());
+}
+
+// --- one shard in key order: the identity merge ------------------------------
+
+AexRecord aex_at(tracedb::Nanoseconds ts, CallIndex during_call) {
+  AexRecord rec;
+  rec.thread_id = 1;
+  rec.enclave_id = 1;
+  rec.timestamp_ns = ts;
+  rec.during_call = during_call;
+  return rec;
+}
+
+PagingRecord paging_at(tracedb::Nanoseconds ts, std::uint64_t page) {
+  PagingRecord rec;
+  rec.enclave_id = 1;
+  rec.page_number = page;
+  rec.timestamp_ns = ts;
+  return rec;
+}
+
+/// `rows` in timestamp order, ties in their given order: what the k-way
+/// merge must produce from a single shard.
+template <class Record>
+std::vector<Record> stable_by_time(std::vector<Record> rows) {
+  std::stable_sort(rows.begin(), rows.end(), [](const Record& a, const Record& b) {
+    return a.timestamp_ns < b.timestamp_ns;
+  });
+  return rows;
+}
+
+TEST(TraceDatabaseShards, LoneShardWithAnOutOfOrderRowMergesLikeAStableSort) {
+  // Two rounds of one shard, as with Logger::flush(): the first is in order
+  // and fills the empty tables.  In the second, one AEX row or one paging
+  // row runs backwards, so the merge must sort, or none does, so the rows
+  // are appended as they are.  References shift past the first round's
+  // calls either way.
+  enum class Backwards { kAex, kPaging, kNone };
+  for (const Backwards backwards : {Backwards::kAex, Backwards::kPaging, Backwards::kNone}) {
+    TraceDatabase db;
+    EventShard& s = db.register_shard(1);
+    const CallIndex first = s.add_call(call(CallType::kEcall, 1, 100, 900));
+    s.add_call(call(CallType::kOcall, 1, 200, 300, first));
+    s.add_aex(aex_at(250, first));
+    db.merge_shards();
+    db.reopen_shards();
+
+    const CallIndex e = s.add_call(call(CallType::kEcall, 1, 1'000, 1'900));
+    const CallIndex o = s.add_call(call(CallType::kOcall, 1, 1'100, 1'200, e));
+    const tracedb::Nanoseconds aex_ts = backwards == Backwards::kAex ? 1'020 : 1'060;
+    const tracedb::Nanoseconds paging_ts = backwards == Backwards::kPaging ? 1'005 : 1'300;
+    const std::vector<AexRecord> aexs = {aex_at(1'050, e), aex_at(aex_ts, e), aex_at(1'150, o),
+                                         aex_at(1'150, e)};
+    const std::vector<PagingRecord> paging = {paging_at(1'010, 0), paging_at(1'300, 1),
+                                              paging_at(paging_ts, 2), paging_at(1'300, 3)};
+    for (const auto& a : aexs) s.add_aex(a);
+    for (const auto& p : paging) s.add_paging(p);
+    const auto stats = db.merge_shards();
+    EXPECT_EQ(stats.shards_merged, 1u);
+    EXPECT_EQ(stats.calls, 2u);
+
+    ASSERT_EQ(db.calls().size(), 4u);
+    EXPECT_EQ(db.calls()[1].parent, 0);
+    EXPECT_EQ(db.calls()[2].parent, kNoParent);
+    EXPECT_EQ(db.calls()[3].parent, 2);  // local 0, after the 2 calls before it
+
+    std::vector<AexRecord> want_aexs = stable_by_time(aexs);
+    for (auto& a : want_aexs) a.during_call += 2;
+    ASSERT_EQ(db.aexs().size(), 1 + want_aexs.size());
+    for (std::size_t i = 0; i < want_aexs.size(); ++i) {
+      EXPECT_EQ(db.aexs()[i + 1].timestamp_ns, want_aexs[i].timestamp_ns) << i;
+      EXPECT_EQ(db.aexs()[i + 1].during_call, want_aexs[i].during_call) << i;
+    }
+    const std::vector<PagingRecord> want_paging = stable_by_time(paging);
+    ASSERT_EQ(db.paging().size(), want_paging.size());
+    for (std::size_t i = 0; i < want_paging.size(); ++i) {
+      EXPECT_EQ(db.paging()[i].timestamp_ns, want_paging[i].timestamp_ns) << i;
+      EXPECT_EQ(db.paging()[i].page_number, want_paging[i].page_number) << i;
+    }
+  }
+}
+
+TEST(TraceDatabaseShards, EqualTimestampsInAShardKeepAppendOrder) {
+  // Once with every table in order (the identity merge), once with a
+  // backwards sync row that forces the k-way merge: ties keep append order
+  // in both.
+  for (const bool force_sort : {false, true}) {
+    TraceDatabase db;
+    EventShard& s = db.register_shard(1);
+    for (std::uint64_t page = 0; page < 8; ++page) s.add_paging(paging_at(500, page));
+    for (std::uint32_t id = 0; id < 4; ++id) {
+      CallRecord rec = call(CallType::kEcall, 1, 700, 800);
+      rec.call_id = id;
+      s.add_call(rec);
+    }
+    SyncRecord y;
+    y.timestamp_ns = 900;
+    s.add_sync(y);
+    y.timestamp_ns = force_sort ? 10 : 900;
+    s.add_sync(y);
+    db.merge_shards();
+
+    ASSERT_EQ(db.paging().size(), 8u);
+    for (std::uint64_t page = 0; page < 8; ++page) {
+      EXPECT_EQ(db.paging()[page].page_number, page) << force_sort;
+    }
+    ASSERT_EQ(db.calls().size(), 4u);
+    for (std::uint32_t id = 0; id < 4; ++id) EXPECT_EQ(db.calls()[id].call_id, id) << force_sort;
+    EXPECT_EQ(db.syncs().front().timestamp_ns, force_sort ? 10u : 900u);
+  }
+}
+
+TEST(TraceDatabaseShards, OneNonEmptyShardCountsAsOneShardMerged) {
+  TraceDatabase db;
+  db.register_shard(1);  // registered, never written
+  EventShard& s = db.register_shard(2);
+  db.register_shard(3);
+  const CallIndex e = s.add_call(call(CallType::kEcall, 2, 100, 900));
+  s.add_call(call(CallType::kOcall, 2, 200, 300, e));
+  s.add_aex(aex_at(250, e));
+
+  const auto stats = db.merge_shards();
+  EXPECT_EQ(stats.shards_merged, 1u);
+  EXPECT_EQ(stats.calls, 2u);
+  EXPECT_EQ(stats.aexs, 1u);
+  EXPECT_EQ(db.merge_stats().shards_merged, 1u);
+  ASSERT_EQ(db.calls().size(), 2u);
+  EXPECT_EQ(db.calls()[1].parent, 0);
+  EXPECT_EQ(db.aexs()[0].during_call, 0);
+  // Every live shard is drained, the empty ones too.
+  EXPECT_EQ(s.events_recorded(), 0u);
+  EXPECT_TRUE(s.drained());
 }
 
 }  // namespace

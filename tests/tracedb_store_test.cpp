@@ -27,6 +27,7 @@
 #include "stress/harness.hpp"
 #include "stress/stressor.hpp"
 #include "support/crc32.hpp"
+#include "telemetry/metrics.hpp"
 #include "tracedb/database.hpp"
 #include "tracedb/open.hpp"
 #include "tracedb/store/format.hpp"
@@ -334,6 +335,24 @@ TEST(TraceStore, EveryTableEncodesToPinnedBytes) {
     const std::string bytes = slurp(store.path + "/" + file);
     EXPECT_EQ(support::crc32(bytes.data(), bytes.size()), crc) << file;
   }
+}
+
+TEST(TraceStore, PackObservesTheStoreStageTimers) {
+  // tracedb.store.encode_ns times add_events and tracedb.store.commit_ns
+  // times commit(); both are registered with the merge timer, so a sampled
+  // recording lists them.
+  const auto observations = [](const std::string& name) {
+    for (const auto& row : telemetry::metrics().snapshot()) {
+      if (row.name == name + ".count") return row.value;
+    }
+    return 0.0;
+  };
+  const double encodes = observations("tracedb.store.encode_ns");
+  const double commits = observations("tracedb.store.commit_ns");
+  StoreDir store("store_timers.store");
+  tracedb::store::pack(make_fixture_db(), store.path);
+  EXPECT_EQ(observations("tracedb.store.encode_ns"), encodes + 1);
+  EXPECT_EQ(observations("tracedb.store.commit_ns"), commits + 1);
 }
 
 // Behaviour lock on what the logger's shard merge hands the two writers.
