@@ -382,10 +382,7 @@ TraceDatabase::MergeStats TraceDatabase::merge_shards() {
   tm.merges.add();
   tm.merge_records.add(round.calls + round.aexs + round.paging + round.syncs);
   if (round.dropped > 0) tm.events_dropped.add(round.dropped);
-  tm.merge_ns.observe(static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           merge_start)
-          .count()));
+  tm.merge_ns.observe(ns_since(merge_start));
   return round;
 }
 

@@ -1,6 +1,7 @@
 // The trace database's handles into the process-wide telemetry registry.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -37,5 +38,12 @@ struct DbMetrics {
 };
 
 DbMetrics& db_metrics();
+
+/// Steady-clock nanoseconds since `start`: what the timers above observe.
+inline std::uint64_t ns_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                        std::chrono::steady_clock::now() - start)
+                                        .count());
+}
 
 }  // namespace tracedb

@@ -26,13 +26,6 @@
 namespace tracedb::store {
 namespace {
 
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
-                                                           since)
-          .count());
-}
-
 std::string section_file_name(std::uint8_t id, std::uint64_t generation) {
   std::string name = section_file_stem(id);
   if (generation > 0) {
@@ -113,7 +106,7 @@ void StoreWriter::add_events(const std::vector<CallRecord>& calls,
   aexs_written_ += aexs.size();
   paging_written_ += paging.size();
   syncs_written_ += syncs.size();
-  db_metrics().store_encode_ns.observe(elapsed_ns(start));
+  db_metrics().store_encode_ns.observe(ns_since(start));
 }
 
 void StoreWriter::add_raw_chunk(std::string_view bytes, ChunkDirEntry entry) {
@@ -178,7 +171,7 @@ void StoreWriter::commit(const TraceDatabase& summary) {
     if (!still_used) std::remove((dir_ + "/" + old).c_str());
   }
   committed_ = true;
-  db_metrics().store_commit_ns.observe(elapsed_ns(start));
+  db_metrics().store_commit_ns.observe(ns_since(start));
 }
 
 void pack(const TraceDatabase& db, const std::string& dir, WriterOptions options) {
