@@ -736,17 +736,7 @@ void Aggregator::checkpoint(tracedb::TraceDatabase& db) const {
     name.name = key.site;
     db.add_call_name(name);
 
-    tracedb::LatencyRecord lat;
-    lat.enclave_id = eid;
-    lat.type = key.type;
-    lat.call_id = cid;
-    lat.count = series.cumulative.count();
-    lat.sum_ns = series.cumulative.sum();
-    const auto& buckets = series.cumulative.buckets();
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-      if (buckets[i] > 0) lat.buckets.emplace_back(static_cast<std::uint32_t>(i), buckets[i]);
-    }
-    db.set_latency(lat);
+    db.set_latency(tracedb::latency_record(eid, key.type, cid, series.cumulative));
   }
 
   // Retained fleet windows, re-indexed 0..N-1 in time order.

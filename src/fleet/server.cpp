@@ -191,10 +191,9 @@ ServeSelfStats Server::self_stats() const {
   }
   s.producers_served = producers_served_;
   s.queries_answered = queries_answered_.load(std::memory_order_relaxed);
-  const auto lat = query_latency_us_.snapshot();
-  s.query_p50_us = lat.value_at_percentile(50.0);
-  s.query_p99_us = lat.value_at_percentile(99.0);
-  s.query_max_us = lat.max_value();
+  s.query_p50_us = query_latency_us_.value_at_percentile(50.0);
+  s.query_p99_us = query_latency_us_.value_at_percentile(99.0);
+  s.query_max_us = query_latency_us_.max_value();
   s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   s.checkpoint_last_ms = checkpoint_last_ms_.load(std::memory_order_relaxed);
   s.checkpoint_total_ms = checkpoint_total_ms_.load(std::memory_order_relaxed);

@@ -83,7 +83,9 @@ class Server {
 
   /// Point-in-time self-telemetry (uptime, ingest totals, query-latency
   /// HDR, checkpoint durations) — what the `status` query's "daemon" block
-  /// carries.  Callable from any thread.
+  /// carries.  Call it on the thread that runs run(): it reads the
+  /// connection table and the query-latency HDR, which only that thread
+  /// writes.
   [[nodiscard]] ServeSelfStats self_stats() const;
 
  private:
@@ -126,7 +128,8 @@ class Server {
   std::atomic<std::uint64_t> checkpoints_{0};
   std::atomic<std::uint64_t> checkpoint_last_ms_{0};
   std::atomic<std::uint64_t> checkpoint_total_ms_{0};
-  telemetry::HdrHistogram query_latency_us_;
+  /// Query latencies, recorded by answer_query() on the poll loop.
+  telemetry::HdrSnapshot query_latency_us_;
 };
 
 /// Connects to a serve query socket, sends one request line and returns the

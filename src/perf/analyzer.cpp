@@ -385,14 +385,6 @@ Finding private_ecall_finding(const tracedb::TraceDatabase& db, const CallKey& k
   return f;
 }
 
-/// The HDR histogram of a recorded latency row.
-telemetry::HdrSnapshot snapshot_of(const tracedb::LatencyRecord& lat) {
-  telemetry::HdrSnapshot snap;
-  for (const auto& [idx, n] : lat.buckets) snap.add_bucket(idx, n);
-  snap.set_exact_sum(lat.sum_ns);
-  return snap;
-}
-
 void set_percentiles(CallStats& cs, const telemetry::HdrSnapshot& snap) {
   cs.p50_ns = snap.value_at_percentile(50);
   cs.p90_ns = snap.value_at_percentile(90);
@@ -478,13 +470,15 @@ Analyzer::SiteWalk Analyzer::walk_sites(AnalysisReport& report,
 
     cs.duration_ns = support::summarize(durations);
     cs.fraction_below_10us = static_cast<double>(below) / static_cast<double>(instances.size());
-    // Percentiles: prefer the recorder's v4 latency table (covers events a
-    // truncated call table may have lost); reconstruct with the same HDR
-    // geometry otherwise, so quantization is identical either way.
+    // Percentiles: prefer the v4 latency table.  A recording folds it from
+    // these same calls at detach/flush, so on a whole trace both ways give
+    // the same buckets; the table decides when the call table holds only
+    // part of the trace (a store range load).  Without a row, reconstruct
+    // with the same HDR geometry, so quantization is identical either way.
     if (const tracedb::LatencyRecord* lat =
             db_.find_latency(key.enclave_id, key.type, key.call_id);
         lat != nullptr && lat->count > 0) {
-      set_percentiles(cs, snapshot_of(*lat));
+      set_percentiles(cs, tracedb::snapshot_of(*lat));
     } else {
       telemetry::HdrSnapshot snap;
       for (const auto d : durations) snap.record(d);
@@ -505,7 +499,7 @@ Analyzer::SiteWalk Analyzer::walk_sites(AnalysisReport& report,
     cs.name = db_.name_of(key.enclave_id, key.type, key.call_id);
     cs.duration_ns.count = static_cast<std::size_t>(lat.count);
     cs.duration_ns.mean = static_cast<double>(lat.sum_ns) / static_cast<double>(lat.count);
-    set_percentiles(cs, snapshot_of(lat));
+    set_percentiles(cs, tracedb::snapshot_of(lat));
     cs.duration_ns.median = static_cast<double>(cs.p50_ns);
     report.stats.push_back(std::move(cs));
   }

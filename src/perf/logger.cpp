@@ -86,13 +86,6 @@ void Logger::attach(sgxsim::Urts& urts) {
     per_threads_.clear();
     names_registered_.clear();
   }
-
-  {
-    // Fresh recording session: last epoch's histograms were persisted at
-    // detach; stale PerThread caches died with per_threads_ above.
-    std::lock_guard lock(mu_);
-    latency_.clear();
-  }
   db_.set_merge_threads(config_.merge_threads);
 
   sampler_.reset();
@@ -138,8 +131,7 @@ void Logger::detach() {
   urts_ = nullptr;
 
   finalize_open_calls(now);
-  db_.merge_shards();
-  persist_latency();
+  merge_into_database();
   // A final unconditional sample closes every counter track at detach time
   // (after the merge, so tracedb's merge metrics are included).  The sampler
   // object stays alive until the next attach: a frame still unwinding
@@ -156,52 +148,17 @@ void Logger::flush() {
       }
     }
   }
-  db_.merge_shards();
+  merge_into_database();
   db_.reopen_shards();
-  persist_latency();
 }
 
 std::shared_ptr<StreamSubscription> Logger::subscribe(std::string name, std::size_t capacity) {
   return stream_.subscribe(std::move(name), capacity);
 }
 
-telemetry::HdrSnapshot Logger::latency_snapshot(EnclaveId eid, CallType type,
-                                                CallId id) const {
-  std::lock_guard lock(mu_);
-  const auto it = latency_.find(LatencyKey{eid, type, id});
-  return it != latency_.end() ? it->second->snapshot() : telemetry::HdrSnapshot{};
-}
-
-telemetry::HdrHistogram* Logger::latency_for(PerThread& pt, EnclaveId eid, CallType type,
-                                             CallId id) {
-  if (!config_.latency_histograms) return nullptr;
-  const LatencyKey key{eid, type, id};
-  const auto cached = pt.latency_cache.find(key);
-  if (cached != pt.latency_cache.end()) return cached->second;
-
-  std::lock_guard lock(mu_);
-  auto& slot = latency_[key];
-  if (slot == nullptr) slot = std::make_unique<telemetry::HdrHistogram>();
-  pt.latency_cache.emplace(key, slot.get());
-  return slot.get();
-}
-
-void Logger::persist_latency() {
-  std::lock_guard lock(mu_);
-  for (const auto& [key, hist] : latency_) {
-    const telemetry::HdrSnapshot snap = hist->snapshot();
-    tracedb::LatencyRecord rec;
-    rec.enclave_id = std::get<0>(key);
-    rec.type = std::get<1>(key);
-    rec.call_id = std::get<2>(key);
-    rec.count = snap.count();
-    rec.sum_ns = snap.sum();
-    const auto& buckets = snap.buckets();
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-      if (buckets[i] > 0) rec.buckets.emplace_back(static_cast<std::uint32_t>(i), buckets[i]);
-    }
-    db_.set_latency(rec);
-  }
+void Logger::merge_into_database() {
+  const auto round = db_.merge_shards();
+  db_.fold_call_latencies(db_.calls().size() - round.calls);
   db_.set_stream_dropped(stream_.total_dropped());
 }
 
@@ -378,9 +335,6 @@ SgxStatus Logger::shadow_sgx_ecall(EnclaveId eid, CallId id, const sgxsim::Ocall
     logger_metrics().instr_ns.add(cost.logger_ecall_post_ns);
     const Nanoseconds end_ns = clock.now();
     pt.shard->finish_call(idx, end_ns, pt.aex_count_current_ecall);
-    if (auto* hist = latency_for(pt, eid, CallType::kEcall, id)) {
-      hist->record(end_ns - rec.start_ns);
-    }
     if (stream_.has_subscribers()) {
       StreamEvent ev;
       ev.kind = StreamEvent::Kind::kCall;
@@ -491,9 +445,6 @@ SgxStatus Logger::on_stub_call(const OcallStubRegistry::StubInfo& info, void* ms
     logger_metrics().instr_ns.add(cost.logger_ocall_post_ns);
     const Nanoseconds end_ns = clock.now();
     pt.shard->finish_call(idx, end_ns, 0);
-    if (auto* hist = latency_for(pt, info.enclave_id, CallType::kOcall, info.ocall_id)) {
-      hist->record(end_ns - rec.start_ns);
-    }
     if (stream_.has_subscribers()) {
       StreamEvent ev;
       ev.kind = StreamEvent::Kind::kCall;

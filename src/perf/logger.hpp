@@ -11,21 +11,20 @@
 // per-thread buffer (a tracedb::EventShard) with no locking on the hot path;
 // detach() (or flush()) seals the shards and merges them into the globally
 // time-ordered database, so the analyser and the serialized format never see
-// a difference.
+// a difference.  The hot path keeps no statistics of its own: the per-site
+// latency table (format v4) is folded from the merged calls at that point,
+// so it always agrees with the call table.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "perf/stream.hpp"
 #include "perf/stubs.hpp"
 #include "sgxsim/runtime.hpp"
-#include "telemetry/hdr_histogram.hpp"
 #include "telemetry/sampler.hpp"
 #include "tracedb/database.hpp"
 
@@ -42,10 +41,6 @@ struct LoggerConfig {
   /// the trace (MetricSample table, format v3).  0 = sampling off, which
   /// keeps traces byte-identical to pre-telemetry recordings.
   support::Nanoseconds metric_sample_period_ns = 0;
-  /// Record per-(enclave, type, call_id) HDR latency histograms on the call
-  /// return path and persist them as the v4 latency table at detach/flush.
-  /// Lock-free after a call site's first completion on a thread.
-  bool latency_histograms = true;
   /// Worker threads for the shard merge at detach (0 = hardware
   /// concurrency, 1 = sequential).  Output is byte-identical either way.
   std::size_t merge_threads = 0;
@@ -66,15 +61,18 @@ class Logger {
   void attach(sgxsim::Urts& urts);
 
   /// Restores the original hooks, finalizes calls still in flight (their
-  /// end timestamp becomes the detach time — never leaked half-open) and
-  /// merges all shards into the database.  Safe to call from inside a
+  /// end timestamp becomes the detach time — never leaked half-open),
+  /// merges all shards into the database and adds the merged calls to its
+  /// latency table, closed calls included.  Safe to call from inside a
   /// traced call: the frames unwinding through the detached logger record
-  /// nothing further.
+  /// nothing further.  A later attach() to the same database appends to
+  /// both tables.
   void detach();
 
-  /// Merges everything recorded so far into the database and reopens the
-  /// shards for further recording — the mid-session quiescent point tests
-  /// and tools use to inspect a trace without detaching.  Throws
+  /// Merges everything recorded so far into the database (latency table
+  /// included) and reopens the shards for further recording — the
+  /// mid-session quiescent point tests and tools use to inspect a trace
+  /// without detaching.  Throws
   /// std::logic_error if any traced call is still in flight.  All worker
   /// threads must have quiesced.
   void flush();
@@ -103,13 +101,6 @@ class Logger {
     const auto& m = db_.merge_stats();
     return m.calls + m.aexs + m.paging + m.syncs + m.dropped;
   }
-
-  /// Cumulative latency snapshot for one call site (empty if none
-  /// recorded).  Safe while recording is in flight — snapshots are
-  /// racy-by-design point-in-time views.
-  [[nodiscard]] telemetry::HdrSnapshot latency_snapshot(sgxsim::EnclaveId eid,
-                                                        tracedb::CallType type,
-                                                        sgxsim::CallId id) const;
 
   // --- stub callbacks (invoked by OcallStubRegistry trampolines) ------------
   sgxsim::SgxStatus on_stub_call(const OcallStubRegistry::StubInfo& info, void* ms);
@@ -146,9 +137,6 @@ class Logger {
     support::Nanoseconds start_ns = 0;
   };
 
-  /// Key of one per-call-site latency histogram.
-  using LatencyKey = std::tuple<sgxsim::EnclaveId, tracedb::CallType, sgxsim::CallId>;
-
   /// Per-thread recording state, touched only by its owner thread on the
   /// hot path; every record goes to `shard`, this thread's EventShard.
   struct PerThread {
@@ -158,9 +146,6 @@ class Logger {
     /// Enclaves whose lazy registration this thread has already verified —
     /// keeps the per-ecall registration check off the logger mutex.
     std::vector<sgxsim::EnclaveId> enclaves_seen;
-    /// Thread-local view of the shared latency map: the logger mutex is
-    /// taken once per (thread, call site), relaxed adds after that.
-    std::map<LatencyKey, telemetry::HdrHistogram*> latency_cache;
   };
 
   /// This thread's recording state for the current attach epoch.  Uses a
@@ -180,14 +165,10 @@ class Logger {
   /// Finalizes every in-flight call of every thread at time `now`.
   void finalize_open_calls(support::Nanoseconds now);
 
-  /// This thread's latency histogram for a call site (null when latency
-  /// recording is off).  Lock-free after the first lookup per thread.
-  telemetry::HdrHistogram* latency_for(PerThread& pt, sgxsim::EnclaveId eid,
-                                       tracedb::CallType type, sgxsim::CallId id);
-
-  /// Upserts every latency histogram plus the stream-drop count into the
-  /// database (the v4 tables) — called at detach() and flush().
-  void persist_latency();
+  /// Merges the shards into the database, folds the merged calls into its
+  /// latency table and records the stream-drop count (the v4 tables) —
+  /// called at detach() and flush().
+  void merge_into_database();
 
   tracedb::TraceDatabase& db_;
   LoggerConfig config_;
@@ -206,11 +187,6 @@ class Logger {
   /// Live-subscriber fan-out.  The hot paths pay one relaxed load when
   /// nobody is subscribed.
   StreamHub stream_;
-
-  /// Per-call-site concurrent latency histograms; pointers handed to
-  /// per-thread caches stay valid until the logger dies (entries are never
-  /// erased, only reset at attach()).  Guarded by mu_.
-  std::map<LatencyKey, std::unique_ptr<telemetry::HdrHistogram>> latency_;
 };
 
 }  // namespace perf

@@ -6,16 +6,15 @@
 // the per-primitive latency *distributions* the SGX benchmarking literature
 // reports instead: a histogram whose buckets grow geometrically, giving a
 // bounded relative error (~3% at 5 sub-bucket bits) over the full u64 range
-// with a fixed, small memory footprint — the same trick as HdrHistogram.
+// with a fixed, small memory footprint — the same trick as the HDR
+// Histogram library.
 //
-// Two layers:
-//
-//   HdrSnapshot  — a plain, single-owner bucket array.  Used by readers
-//                  (analyser, `sgxperf top`) and as the merge/persistence
-//                  currency (the v4 trace format stores it sparsely).
-//   HdrHistogram — the concurrent recorder: per-stripe cache-line-aligned
-//                  atomic rows, exactly like telemetry::Histogram in
-//                  metrics.hpp.  record() is lock-free and wait-free.
+// HdrSnapshot is a plain, single-owner bucket array: the online analyser's
+// windows, `sgxperf top`, the fleet aggregator and the serve daemon record
+// into it, the analyser reads it, and it is the merge/persistence currency
+// (the v4 trace format stores it sparsely, tracedb::LatencyRecord).  The
+// logger keeps none on its hot path: a recording's latency table is folded
+// from the merged call table when the logger seals its shards.
 //
 // Bucket math (standard HDR layout, kSubBits = B, kSubCount = S = 2^B):
 //   v < S              -> bucket v                      (exact, width 1)
@@ -24,11 +23,9 @@
 // Values at or above 2^(kMaxExponent+1) clamp into the last bucket.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -165,8 +162,8 @@ class HdrSnapshot {
     sum_ = 0;
   }
 
-  /// Replaces the bound-derived sum with an exactly-recorded one (used by
-  /// HdrHistogram::snapshot() and the trace loader, which both carry it).
+  /// Replaces the bound-derived sum with an exactly-recorded one (a latency
+  /// row carries it: tracedb::snapshot_of).
   void set_exact_sum(std::uint64_t sum) noexcept { sum_ = sum; }
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
@@ -188,85 +185,6 @@ class HdrSnapshot {
   std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
-};
-
-/// Concurrent HDR recorder.  record() is lock-free: each of kHdrStripes
-/// stripes owns a private row of bucket counters plus a sum cell, padded to
-/// whole cache lines, and a thread only ever touches its own stripe (same
-/// registration scheme as metrics.hpp).  snapshot() sums the stripes into a
-/// racy-by-design point-in-time HdrSnapshot — what a live monitor wants.
-class HdrHistogram {
- public:
-  /// Stripes trade memory for contention; 8 rows * kBucketCount * 8 B ≈
-  /// 74 KiB per instrument, small enough for one histogram per call site.
-  static constexpr std::size_t kHdrStripes = 8;
-
-  HdrHistogram() {
-    cells_ = std::make_unique<std::atomic<std::uint64_t>[]>(kRow * kHdrStripes);
-    for (std::size_t i = 0; i < kRow * kHdrStripes; ++i) cells_[i] = 0;
-  }
-
-  HdrHistogram(const HdrHistogram&) = delete;
-  HdrHistogram& operator=(const HdrHistogram&) = delete;
-
-  void record(std::uint64_t v) noexcept {
-    auto* row = &cells_[stripe() * kRow];
-    row[hdr::index_of(v)].fetch_add(1, std::memory_order_relaxed);
-    row[hdr::kBucketCount].fetch_add(v, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] HdrSnapshot snapshot() const {
-    HdrSnapshot snap;
-    for (std::size_t s = 0; s < kHdrStripes; ++s) {
-      const auto* row = &cells_[s * kRow];
-      for (std::size_t i = 0; i < hdr::kBucketCount; ++i) {
-        const std::uint64_t n = row[i].load(std::memory_order_relaxed);
-        if (n > 0) snap.add_bucket(i, n);
-      }
-    }
-    // add_bucket approximates the sum from bucket bounds; replace it with
-    // the exact recorded sum the stripes carry.
-    snap.set_exact_sum(exact_sum());
-    return snap;
-  }
-
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    std::uint64_t total = 0;
-    for (std::size_t s = 0; s < kHdrStripes; ++s) {
-      const auto* row = &cells_[s * kRow];
-      for (std::size_t i = 0; i < hdr::kBucketCount; ++i) {
-        total += row[i].load(std::memory_order_relaxed);
-      }
-    }
-    return total;
-  }
-
-  void reset() noexcept {
-    for (std::size_t i = 0; i < kRow * kHdrStripes; ++i) {
-      cells_[i].store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  /// Row layout per stripe: [bucket counts...][sum], padded to 64 bytes.
-  static constexpr std::size_t kRow = (hdr::kBucketCount + 1 + 7) / 8 * 8;
-
-  [[nodiscard]] std::uint64_t exact_sum() const noexcept {
-    std::uint64_t total = 0;
-    for (std::size_t s = 0; s < kHdrStripes; ++s) {
-      total += cells_[s * kRow + hdr::kBucketCount].load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-
-  static std::size_t stripe() noexcept {
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t s =
-        next.fetch_add(1, std::memory_order_relaxed) % kHdrStripes;
-    return s;
-  }
-
-  std::unique_ptr<std::atomic<std::uint64_t>[]> cells_;
 };
 
 }  // namespace telemetry

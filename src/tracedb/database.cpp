@@ -2,13 +2,38 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <stdexcept>
+#include <tuple>
 
 #include "support/strutil.hpp"
+#include "telemetry/hdr_histogram.hpp"
 #include "tracedb/merge.hpp"
 #include "tracedb/metrics.hpp"
 
 namespace tracedb {
+
+telemetry::HdrSnapshot snapshot_of(const LatencyRecord& rec) {
+  telemetry::HdrSnapshot snap;
+  for (const auto& [idx, n] : rec.buckets) snap.add_bucket(idx, n);
+  snap.set_exact_sum(rec.sum_ns);
+  return snap;
+}
+
+LatencyRecord latency_record(EnclaveId enclave, CallType type, CallId call_id,
+                             const telemetry::HdrSnapshot& snap) {
+  LatencyRecord rec;
+  rec.enclave_id = enclave;
+  rec.type = type;
+  rec.call_id = call_id;
+  rec.count = snap.count();
+  rec.sum_ns = snap.sum();
+  const auto& buckets = snap.buckets();
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets[i] > 0) rec.buckets.emplace_back(static_cast<std::uint32_t>(i), buckets[i]);
+  }
+  return rec;
+}
 
 DbMetrics& db_metrics() {
   static DbMetrics m;
@@ -176,6 +201,28 @@ void TraceDatabase::set_latency(const LatencyRecord& rec) {
     }
   }
   latencies_.push_back(rec);
+}
+
+void TraceDatabase::fold_call_latencies(std::size_t first_call) {
+  std::lock_guard lock(mu_);
+  using SiteKey = std::tuple<EnclaveId, CallType, CallId>;
+  std::map<SiteKey, telemetry::HdrSnapshot> sites;
+  for (std::size_t i = first_call; i < calls_.size(); ++i) {
+    const CallRecord& c = calls_[i];
+    sites[{c.enclave_id, c.type, c.call_id}].record(c.duration());
+  }
+  for (auto& [key, snap] : sites) {
+    const auto& [enclave, type, call_id] = key;
+    const auto row = std::find_if(latencies_.begin(), latencies_.end(), [&](const auto& l) {
+      return l.enclave_id == enclave && l.type == type && l.call_id == call_id;
+    });
+    if (row == latencies_.end()) {
+      latencies_.push_back(latency_record(enclave, type, call_id, snap));
+    } else {
+      snap.merge(snapshot_of(*row));
+      *row = latency_record(enclave, type, call_id, snap);
+    }
+  }
 }
 
 const LatencyRecord* TraceDatabase::find_latency(EnclaveId enclave, CallType type,

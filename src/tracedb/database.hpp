@@ -75,9 +75,14 @@ class TraceDatabase {
   // --- latency table (format v4) --------------------------------------------
 
   /// Upserts the HDR latency histogram for `rec`'s (enclave, type, call_id)
-  /// key: the logger re-persists cumulative snapshots at every flush, so a
-  /// replace (rather than append) keeps the table one-row-per-site.
+  /// key: a replace (rather than append) keeps the table one-row-per-site.
   void set_latency(const LatencyRecord& rec);
+  /// Adds the durations of calls()[first_call..] to their sites' latency
+  /// rows (count, buckets and exact sum); a site without a row gets one,
+  /// appended in (enclave, type, call_id) order.  The logger folds each
+  /// merge's calls at detach() and flush(), so the table is a function of
+  /// the call table.
+  void fold_call_latencies(std::size_t first_call);
   /// Row for one call site, or nullptr if none was recorded.  The pointer
   /// is invalidated by the next writer call.
   [[nodiscard]] const LatencyRecord* find_latency(EnclaveId enclave, CallType type,

@@ -14,6 +14,10 @@
 
 #include "support/clock.hpp"
 
+namespace telemetry {
+class HdrSnapshot;
+}  // namespace telemetry
+
 namespace tracedb {
 
 using support::Nanoseconds;
@@ -256,5 +260,13 @@ struct LatencyRecord {
   std::uint64_t sum_ns = 0;  // exact sum of recorded durations
   std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
 };
+
+/// The HDR histogram `rec` stores, with its exact sum.
+[[nodiscard]] telemetry::HdrSnapshot snapshot_of(const LatencyRecord& rec);
+
+/// The latency row of one call site holding `snap`'s non-empty buckets,
+/// count and sum.
+[[nodiscard]] LatencyRecord latency_record(EnclaveId enclave, CallType type, CallId call_id,
+                                           const telemetry::HdrSnapshot& snap);
 
 }  // namespace tracedb

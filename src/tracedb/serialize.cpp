@@ -205,9 +205,7 @@ void TraceDatabase::export_csv(const std::string& directory) const {
     FilePtr f = open("latency.csv");
     std::fprintf(f.get(), "enclave_id,type,call_id,count,sum_ns,p50_ns,p90_ns,p99_ns,p999_ns\n");
     for (const auto& l : latencies_) {
-      telemetry::HdrSnapshot snap;
-      for (const auto& [idx, n] : l.buckets) snap.add_bucket(idx, n);
-      snap.set_exact_sum(l.sum_ns);
+      const telemetry::HdrSnapshot snap = snapshot_of(l);
       std::fprintf(f.get(), "%llu,%s,%u,%llu,%llu,%llu,%llu,%llu,%llu\n",
                    static_cast<unsigned long long>(l.enclave_id),
                    l.type == CallType::kEcall ? "ecall" : "ocall", l.call_id,

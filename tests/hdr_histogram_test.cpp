@@ -1,6 +1,6 @@
 // HDR-style log-bucketed histogram: bucket geometry invariants, percentile
-// extraction, merge/serialisation round trips, the striped concurrent
-// recorder, and the online analyser's windowed recorder (WindowedHdr).
+// extraction, merge/serialisation round trips and the online analyser's
+// windowed recorder (WindowedHdr).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include <iterator>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "telemetry/hdr_histogram.hpp"
@@ -16,7 +15,6 @@
 
 namespace {
 
-using telemetry::HdrHistogram;
 using telemetry::HdrSnapshot;
 using telemetry::WindowedHdr;
 namespace hdr = telemetry::hdr;
@@ -154,42 +152,6 @@ TEST(HdrSnapshotTest, OneWalkPercentilesMatchSingleLookups) {
     }
     expect_one_walk_matches(snap, "trial " + std::to_string(trial));
   }
-}
-
-TEST(HdrHistogramTest, ConcurrentRecordersLoseNothing) {
-  HdrHistogram hist;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 25'000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&hist, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        hist.record(static_cast<std::uint64_t>(t) * 1'000 + static_cast<std::uint64_t>(i) % 997);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  const HdrSnapshot snap = hist.snapshot();
-  EXPECT_EQ(snap.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(hist.count(), snap.count());
-}
-
-TEST(HdrHistogramTest, SnapshotSumIsExactNotBucketQuantized) {
-  HdrHistogram hist;
-  // 1000 does not sit on a bucket boundary: upper_bound(index_of(1000)) > 1000.
-  for (int i = 0; i < 10; ++i) hist.record(1'000);
-  const HdrSnapshot snap = hist.snapshot();
-  EXPECT_EQ(snap.sum(), 10'000u);
-  EXPECT_DOUBLE_EQ(snap.mean(), 1'000.0);
-}
-
-TEST(HdrHistogramTest, ResetClearsEverything) {
-  HdrHistogram hist;
-  hist.record(42);
-  hist.reset();
-  EXPECT_EQ(hist.count(), 0u);
-  EXPECT_EQ(hist.snapshot().count(), 0u);
 }
 
 TEST(HdrSnapshotTest, BucketReconstructionMatchesDirectRecording) {

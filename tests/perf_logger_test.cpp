@@ -1,8 +1,14 @@
 // Event logger tests: sgx_ecall shadowing, ocall table rewriting with
 // generated stubs, direct parents, sync classification, AEX counting and
-// tracing, paging capture, the Table 2 overhead calibration, and the live
-// latency histograms against the persisted latency table.
+// tracing, paging capture, the Table 2 overhead calibration, and the latency
+// table the logger folds from the merged calls at detach and flush.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <thread>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "perf/logger.hpp"
 #include "telemetry/hdr_histogram.hpp"
@@ -356,57 +362,118 @@ TEST_F(LoggerTest, EnclaveCreatedBeforeAttachIsRegisteredLazily) {
   EXPECT_FALSE(db.enclaves().empty());
 }
 
-TEST(LoggerHistogram, LatencySnapshotMatchesPersistedTable) {
+/// Expects the latency table to hold one row per call site of `db`'s call
+/// table, each the HDR of that site's call durations: count, exact sum and
+/// every non-empty bucket.
+void expect_rows_fold_the_calls(const tracedb::TraceDatabase& db) {
+  std::map<std::tuple<EnclaveId, CallType, CallId>, telemetry::HdrSnapshot> sites;
+  for (const auto& c : db.calls()) sites[{c.enclave_id, c.type, c.call_id}].record(c.duration());
+  EXPECT_EQ(db.latencies().size(), sites.size());
+  for (const auto& [key, snap] : sites) {
+    const auto& [eid, type, id] = key;
+    const tracedb::LatencyRecord* row = db.find_latency(eid, type, id);
+    ASSERT_NE(row, nullptr) << "no row for call id " << id;
+    EXPECT_EQ(row->count, snap.count()) << "call id " << id;
+    EXPECT_EQ(row->sum_ns, snap.sum()) << "call id " << id;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
+    const auto& counts = snap.buckets();
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (counts[i] > 0) buckets.emplace_back(static_cast<std::uint32_t>(i), counts[i]);
+    }
+    EXPECT_EQ(row->buckets, buckets) << "call id " << id;
+  }
+}
+
+TEST(LoggerHistogram, ReattachKeepsEveryEpochInTheLatencyTable) {
   Urts urts;
   tracedb::TraceDatabase db;
   perf::Logger logger(db);
   logger.attach(urts);
 
   const EnclaveId eid = make_enclave(urts, kEdl);
-  urts.enclave(eid).register_ecall("ecall_work", [](TrustedContext& ctx, void*) {
-    ctx.work(2'500);
+  // The ecall works for as many virtual nanoseconds as its argument says,
+  // so the calls spread over several buckets and no sum is a bucket bound.
+  urts.enclave(eid).register_ecall("ecall_work", [](TrustedContext& ctx, void* ms) {
+    ctx.work(*static_cast<const support::Nanoseconds*>(ms));
     return SgxStatus::kSuccess;
   });
   OcallTable table = make_ocall_table({&empty_ocall, &empty_ocall});
-  for (int i = 0; i < 40; ++i) urts.sgx_ecall(eid, 0, &table, nullptr);
+  const auto run = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      support::Nanoseconds work = 2'500 + 37 * static_cast<support::Nanoseconds>(i % 9);
+      urts.sgx_ecall(eid, 0, &table, &work);
+    }
+  };
 
-  // Live snapshot while attached.
-  const auto live = logger.latency_snapshot(eid, CallType::kEcall, 0);
-  EXPECT_EQ(live.count(), 40u);
+  // One epoch with a flush inside it: the rows fold each merge once.
+  run(40);
+  logger.flush();
+  expect_rows_fold_the_calls(db);
+  run(7);
   logger.detach();
+  ASSERT_EQ(db.calls().size(), 47u);
+  expect_rows_fold_the_calls(db);
 
-  // After detach the same distribution is in the trace's latency table.
-  const auto* rec = db.find_latency(eid, CallType::kEcall, 0);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->count, 40u);
-  telemetry::HdrSnapshot from_table;
-  for (const auto& [idx, n] : rec->buckets) from_table.add_bucket(idx, n);
-  from_table.set_exact_sum(rec->sum_ns);
-  for (const double q : {50.0, 90.0, 99.0, 99.9}) {
-    EXPECT_EQ(from_table.value_at_percentile(q), live.value_at_percentile(q)) << "q=" << q;
-  }
-  EXPECT_EQ(from_table.sum(), live.sum());
+  // A second epoch on the same database adds to the rows it left.
+  logger.attach(urts);
+  run(10);
+  logger.detach();
+  ASSERT_EQ(db.calls().size(), 57u);
+  ASSERT_EQ(db.latencies().size(), 1u);
+  EXPECT_EQ(db.latencies()[0].count, 57u);
+  expect_rows_fold_the_calls(db);
 }
 
-TEST(LoggerHistogram, HistogramsCanBeDisabled) {
+TEST(LoggerHistogram, EveryLatencyRowIsTheHdrOfItsSitesCalls) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCalls = 50;
   Urts urts;
   tracedb::TraceDatabase db;
-  perf::LoggerConfig config;
-  config.latency_histograms = false;
-  perf::Logger logger(db, config);
+  perf::Logger logger(db);
   logger.attach(urts);
 
-  const EnclaveId eid = make_enclave(urts, kEdl);
-  urts.enclave(eid).register_ecall("ecall_work", [](TrustedContext& ctx, void*) {
-    ctx.work(100);
-    return SgxStatus::kSuccess;
+  EnclaveConfig config;
+  config.tcs_count = kThreads + 1;
+  const EnclaveId eid = make_enclave(urts, kEdl, config);
+  urts.enclave(eid).register_ecall("ecall_with_ocall", [](TrustedContext& ctx, void* ms) {
+    ctx.work(500);
+    return ctx.ocall(1, ms);
   });
-  OcallTable table = make_ocall_table({&empty_ocall, &empty_ocall});
-  for (int i = 0; i < 5; ++i) urts.sgx_ecall(eid, 0, &table, nullptr);
-  EXPECT_EQ(logger.latency_snapshot(eid, CallType::kEcall, 0).count(), 0u);
-  logger.detach();
-  EXPECT_EQ(db.find_latency(eid, CallType::kEcall, 0), nullptr);
-  EXPECT_EQ(db.calls().size(), 5u);  // the trace itself is unaffected
+  OcallTable table = make_ocall_table({&empty_ocall, &invoke_fn_ocall});
+
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      FnMs ms;
+      for (std::size_t i = 0; i < kCalls; ++i) urts.sgx_ecall(eid, 1, &table, &ms);
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  // One more call of each site that detach() closes from inside the ocall.
+  FnMs detach_inside;
+  detach_inside.fn = [&] {
+    logger.detach();
+    return SgxStatus::kSuccess;
+  };
+  urts.sgx_ecall(eid, 1, &table, &detach_inside);
+
+  ASSERT_EQ(db.calls().size(), 2 * (kThreads * kCalls + 1));
+  // An ocall and its ecall end together only when detach() closed both.
+  std::size_t closed_pairs = 0;
+  for (const auto& c : db.calls()) {
+    if (c.type == CallType::kOcall &&
+        c.end_ns == db.calls()[static_cast<std::size_t>(c.parent)].end_ns) {
+      ++closed_pairs;
+    }
+  }
+  EXPECT_EQ(closed_pairs, 1u);
+  expect_rows_fold_the_calls(db);
+  for (const CallType type : {CallType::kEcall, CallType::kOcall}) {
+    const tracedb::LatencyRecord* row = db.find_latency(eid, type, 1);
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->count, kThreads * kCalls + 1);
+  }
 }
 
 }  // namespace
