@@ -174,6 +174,15 @@ TEST(StreamConcurrency, DeliveredPlusDroppedEqualsPublished) {
   std::set<std::pair<std::uint32_t, std::uint64_t>> unique;
   for (const auto& ev : seen) unique.emplace(ev.thread_id, ev.start_ns);
   EXPECT_EQ(unique.size(), seen.size());
+  // Per-producer FIFO: a single consumer sees each producer's events in
+  // strictly increasing sequence (drops leave gaps, never reorderings).
+  std::vector<std::int64_t> last(kProducers, -1);
+  for (const auto& ev : seen) {
+    const auto seq = static_cast<std::int64_t>(ev.start_ns);
+    EXPECT_GT(seq, last[ev.thread_id]) << "producer " << ev.thread_id;
+    last[ev.thread_id] = seq;
+  }
+  EXPECT_EQ(sub->published(), sub->delivered() + sub->dropped());
 }
 
 // End-to-end: a subscriber on a recording logger sees the workload's calls,
