@@ -141,6 +141,10 @@ void OnlineAnalyzer::on_call(const StreamEvent& ev) {
       st.counters.add_indirect_parent(prev->second.site, prev->second.end_ns, ev.start_ns);
     }
     ts.last_same_key[same_key] = ThreadState::LastCall{key, ev.end_ns};
+    // This call's own children (nested calls of the other type) are done.
+    const CallType child_type =
+        ev.call_type == CallType::kEcall ? CallType::kOcall : CallType::kEcall;
+    ts.last_same_key.erase({child_type, ev.start_ns});
   }
 
   // --- Eq. 2, end side: this completion is some children's parent ----------
@@ -173,10 +177,10 @@ void OnlineAnalyzer::on_instant(const StreamEvent& ev) {
   } else {
     ++pg.window_outs;
   }
-  reconcile_paging(ev.enclave_id, ev.end_ns);
+  if (!pg.alerted) reconcile_paging(ev.enclave_id, pg, ev.end_ns);
 }
 
-void OnlineAnalyzer::reconcile_site(const CallKey& site, const SiteState& st, bool with_tail,
+void OnlineAnalyzer::reconcile_site(const CallKey& site, SiteState& st, bool with_tail,
                                     std::uint64_t now) {
   // One alert per (kind, site): Eq. 3's per-partner verdicts collapse to the
   // best score.  -1 marks a predicate that does not hold.
@@ -200,30 +204,36 @@ void OnlineAnalyzer::reconcile_site(const CallKey& site, const SiteState& st, bo
       AlertKind::kBatchable,  AlertKind::kMergeable,      AlertKind::kSyncContention,
       AlertKind::kTailLatency,
   };
+  static_assert(tracedb::kAlertKindCount <= 16, "SiteState::active_kinds is 16 bits");
+  const auto bit = [](AlertKind k) {
+    return static_cast<std::uint16_t>(1u << static_cast<unsigned>(k));
+  };
+  // All raises, then all resolves, each in kind order: the sink sees them
+  // in that order.
   for (const AlertKind kind : kSiteKinds) {
-    if (at(kind) < 0.0 || active_.contains({kind, site})) continue;
+    if (at(kind) < 0.0 || (st.active_kinds & bit(kind)) != 0) continue;
     // SSC reports its short-instance count; the rest their score in 1/1000.
     const double detail = kind == AlertKind::kSyncContention ? at(kind) : at(kind) * 1000.0;
     raise_alert(kind, site, now, static_cast<std::uint64_t>(detail));
+    st.active_kinds |= bit(kind);
   }
   for (const AlertKind kind : kSiteKinds) {
-    if (at(kind) < 0.0 && (with_tail || kind != AlertKind::kTailLatency)) {
+    if (at(kind) < 0.0 && (st.active_kinds & bit(kind)) != 0 &&
+        (with_tail || kind != AlertKind::kTailLatency)) {
       resolve_alert(kind, site, now);
+      st.active_kinds &= static_cast<std::uint16_t>(~bit(kind));
     }
   }
 }
 
-void OnlineAnalyzer::reconcile_paging(tracedb::EnclaveId eid, std::uint64_t now) {
-  const auto it = paging_.find(eid);
-  if (it == paging_.end()) return;
+void OnlineAnalyzer::reconcile_paging(tracedb::EnclaveId eid, PagingState& pg,
+                                      std::uint64_t now) {
+  // The event count only grows — a paging alert never resolves, so it
+  // latches.
+  if (pg.alerted || !paging_fires(pg.total, config_.analyzer)) return;
   // Subject: the enclave as a pseudo-site, as in the post-mortem finding.
-  const CallKey subject{eid, CallType::kEcall, 0};
-  const bool fires = paging_fires(it->second.total, config_.analyzer);
-  const bool is_active = active_.contains({AlertKind::kPaging, subject});
-  if (fires && !is_active) {
-    raise_alert(AlertKind::kPaging, subject, now, it->second.total);
-  }
-  // The event count only grows — a paging alert never resolves.
+  raise_alert(AlertKind::kPaging, CallKey{eid, CallType::kEcall, 0}, now, pg.total);
+  pg.alerted = true;
 }
 
 void OnlineAnalyzer::on_order_violation(const OrderViolation& v) {
@@ -361,10 +371,8 @@ void OnlineAnalyzer::finish(Nanoseconds end_ns) {
   // Final reconciliation: every site, every predicate — after this the
   // active set is exactly the post-mortem analyser's verdict set (change
   // markers excluded: they are online-only and expire below).
-  for (const auto& [key, st] : sites_) {
-    reconcile_site(key, st, /*with_tail=*/true, end_ns);
-  }
-  for (const auto& [eid, pg] : paging_) reconcile_paging(eid, end_ns);
+  for (auto& [key, st] : sites_) reconcile_site(key, st, /*with_tail=*/true, end_ns);
+  for (auto& [eid, pg] : paging_) reconcile_paging(eid, pg, end_ns);
 
   std::vector<std::pair<AlertKind, CallKey>> shifts;
   for (const auto& [k, idx] : active_) {

@@ -157,6 +157,9 @@ class OnlineAnalyzer {
     // Change detection over per-window mean latency.
     telemetry::EwmaCusum change;
     bool touched_this_window = false;
+    /// Bit k set iff a site-kind alert of AlertKind k is active for this
+    /// site, so reconcile_site touches active_ only on a transition.
+    std::uint16_t active_kinds = 0;
 
     explicit SiteState(const telemetry::EwmaCusum::Config& cfg) : change(cfg) {}
   };
@@ -166,6 +169,9 @@ class OnlineAnalyzer {
     std::uint64_t total = 0;
     std::uint64_t window_ins = 0;
     std::uint64_t window_outs = 0;
+    /// Latched when the paging alert fires: the count only grows, so the
+    /// alert never resolves and later events skip reconcile_paging.
+    bool alerted = false;
   };
 
   /// One child completion waiting for its parent's end timestamp.
@@ -180,7 +186,9 @@ class OnlineAnalyzer {
     /// (child type, direct-parent instance) -> last completed call of that
     /// key, mirroring tracedb::indirect_parents (Eq. 3).  Valid online
     /// because same-key calls never overlap: completion order == start
-    /// order.
+    /// order.  A parent's completion erases its children's entry (none can
+    /// complete after it), so the map holds one entry per open parent plus
+    /// one per call type for top-level calls.
     struct LastCall {
       tracedb::CallKey site;
       std::uint64_t end_ns = 0;
@@ -200,9 +208,9 @@ class OnlineAnalyzer {
 
   /// Raises and resolves `site`'s alerts to match its predicates right now.
   /// `with_tail` controls the O(buckets) percentile predicate.
-  void reconcile_site(const tracedb::CallKey& site, const SiteState& st, bool with_tail,
+  void reconcile_site(const tracedb::CallKey& site, SiteState& st, bool with_tail,
                       std::uint64_t now);
-  void reconcile_paging(tracedb::EnclaveId eid, std::uint64_t now);
+  void reconcile_paging(tracedb::EnclaveId eid, PagingState& pg, std::uint64_t now);
   void raise_alert(tracedb::AlertKind kind, const tracedb::CallKey& site, std::uint64_t now,
                    std::uint64_t detail);
   void resolve_alert(tracedb::AlertKind kind, const tracedb::CallKey& site, std::uint64_t now);

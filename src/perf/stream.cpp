@@ -38,39 +38,39 @@ bool StreamSubscription::try_push(const StreamEvent& ev) noexcept {
   return true;
 }
 
-bool StreamSubscription::try_pop(StreamEvent& ev) noexcept {
-  Cell* cell = nullptr;
-  std::size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-  for (;;) {
-    cell = &cells_[pos & mask_];
-    const std::size_t seq = cell->seq.load(std::memory_order_acquire);
-    const auto dif = static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos + 1);
-    if (dif == 0) {
-      if (dequeue_pos_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) break;
-    } else if (dif < 0) {
-      return false;  // ring empty
-    } else {
-      pos = dequeue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-  ev = cell->ev;
-  cell->seq.store(pos + mask_ + 1, std::memory_order_release);
-  return true;
-}
-
 void StreamSubscription::publish(const StreamEvent& ev) noexcept {
-  published_.fetch_add(1, std::memory_order_relaxed);
   if (try_push(ev)) return;
   dropped_.fetch_add(1, std::memory_order_relaxed);
   drop_metric_->add();
 }
 
 std::size_t StreamSubscription::poll(std::vector<StreamEvent>& out, std::size_t max) {
+  if (max == 0) return 0;
+  std::size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
   std::size_t n = 0;
-  StreamEvent ev;
-  while (n < max && try_pop(ev)) {
-    out.push_back(ev);
-    ++n;
+  for (;;) {
+    // The run of published cells from pos: cell pos+i is ready when its seq
+    // reads pos+i+1.  A cell a producer has claimed but not yet filled ends
+    // the run, so FIFO order holds.
+    n = 0;
+    while (n < max && cells_[(pos + n) & mask_].seq.load(std::memory_order_acquire) == pos + n + 1) {
+      ++n;
+    }
+    if (n == 0) {
+      const std::size_t seq = cells_[pos & mask_].seq.load(std::memory_order_acquire);
+      if (static_cast<std::intptr_t>(seq) - static_cast<std::intptr_t>(pos + 1) < 0) {
+        return 0;  // ring empty
+      }
+      pos = dequeue_pos_.load(std::memory_order_relaxed);  // another consumer took it
+      continue;
+    }
+    // One CAS claims the whole run; on failure pos holds the current head.
+    if (dequeue_pos_.compare_exchange_weak(pos, pos + n, std::memory_order_relaxed)) break;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    Cell& cell = cells_[(pos + i) & mask_];
+    out.push_back(cell.ev);
+    cell.seq.store(pos + i + mask_ + 1, std::memory_order_release);
   }
   delivered_.fetch_add(n, std::memory_order_relaxed);
   return n;

@@ -12,8 +12,13 @@
 //
 // Design constraints, in order:
 //   1. The recording hot path must stay wait-free: publish() does one
-//      relaxed load when nobody is subscribed, and at most one CAS +
-//      store per subscriber otherwise (Vyukov bounded MPMC ring).
+//      relaxed load when nobody is subscribed, and one CAS + one store per
+//      subscriber otherwise (Vyukov bounded MPMC ring).  No per-event
+//      counter: published() is derived from the enqueue position and the
+//      drop count, since every accepted push advances the position once.
+//      The consumer claims the whole run of published cells at its head
+//      with one CAS per poll(), not one per event, then copies the run out
+//      and releases each cell with one store.
 //   2. Never block, never allocate on the hot path: a full ring *drops*
 //      the event and counts the drop — per subscriber — in both the
 //      subscription and the metrics registry
@@ -83,7 +88,8 @@ struct StreamEvent {
 
 /// A bounded MPMC ring (Vyukov queue) between the recording threads and one
 /// consumer.  try_push() never blocks: when the consumer lags, events are
-/// dropped and accounted.
+/// dropped and accounted.  poll() claims a run of events at a time and stays
+/// safe with several consumers: a claim that loses its CAS rescans.
 class StreamSubscription {
  public:
   /// `capacity` is rounded up to a power of two (minimum 8).
@@ -117,7 +123,7 @@ class StreamSubscription {
   /// "produced" side of the ledger's stream stage.  Once the ring is
   /// drained, published() == delivered() + dropped().
   [[nodiscard]] std::uint64_t published() const noexcept {
-    return published_.load(std::memory_order_relaxed);
+    return enqueue_pos_.load(std::memory_order_relaxed) + dropped();
   }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
@@ -131,7 +137,6 @@ class StreamSubscription {
   };
 
   [[nodiscard]] bool try_push(const StreamEvent& ev) noexcept;
-  [[nodiscard]] bool try_pop(StreamEvent& ev) noexcept;
 
   std::string name_;
   std::size_t mask_;
@@ -141,7 +146,6 @@ class StreamSubscription {
   alignas(64) std::atomic<bool> active_{true};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> published_{0};
   /// Registry counter "logger.stream.<name>.dropped" — resolved once at
   /// construction so drops are a relaxed add, like every other hot-path
   /// metric.  Never null.

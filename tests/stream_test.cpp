@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -182,6 +183,92 @@ TEST(StreamConcurrency, DeliveredPlusDroppedEqualsPublished) {
     EXPECT_GT(seq, last[ev.thread_id]) << "producer " << ev.thread_id;
     last[ev.thread_id] = seq;
   }
+  EXPECT_EQ(sub->published(), sub->delivered() + sub->dropped());
+}
+
+// poll() claims a run of cells at once; a run that crosses the end of the
+// cell array must come out whole and in order, and free every cell it read.
+TEST(StreamSubscription, RunAcrossTheRingEndIsClaimedWhole) {
+  StreamHub hub;
+  auto sub = hub.subscribe("wrap", 8);
+  ASSERT_NE(sub, nullptr);
+  std::vector<StreamEvent> out;
+  for (std::uint64_t i = 0; i < 5; ++i) hub.publish(call_event(i, i));
+  ASSERT_EQ(sub->poll(out), 5u);  // head now at cell 5
+
+  // Cells 5, 6, 7, 0, 1, 2, 3, 4: one run that wraps after three.
+  out.clear();
+  for (std::uint64_t i = 5; i < 13; ++i) hub.publish(call_event(i, i));
+  EXPECT_EQ(sub->dropped(), 0u);
+  ASSERT_EQ(sub->poll(out), 8u);
+  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(out[i].start_ns, i + 5);
+
+  // Every cell was released: a full ring's worth fits again, then drops.
+  out.clear();
+  for (std::uint64_t i = 13; i < 22; ++i) hub.publish(call_event(i, i));
+  EXPECT_EQ(sub->dropped(), 1u);
+  ASSERT_EQ(sub->poll(out, 3), 3u);  // a capped run ending mid-ring
+  ASSERT_EQ(sub->poll(out), 5u);
+  for (std::uint64_t i = 0; i < 8; ++i) EXPECT_EQ(out[i].start_ns, i + 13);
+  EXPECT_EQ(sub->poll(out), 0u);
+  EXPECT_EQ(sub->published(), 22u);
+  EXPECT_EQ(sub->published(), sub->delivered() + sub->dropped());
+}
+
+// poll() is safe from any thread: two consumers draining one ring against
+// four producers deliver every accepted event exactly once between them.
+TEST(StreamConcurrency, TwoConsumersDeliverEachEventOnce) {
+  StreamHub hub;
+  auto sub = hub.subscribe("pair", 1 << 8);
+  ASSERT_NE(sub, nullptr);
+
+  constexpr int kProducers = 4;
+  constexpr std::uint64_t kPerProducer = 20'000;
+  std::atomic<bool> stop{false};
+  std::vector<StreamEvent> seen[2];
+
+  const auto drain = [&](std::vector<StreamEvent>& mine) {
+    std::vector<StreamEvent> batch;
+    for (;;) {
+      const bool last = stop.load(std::memory_order_acquire);
+      batch.clear();
+      // Small batches keep both consumers racing for the same cells.
+      if (sub->poll(batch, 64) == 0) {
+        if (last) return;
+        std::this_thread::yield();
+      }
+      mine.insert(mine.end(), batch.begin(), batch.end());
+    }
+  };
+  std::thread c0(drain, std::ref(seen[0]));
+  std::thread c1(drain, std::ref(seen[1]));
+
+  std::vector<std::thread> producers;
+  producers.reserve(kProducers);
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&hub, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        StreamEvent ev = call_event(i, i + 1);
+        ev.thread_id = static_cast<std::uint32_t>(p);
+        hub.publish(ev);
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  stop.store(true, std::memory_order_release);
+  c0.join();
+  c1.join();
+
+  std::set<std::pair<std::uint32_t, std::uint64_t>> unique;
+  for (const auto& part : seen) {
+    for (const auto& ev : part) {
+      EXPECT_TRUE(unique.emplace(ev.thread_id, ev.start_ns).second)
+          << "producer " << ev.thread_id << " event " << ev.start_ns << " delivered twice";
+    }
+  }
+  EXPECT_EQ(unique.size(), seen[0].size() + seen[1].size());
+  EXPECT_EQ(sub->delivered(), unique.size());
+  EXPECT_EQ(sub->published(), static_cast<std::uint64_t>(kProducers) * kPerProducer);
   EXPECT_EQ(sub->published(), sub->delivered() + sub->dropped());
 }
 
