@@ -445,6 +445,32 @@ TEST(TraceLocks, RecordedSessionsEncodeToPinnedBytes) {
                              .syncs = 8,
                              .dropped = 0}});
   }
+  {
+    // Attached before prepare() with one worker: the main thread's shard
+    // holds the set-up's page-ins and the worker's shard the run, and in
+    // each table the two shards' key ranges do not overlap.
+    sgxsim::Urts urts;
+    const auto stressor = stress::make_stressor("mixed");
+    ASSERT_NE(stressor, nullptr);
+    stress::StressConfig config;
+    config.threads = 1;
+    config.duration_ns = 10'000'000;
+    config.seed = 29;
+    TraceDatabase db;
+    perf::Logger logger(db, logger_config);
+    logger.attach(urts);
+    (void)stress::run_stressor(*stressor, urts, config);
+    logger.detach();
+    expect_recording_bytes(db, "lock_mixed_t1_attached_first",
+                           {0xf96d7780u, 0x826f61d9u, 0x4f3c1940u, 0x6522df69u, 0x415eb1c0u,
+                            {.merges = 1,
+                             .shards_merged = 2,
+                             .calls = 106,
+                             .aexs = 320,
+                             .paging = 69132,
+                             .syncs = 10,
+                             .dropped = 0}});
+  }
 }
 
 // --- lazy loading ------------------------------------------------------------
