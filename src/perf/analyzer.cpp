@@ -158,7 +158,6 @@ void Analyzer::annotate_predictions(AnalysisReport& report,
 
   replay::ReplayConfig replay_config;
   replay_config.recorded_cost = config_.replay_cost;
-  replay_config.threads = config_.replay_threads;
   const replay::ReplayEngine engine(db_, index, replay_config);
   if (engine.recorded_span_ns() == 0) return;
 
@@ -223,7 +222,9 @@ void Analyzer::annotate_predictions(AnalysisReport& report,
     }
   }
 
-  const auto results = engine.run_all(scenarios);
+  std::vector<replay::ScenarioResult> results;
+  results.reserve(scenarios.size());
+  for (const auto& s : scenarios) results.push_back(engine.run(s));
   for (const auto& slot : slots) {
     auto& entry = report.findings[slot.finding].recommendations[slot.rec];
     entry.predicted_speedup = results[slot.scenario].speedup();

@@ -72,8 +72,8 @@ struct AnalyzerConfig {
   /// Worker-count sweep bounds for switchless predictions.
   std::size_t switchless_min_workers = 1;
   std::size_t switchless_max_workers = 8;
-  /// Scenario-level replay parallelism (0 = hardware concurrency; results
-  /// are identical for every value).
+  /// Unread: scenarios replay one at a time.  Kept only because wallbench
+  /// still assigns it; the next benchmark change removes it.
   std::size_t replay_threads = 0;
 };
 

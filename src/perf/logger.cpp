@@ -86,7 +86,6 @@ void Logger::attach(sgxsim::Urts& urts) {
     per_threads_.clear();
     names_registered_.clear();
   }
-  db_.set_merge_threads(config_.merge_threads);
 
   sampler_.reset();
   if (config_.metric_sample_period_ns > 0) {

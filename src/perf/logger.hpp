@@ -41,8 +41,8 @@ struct LoggerConfig {
   /// the trace (MetricSample table, format v3).  0 = sampling off, which
   /// keeps traces byte-identical to pre-telemetry recordings.
   support::Nanoseconds metric_sample_period_ns = 0;
-  /// Worker threads for the shard merge at detach (0 = hardware
-  /// concurrency, 1 = sequential).  Output is byte-identical either way.
+  /// Unread: the detach merge is sequential.  Kept only because wallbench
+  /// still assigns it; the next benchmark change removes it.
   std::size_t merge_threads = 0;
 };
 

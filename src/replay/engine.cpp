@@ -1,13 +1,11 @@
 #include "replay/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 namespace replay {
@@ -364,36 +362,6 @@ ScenarioResult ReplayEngine::run(const Scenario& scenario) const {
 
   for (auto& o : result.switchless) set_wasted_worker_ns(o, result.replayed_span_ns);
   return result;
-}
-
-std::vector<ScenarioResult> ReplayEngine::run_all(
-    const std::vector<Scenario>& scenarios) const {
-  std::vector<ScenarioResult> out(scenarios.size());
-  if (scenarios.empty()) return out;
-
-  std::size_t workers = config_.threads != 0
-                            ? config_.threads
-                            : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  workers = std::min(workers, scenarios.size());
-
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < scenarios.size(); ++i) out[i] = run(scenarios[i]);
-    return out;
-  }
-
-  // Each scenario writes its own pre-sized slot; the claim order is the only
-  // nondeterminism and it does not affect the results.
-  std::atomic<std::size_t> next{0};
-  const auto body = [&] {
-    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < scenarios.size();) {
-      out[i] = run(scenarios[i]);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(body);
-  for (auto& t : pool) t.join();
-  return out;
 }
 
 ValidationResult ReplayEngine::validate() const {

@@ -36,10 +36,8 @@
 //    innermost recorded call of the same enclave containing the timestamp,
 //    and to the whole-trace span when no such call exists.
 //
-// Everything is deterministic: scenarios are themselves replayed
-// single-threaded, and run_all() distributes *whole scenarios* across a
-// thread pool writing into a pre-sized slot per scenario — results are
-// byte-identical at any thread count.
+// Everything is deterministic and single-threaded: each scenario is one
+// sequential replay, and callers run several scenarios one after another.
 #pragma once
 
 #include <cstdint>
@@ -61,9 +59,6 @@ struct ReplayConfig {
   sgxsim::CostModel recorded_cost = sgxsim::CostModel::preset(sgxsim::PatchLevel::kUnpatched);
   /// EPC capacity (pages) of the recording machine, for the paging pass.
   std::size_t recorded_epc_pages = sgxsim::Driver::kDefaultEpcPages;
-  /// Worker threads for run_all() (0 = hardware concurrency).  Results are
-  /// identical for every value; this only changes wall-clock time.
-  std::size_t threads = 0;
 };
 
 /// Replays one trace.  Every call's parent must be kNoParent or the index of
@@ -83,11 +78,6 @@ class ReplayEngine {
 
   /// Re-costs the trace under one scenario.  Deterministic.
   [[nodiscard]] ScenarioResult run(const Scenario& scenario) const;
-
-  /// Runs independent scenarios in parallel; out[i] corresponds to
-  /// scenarios[i] and is byte-identical at any thread count.
-  [[nodiscard]] std::vector<ScenarioResult> run_all(
-      const std::vector<Scenario>& scenarios) const;
 
   /// Switchless worker-count sweep over [min_workers, max_workers].  Counts
   /// are replayed one at a time, in order, until one has no fallbacks; every

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 #include <tuple>
 
 #include "support/strutil.hpp"
 #include "telemetry/hdr_histogram.hpp"
-#include "tracedb/merge.hpp"
 #include "tracedb/metrics.hpp"
 
 namespace tracedb {
@@ -42,6 +43,8 @@ DbMetrics& db_metrics() {
 
 namespace {
 
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
 /// True if no row's key is smaller than the key of the row before it.
 template <class Record>
 bool in_key_order(const std::vector<Record>& rows, Nanoseconds Record::*key) {
@@ -49,28 +52,195 @@ bool in_key_order(const std::vector<Record>& rows, Nanoseconds Record::*key) {
                         [key](const Record& a, const Record& b) { return a.*key < b.*key; });
 }
 
-/// Moves `rows` onto the end of `table` (taking the buffer itself when
-/// `table` is empty), leaves `rows` empty and returns how many rows moved.
+/// One live shard's rows of one table, read in (key, append index) order:
+/// `order` lists their append indices in that order, and stays empty when
+/// the rows were appended in it (one thread's clock only moves forward).
 template <class Record>
-std::size_t take_rows(std::vector<Record>& table, std::vector<Record>& rows) {
-  const std::size_t n = rows.size();
-  if (table.empty()) {
-    table = std::move(rows);
-  } else {
-    table.insert(table.end(), rows.begin(), rows.end());
+struct Part {
+  std::vector<Record>* rows = nullptr;
+  ShardId id = 0;
+  std::vector<std::size_t> order;
+
+  [[nodiscard]] std::size_t size() const noexcept { return rows->size(); }
+  /// Append index of the part's `j`-th row in key order.
+  [[nodiscard]] std::size_t local(std::size_t j) const noexcept {
+    return order.empty() ? j : order[j];
   }
-  rows.clear();
-  return n;
+  [[nodiscard]] const Record& row(std::size_t j) const noexcept { return (*rows)[local(j)]; }
+};
+
+/// Where one part's rows landed in the merged table: the row with append
+/// index `i` at `at[i]`, or at `base + i` when `at` is empty.
+struct Placement {
+  std::size_t base = 0;
+  std::size_t count = 0;
+  std::vector<std::size_t> at;
+
+  [[nodiscard]] std::size_t operator[](std::size_t i) const noexcept {
+    return at.empty() ? base + i : at[i];
+  }
+};
+
+/// A part's next unmerged row in the loser tree.
+struct Cursor {
+  std::size_t part = 0;
+  std::size_t pos = 0;
+  std::size_t end = 0;
+  Nanoseconds head = 0;  // key of row `pos`
+  ShardId id = 0;
+
+  [[nodiscard]] bool exhausted() const noexcept { return pos >= end; }
+};
+
+/// Tournament (loser) tree over k cursors: each internal node keeps the
+/// loser of its match and the winner sits at the root, so emitting a row
+/// replays one leaf-to-root path of log2(k) comparisons.
+class LoserTree {
+ public:
+  explicit LoserTree(const std::vector<Cursor>& cursors) : cursors_(cursors) {
+    while (k_ < cursors_.size()) k_ <<= 1;
+    loser_.assign(k_, kNone);
+    std::vector<std::size_t> winner(2 * k_, kNone);
+    for (std::size_t i = 0; i < cursors_.size(); ++i) winner[k_ + i] = i;
+    for (std::size_t n = k_ - 1; n >= 1; --n) {
+      std::size_t a = winner[2 * n];
+      std::size_t b = winner[2 * n + 1];
+      if (beats(b, a)) std::swap(a, b);
+      winner[n] = a;  // winner moves up
+      loser_[n] = b;  // loser stays at this match
+    }
+    winner_ = winner[1];
+  }
+
+  /// Cursor holding the smallest head.
+  [[nodiscard]] std::size_t top() const noexcept { return winner_; }
+
+  /// Replays the winner's path to the root after its cursor moved on.
+  void replay() noexcept {
+    std::size_t cur = winner_;
+    for (std::size_t n = (k_ + winner_) / 2; n >= 1; n /= 2) {
+      if (beats(loser_[n], cur)) std::swap(cur, loser_[n]);
+    }
+    winner_ = cur;
+  }
+
+ private:
+  /// Strict "cursor a's head sorts before cursor b's" by (key, shard id),
+  /// a total order across parts.  Exhausted cursors and padding slots lose
+  /// every match.
+  [[nodiscard]] bool beats(std::size_t a, std::size_t b) const noexcept {
+    if (a == kNone || cursors_[a].exhausted()) return false;
+    if (b == kNone || cursors_[b].exhausted()) return true;
+    const Cursor& x = cursors_[a];
+    const Cursor& y = cursors_[b];
+    return x.head != y.head ? x.head < y.head : x.id < y.id;
+  }
+
+  const std::vector<Cursor>& cursors_;
+  std::size_t k_ = 1;
+  std::vector<std::size_t> loser_;
+  std::size_t winner_ = kNone;
+};
+
+/// Appends the live shards' `rows` to `table` in (key, shard id, append
+/// index) order and returns where each shard's rows landed.  Only a shard
+/// whose rows are out of key order is index-sorted.  If the non-empty
+/// shards' key ranges chain without overlap, they are concatenated: a shard
+/// in key order moves its vector into an empty table and is appended to any
+/// other.  Otherwise one loser tree merges them, and `interleaved` counts
+/// the table.
+template <class Record>
+std::vector<Placement> merge_table(std::vector<Record>& table,
+                                   const std::vector<EventShard*>& live,
+                                   std::vector<Record> EventShard::*rows,
+                                   Nanoseconds Record::*key, std::size_t& interleaved) {
+  std::vector<Part<Record>> parts(live.size());
+  std::vector<Placement> placed(live.size());
+  std::vector<std::size_t> chain;  // the non-empty parts
+  for (std::size_t s = 0; s < live.size(); ++s) {
+    Part<Record>& p = parts[s];
+    p.rows = &(live[s]->*rows);
+    p.id = live[s]->shard_id();
+    placed[s].count = p.size();
+    if (p.size() == 0) continue;
+    chain.push_back(s);
+    if (in_key_order(*p.rows, key)) continue;
+    p.order.resize(p.size());
+    std::iota(p.order.begin(), p.order.end(), std::size_t{0});
+    std::stable_sort(p.order.begin(), p.order.end(), [&](std::size_t a, std::size_t b) {
+      return (*p.rows)[a].*key < (*p.rows)[b].*key;
+    });
+  }
+
+  // Chained means: ordered by first key, each part ending before the next
+  // begins, or on its first key when the earlier part has the lower id.
+  const auto first = [&](std::size_t s) { return parts[s].row(0).*key; };
+  const auto last = [&](std::size_t s) { return parts[s].row(parts[s].size() - 1).*key; };
+  std::sort(chain.begin(), chain.end(), [&](std::size_t a, std::size_t b) {
+    return first(a) != first(b) ? first(a) < first(b) : parts[a].id < parts[b].id;
+  });
+  bool chained = true;
+  for (std::size_t i = 1; chained && i < chain.size(); ++i) {
+    const Nanoseconds end = last(chain[i - 1]);
+    const Nanoseconds begin = first(chain[i]);
+    chained = end < begin || (end == begin && parts[chain[i - 1]].id < parts[chain[i]].id);
+  }
+
+  if (chained) {
+    for (const std::size_t s : chain) {
+      Part<Record>& p = parts[s];
+      Placement& where = placed[s];
+      where.base = table.size();
+      if (!p.order.empty()) {
+        where.at.resize(p.size());
+        table.reserve(table.size() + p.size());
+        for (std::size_t j = 0; j < p.size(); ++j) {
+          where.at[p.order[j]] = table.size();
+          table.push_back((*p.rows)[p.order[j]]);
+        }
+      } else if (table.empty()) {
+        table = std::move(*p.rows);
+      } else {
+        table.insert(table.end(), p.rows->begin(), p.rows->end());
+      }
+    }
+    return placed;
+  }
+
+  ++interleaved;
+  std::vector<Cursor> cursors;
+  std::size_t total = 0;
+  for (const std::size_t s : chain) {
+    cursors.push_back(Cursor{s, 0, parts[s].size(), first(s), parts[s].id});
+    placed[s].at.resize(parts[s].size());
+    total += parts[s].size();
+  }
+  table.reserve(table.size() + total);
+  LoserTree tree(cursors);
+  for (std::size_t n = 0; n < total; ++n) {
+    Cursor& c = cursors[tree.top()];
+    const Part<Record>& p = parts[c.part];
+    const std::size_t local = p.local(c.pos);
+    placed[c.part].at[local] = table.size();
+    table.push_back((*p.rows)[local]);
+    if (++c.pos < c.end) c.head = p.row(c.pos).*key;
+    tree.replay();
+  }
+  return placed;
 }
 
-/// Adds `base` to the call reference `ref` of the last `n` rows of `table`,
-/// except where it is kNoParent.
+/// Rewrites the shard-local call reference `ref` of every row the shards
+/// placed into `table` to the global index its call landed at.
 template <class Record>
-void rebase_refs(std::vector<Record>& table, std::size_t n, CallIndex Record::*ref,
-                 CallIndex base) {
-  if (base == 0) return;
-  for (auto it = table.end() - static_cast<std::ptrdiff_t>(n); it != table.end(); ++it) {
-    if ((*it).*ref != kNoParent) (*it).*ref += base;
+void remap_refs(std::vector<Record>& table, const std::vector<Placement>& placed,
+                const std::vector<Placement>& call_placed, CallIndex Record::*ref) {
+  for (std::size_t s = 0; s < placed.size(); ++s) {
+    const Placement& calls = call_placed[s];
+    if (calls.at.empty() && calls.base == 0) continue;  // calls kept their indices
+    for (std::size_t i = 0; i < placed[s].count; ++i) {
+      CallIndex& r = table[placed[s][i]].*ref;
+      if (r != kNoParent) r = static_cast<CallIndex>(calls[static_cast<std::size_t>(r)]);
+    }
   }
 }
 
@@ -96,7 +266,6 @@ TraceDatabase::TraceDatabase(TraceDatabase&& other) noexcept {
   stream_dropped_ = other.stream_dropped_;
   shards_ = std::move(other.shards_);
   merge_stats_ = other.merge_stats_;
-  merge_threads_ = other.merge_threads_;
   other.shards_.clear();
   other.merge_stats_ = MergeStats{};
   other.dropped_events_ = 0;
@@ -279,83 +448,9 @@ void TraceDatabase::set_order_rules(std::vector<OrderRuleRecord> rules) {
   order_rules_ = std::move(rules);
 }
 
-void TraceDatabase::set_merge_threads(std::size_t n) {
-  std::lock_guard lock(mu_);
-  merge_threads_ = n;
-}
-
 std::uint64_t TraceDatabase::dropped_events() const {
   std::lock_guard lock(mu_);
   return dropped_events_;
-}
-
-void TraceDatabase::merge_by_key(const std::vector<EventShard*>& live, MergeStats& round) {
-  std::vector<std::uint32_t> shard_ids;
-  shard_ids.reserve(live.size());
-  for (const EventShard* s : live) shard_ids.push_back(s->shard_id());
-
-  // --- calls: sort by start time, remap local parent references ------------
-  {
-    std::vector<std::vector<Nanoseconds>> keys(live.size());
-    for (std::size_t s = 0; s < live.size(); ++s) {
-      keys[s].reserve(live[s]->calls().size());
-      for (const auto& c : live[s]->calls()) keys[s].push_back(c.start_ns);
-    }
-    const auto order = parallel_merge_order(keys, shard_ids, merge_threads_);
-
-    std::vector<std::vector<CallIndex>> remap(live.size());
-    for (std::size_t s = 0; s < live.size(); ++s) remap[s].resize(live[s]->calls_.size());
-    calls_.reserve(calls_.size() + order.size());
-    for (const auto& ref : order) {
-      remap[ref.shard][ref.local] = static_cast<CallIndex>(calls_.size());
-      calls_.push_back(live[ref.shard]->calls_[ref.local]);
-    }
-    for (const auto& ref : order) {
-      auto& rec = calls_[static_cast<std::size_t>(remap[ref.shard][ref.local])];
-      if (rec.parent != kNoParent) {
-        rec.parent = remap[ref.shard][static_cast<std::size_t>(rec.parent)];
-      }
-    }
-    round.calls = order.size();
-
-    // --- AEXs: sort by timestamp, remap during_call through the same map ---
-    std::vector<std::vector<Nanoseconds>> aex_keys(live.size());
-    for (std::size_t s = 0; s < live.size(); ++s) {
-      for (const auto& a : live[s]->aexs()) aex_keys[s].push_back(a.timestamp_ns);
-    }
-    const auto aex_order = parallel_merge_order(aex_keys, shard_ids, merge_threads_);
-    aexs_.reserve(aexs_.size() + aex_order.size());
-    for (const auto& ref : aex_order) {
-      AexRecord rec = live[ref.shard]->aexs_[ref.local];
-      if (rec.during_call != kNoParent) {
-        rec.during_call = remap[ref.shard][static_cast<std::size_t>(rec.during_call)];
-      }
-      aexs_.push_back(rec);
-    }
-    round.aexs = aex_order.size();
-  }
-
-  // --- paging / sync: time-sorted stitches, no references to remap ---------
-  {
-    std::vector<std::vector<Nanoseconds>> keys(live.size());
-    for (std::size_t s = 0; s < live.size(); ++s) {
-      for (const auto& p : live[s]->paging()) keys[s].push_back(p.timestamp_ns);
-    }
-    const auto order = parallel_merge_order(keys, shard_ids, merge_threads_);
-    paging_.reserve(paging_.size() + order.size());
-    for (const auto& ref : order) paging_.push_back(live[ref.shard]->paging_[ref.local]);
-    round.paging = order.size();
-  }
-  {
-    std::vector<std::vector<Nanoseconds>> keys(live.size());
-    for (std::size_t s = 0; s < live.size(); ++s) {
-      for (const auto& rec : live[s]->syncs()) keys[s].push_back(rec.timestamp_ns);
-    }
-    const auto order = parallel_merge_order(keys, shard_ids, merge_threads_);
-    syncs_.reserve(syncs_.size() + order.size());
-    for (const auto& ref : order) syncs_.push_back(live[ref.shard]->syncs_[ref.local]);
-    round.syncs = order.size();
-  }
 }
 
 TraceDatabase::MergeStats TraceDatabase::merge_shards() {
@@ -370,34 +465,28 @@ TraceDatabase::MergeStats TraceDatabase::merge_shards() {
     s->seal();
     if (!s->drained()) live.push_back(s.get());
   }
-  EventShard* lone = nullptr;  // the only live shard with events, if one is
-  for (EventShard* s : live) {
-    if (s->events_recorded() == 0) continue;
-    ++round.shards_merged;
-    lone = round.shards_merged == 1 ? s : nullptr;
+  for (const EventShard* s : live) {
+    if (s->events_recorded() > 0) ++round.shards_merged;
+    round.calls += s->calls_.size();
+    round.aexs += s->aexs_.size();
+    round.paging += s->paging_.size();
+    round.syncs += s->syncs_.size();
   }
 
-  // Timestamp ties resolve to shard registration order then append order
-  // inside merge.cpp's tournament merge, which makes the merged sequence
-  // deterministic (and byte-identical for any merge_threads_ setting).
-  // So a lone shard whose four tables are each in key order merges to the
-  // identity: its rows move over as they are, and its local call indices
-  // shift by the calls merged before.  One recording thread gives exactly
-  // that, since its clock only moves forward.
-  if (lone != nullptr && in_key_order(lone->calls_, &CallRecord::start_ns) &&
-      in_key_order(lone->aexs_, &AexRecord::timestamp_ns) &&
-      in_key_order(lone->paging_, &PagingRecord::timestamp_ns) &&
-      in_key_order(lone->syncs_, &SyncRecord::timestamp_ns)) {
-    const auto base = static_cast<CallIndex>(calls_.size());
-    round.calls = take_rows(calls_, lone->calls_);
-    rebase_refs(calls_, round.calls, &CallRecord::parent, base);
-    round.aexs = take_rows(aexs_, lone->aexs_);
-    rebase_refs(aexs_, round.aexs, &AexRecord::during_call, base);
-    round.paging = take_rows(paging_, lone->paging_);
-    round.syncs = take_rows(syncs_, lone->syncs_);
-  } else {
-    merge_by_key(live, round);
-  }
+  // Every table is ordered by (key, shard registration order, append order),
+  // a unique total order, so the merged sequence is deterministic.  Calls go
+  // first: their placements remap the parent and during_call references.
+  const auto call_at =
+      merge_table(calls_, live, &EventShard::calls_, &CallRecord::start_ns, round.interleaved);
+  remap_refs(calls_, call_at, call_at, &CallRecord::parent);
+  remap_refs(aexs_,
+             merge_table(aexs_, live, &EventShard::aexs_, &AexRecord::timestamp_ns,
+                         round.interleaved),
+             call_at, &AexRecord::during_call);
+  (void)merge_table(paging_, live, &EventShard::paging_, &PagingRecord::timestamp_ns,
+                    round.interleaved);
+  (void)merge_table(syncs_, live, &EventShard::syncs_, &SyncRecord::timestamp_ns,
+                    round.interleaved);
 
   // --- drain ----------------------------------------------------------------
   for (EventShard* s : live) {
@@ -422,6 +511,7 @@ TraceDatabase::MergeStats TraceDatabase::merge_shards() {
   merge_stats_.aexs += round.aexs;
   merge_stats_.paging += round.paging;
   merge_stats_.syncs += round.syncs;
+  merge_stats_.interleaved += round.interleaved;
   merge_stats_.dropped += round.dropped;
   dropped_events_ += round.dropped;
 

@@ -126,19 +126,20 @@ class TraceDatabase {
     std::size_t paging = 0;
     std::size_t syncs = 0;
     std::size_t dropped = 0;         // events shards rejected after seal
+    std::size_t interleaved = 0;     // tables whose shards' key ranges overlapped
   };
 
   /// Seals every live shard and stitches their records into the global
   /// record arrays, sorted by timestamp (ties broken by shard registration
   /// order, then append order — so a single-threaded trace merges to exactly
   /// the sequence the direct API would have produced).  Shard-local parent /
-  /// during_call references are remapped to global indices.  When one shard
-  /// holds every event and each of its tables is already in time order (one
-  /// recording thread), that order is the identity: its rows are moved in,
-  /// or appended with their references shifted, in one pass.  Drained shards
-  /// remain registered as inert husks (late writers see a sealed shard)
-  /// until reopen_shards(), clear() or destruction.  Callers must guarantee
-  /// the shard writers have quiesced.  Returns the stats of *this* merge.
+  /// during_call references are remapped to global indices.  One sequential
+  /// pass per table: shards whose key ranges do not overlap are concatenated
+  /// (a lone in-order shard moves into an empty table), and only a table
+  /// whose shards interleave runs a k-way merge.  Drained shards remain
+  /// registered as inert husks (late writers see a sealed shard) until
+  /// reopen_shards(), clear() or destruction.  Callers must guarantee the
+  /// shard writers have quiesced.  Returns the stats of *this* merge.
   MergeStats merge_shards();
 
   /// Resets every drained shard back to the recording state so its owner
@@ -147,12 +148,6 @@ class TraceDatabase {
 
   [[nodiscard]] MergeStats merge_stats() const;
   [[nodiscard]] std::size_t shard_count() const;
-
-  /// Worker threads used by merge_shards() for the k-way stitch.  0 (the
-  /// default) picks hardware_concurrency, 1 forces the sequential path.
-  /// Output is byte-identical regardless: the merge order (timestamp,
-  /// shard id, append index) is a unique total order.
-  void set_merge_threads(std::size_t n);
 
   // --- reader API ----------------------------------------------------------
 
@@ -210,10 +205,6 @@ class TraceDatabase {
  private:
   friend struct store::RawTables;
 
-  /// merge_shards()'s general case: a k-way merge of the live shards by
-  /// key, with every call reference remapped.
-  void merge_by_key(const std::vector<EventShard*>& live, MergeStats& round);
-
   mutable std::mutex mu_;
   std::vector<CallRecord> calls_;
   std::vector<AexRecord> aexs_;
@@ -234,7 +225,6 @@ class TraceDatabase {
 
   std::vector<std::unique_ptr<EventShard>> shards_;
   MergeStats merge_stats_;
-  std::size_t merge_threads_ = 0;
 };
 
 }  // namespace tracedb

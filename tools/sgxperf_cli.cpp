@@ -121,7 +121,6 @@ struct Options {
   std::string cost_profile;            // unpatched | spectre | l1tf
   std::string recorded_profile = "unpatched";
   std::size_t epc_mb = 0;              // 0 = the default EPC
-  std::size_t replay_threads = 0;      // 0 = hardware concurrency
   bool all_recommendations = false;
   bool whatif = false;
   std::string socket_path;
@@ -310,7 +309,6 @@ std::vector<Flag> flag_table(Options& o) {
       {"--merge", "SITE", "merge SITE into its indirect parents (Eq. 3)", text(o.merge_site)},
       {"--cost-profile", "P", "re-cost as unpatched, spectre or l1tf", text(o.cost_profile)},
       {"--recorded-profile", "P", "profile of the recording (unpatched)", text(o.recorded_profile)},
-      {"--replay-threads", "N", "replay parallelism (0 = auto)", number(o.replay_threads)},
       {"--all-recommendations", "", "rank every recommendation", on(o.all_recommendations)},
       {"--whatif", "", "diff against a replayed scenario", on(o.whatif)},
       {"--socket", "PATH", "ingest UNIX socket producers connect to", text(o.socket_path)},
@@ -1221,11 +1219,11 @@ std::optional<std::pair<std::size_t, std::size_t>> parse_workers(const std::stri
 }
 
 /// The what-if flags, resolved once against a trace: the replay settings
-/// (--recorded-profile, --replay-threads), the --workers range, and one
-/// named single-pass scenario per --switchless/--eliminate/--merge/
-/// --cost-profile/--epc-mb flag, in that order (switchless at the lowest
-/// worker count).  `whatif` runs the passes one by one; `compare --whatif`
-/// composes them into one scenario.
+/// (--recorded-profile), the --workers range, and one named single-pass
+/// scenario per --switchless/--eliminate/--merge/--cost-profile/--epc-mb
+/// flag, in that order (switchless at the lowest worker count).  `whatif`
+/// runs the passes one by one; `compare --whatif` composes them into one
+/// scenario.
 struct WhatIf {
   replay::ReplayConfig replay;
   std::size_t min_workers = 1;
@@ -1241,7 +1239,6 @@ int resolve_whatif(const Options& opts, const tracedb::TraceDatabase& db, WhatIf
   const auto workers = parse_workers(opts.workers_range);
   if (!workers) return 2;
   w.replay.recorded_cost = sgxsim::CostModel::preset(*recorded);
-  w.replay.threads = opts.replay_threads;
   std::tie(w.min_workers, w.max_workers) = *workers;
 
   const auto pass = [&w](std::string name) -> replay::Scenario& {
@@ -1318,7 +1315,6 @@ int run_whatif(const Options& opts, Trace& trace) {
     acfg.replay_cost = whatif.replay.recorded_cost;
     acfg.switchless_min_workers = whatif.min_workers;
     acfg.switchless_max_workers = whatif.max_workers;
-    acfg.replay_threads = opts.replay_threads;
     perf::Analyzer analyzer(db, acfg);
     if (!load_edl(opts, analyzer)) return 1;
     const auto report = analyzer.analyze(index);
@@ -1683,7 +1679,7 @@ const std::string kWeights =
     "--eq1-alpha --eq1-beta --eq1-gamma --eq2-gamma --eq3-epsilon --eq3-lambda --transition-ns";
 const std::string kScenario =
     "--switchless --workers --eliminate --merge --cost-profile --epc-mb --recorded-profile "
-    "--replay-threads --enclave";
+    "--enclave";
 const std::string kLive = "--workload --threads --calls --interval-ms";
 const std::string kFleet = "--query-socket --corpus --retention --out";
 
